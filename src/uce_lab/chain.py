@@ -9,6 +9,7 @@ module.  Homology in degree n is Ker delta_n / Im delta_{n+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .exactlin import (
     GradedFreeModule,
@@ -63,20 +64,24 @@ class ChainMap:
         return bad
 
 
-def tensor_power_module(l: LeibnizSuperalgebra, n: int) -> GradedFreeModule:
+def tensor_power_module(l, n: int) -> GradedFreeModule:
     """L^(x)n with basis tuples in lexicographic order and Koszul parity
-    |x_1 (x) ... (x) x_n| = sum |x_i|."""
-    if n == 0:
-        return GradedFreeModule(1, (0,))
-    return GradedFreeModule(l.dim ** n, tuple(_tensor_parities(l, n)))
-
-
-def _tensor_parities(l: LeibnizSuperalgebra, n: int):
-    pars = list(l.module.parity)
-    out = [0]
+    |x_1 (x) ... (x) x_n| = sum |x_i|.  l is anything with a graded basis
+    (``dim`` and ``module``): a Leibniz superalgebra or a superdialgebra."""
+    pars = [0]
     for _ in range(n):
-        out = [(p + q) % 2 for p in out for q in pars]
-    return out
+        pars = [(p + q) % 2 for p in pars for q in l.module.parity]
+    return GradedFreeModule(l.dim ** n, tuple(pars))
+
+
+def tensor_index(tup, dim: int) -> int:
+    """Position of the basis tuple tup in the lexicographic basis of a tensor
+    power of a dim-dimensional module; itertools.product(range(dim),
+    repeat=n) lists the tuples in this order."""
+    idx = 0
+    for t in tup:
+        idx = idx * dim + t
+    return idx
 
 
 def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> ChainMap:
@@ -85,24 +90,16 @@ def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Ch
         raise ValueError("delta is defined for n >= 1")
     dim = l.dim
     guard_check([dim ** n, dim ** (n - 1) if n > 1 else 0], guard)
-    src = GradedFreeModule(dim ** n, tuple(_tensor_parities(l, n)))
+    src = tensor_power_module(l, n)
     if n == 1:
         tgt = GradedFreeModule(0, ())
         return ChainMap(src, tgt, SparseMat.zeros(l.ring, 0, dim), 1)
-    tgt = GradedFreeModule(dim ** (n - 1), tuple(_tensor_parities(l, n - 1)))
+    tgt = tensor_power_module(l, n - 1)
 
     ring = l.ring
     pars = l.module.parity
-    # strides for encoding tuples: index = sum idx[pos] * dim^{n-1-pos}
-    stride = [dim ** (n - 1 - pos) for pos in range(n)]
-    stride_out = [dim ** (n - 2 - pos) for pos in range(n - 1)]
     entries = {}
-    for col in range(dim ** n):
-        tup = []
-        rem = col
-        for pos in range(n):
-            tup.append(rem // stride[pos])
-            rem %= stride[pos]
+    for col, tup in enumerate(product(range(dim), repeat=n)):
         for jpos in range(1, n):          # 0-based position of x_j, j = jpos+1
             for ipos in range(jpos):      # 0-based position of x_i
                 koszul = sum(pars[tup[t]] for t in range(ipos + 1, jpos))
@@ -111,12 +108,9 @@ def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Ch
                 terms = l.table.get((tup[ipos], tup[jpos]))
                 if not terms:
                     continue
-                rest = [tup[t] for t in range(n) if t not in (ipos, jpos)]
+                rest = tup[:ipos] + tup[ipos + 1:jpos] + tup[jpos + 1:]
                 for k, c in terms:
-                    out_tup = rest[:ipos] + [k] + rest[ipos:]
-                    row = sum(
-                        out_tup[t] * stride_out[t] for t in range(n - 1)
-                    )
+                    row = tensor_index(rest[:ipos] + (k,) + rest[ipos:], dim)
                     key = (row, col)
                     entries[key] = entries.get(key, ring.zero) + sign * c
     mat = SparseMat(ring, dim ** (n - 1), dim ** n, entries)

@@ -2,9 +2,11 @@
 
 Subcommands: check, hl2, hhs1, verify, catalog.  Exit codes are stable:
 0 success / verification passed, 1 axiom violations or a failed verification,
-2 unreadable or malformed input, 3 size guard exceeded, 4 unclassified
-(m, n) case.  JSON output is byte-identical for identical inputs and seed
-(timings are only printed in text mode).
+2 unreadable or malformed input (including a --dialgebra file that violates
+the axioms, and a modulus too large to test for primality), 3 size guard
+exceeded, 4 unclassified (m, n) case, 5 internal invariant breach (a bug, not
+bad input).  JSON output is byte-identical for identical inputs and seed
+(timings are only printed in text mode); the seed is only recorded.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import json
 import sys
 
 from .chain import DEFAULT_SIZE_GUARD, SizeGuardExceededError, hl
-from .exactlin import UnsupportedRingError
+from .exactlin import NotASubmoduleError, UnsupportedRingError
 from .hochschild import NoBarUnitBasisError, hhs1
 from .leibniz import sl
 from .superdialg import (
     DialgebraFormatError,
+    InvalidInputError,
     builtin_dialgebra,
     catalog_entries,
     load_dialgebra_file,
@@ -37,6 +40,7 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_UNCLASSIFIED = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(payload, fmt, text_lines):
@@ -47,11 +51,22 @@ def _emit(payload, fmt, text_lines):
             print(line)
 
 
+def _check_lines(d, issues):
+    return [f"{d.name}: {'valid' if not issues else 'INVALID'}"] + [
+        f"  - {v}" for v in issues
+    ]
+
+
 def _load_source(args):
-    """(dialgebra, label) from --builtin or --dialgebra."""
+    """(dialgebra, label) from --builtin or --dialgebra.  A file is validated
+    first; its axiom violations raise InvalidInputError, listed as check
+    lists them."""
     if getattr(args, "builtin", None):
         return builtin_dialgebra(args.builtin), args.builtin
     d = load_dialgebra_file(args.dialgebra)
+    issues = validate(d)
+    if issues:
+        raise InvalidInputError("\n".join(_check_lines(d, issues)))
     return d, d.name
 
 
@@ -78,9 +93,7 @@ def cmd_check(args) -> int:
         return EXIT_PARSE
     issues = validate(d)
     payload = {"name": d.name, "valid": not issues, "violations": issues}
-    _emit(payload, args.format,
-          [f"{d.name}: {'valid' if not issues else 'INVALID'}"]
-          + [f"  - {v}" for v in issues])
+    _emit(payload, args.format, _check_lines(d, issues))
     return EXIT_OK if not issues else EXIT_FAIL
 
 
@@ -131,10 +144,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if payload["pass"] else EXIT_FAIL
 
     case = CaseLabel(args.m, args.n, args.builtin or "loaded")
-    if args.builtin:
-        d = builtin_dialgebra(args.builtin)
-    else:
-        d = load_dialgebra_file(args.dialgebra)
+    d, _ = _load_source(args)
     _preflight_guard(args.m, args.n, d, args.guard)
     report = verify_dialgebra(case, d, args.guard)
     payload = {"seed": args.seed, "report": report.to_json(), "pass": report.passed}
@@ -248,6 +258,9 @@ def main(argv=None) -> int:
     except (UnsupportedRingError, NoBarUnitBasisError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except (RuntimeError, NotASubmoduleError) as e:
+        print(f"internal invariant breach: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
 
 import numpy as np
 
@@ -55,14 +55,36 @@ class NotASubmoduleError(ExactLinError):
     """Raised when alleged image generators do not lie in the kernel span."""
 
 
+# Miller-Rabin with the first thirteen prime bases decides primality exactly
+# below _MR_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    if n >= _MR_LIMIT:
+        raise UnsupportedRingError(
+            f"modulus {n} is above {_MR_LIMIT}, where primality is not decided"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -88,14 +110,16 @@ class RingSpec:
         elif self.modulus is not None:
             raise ValueError(f"{self.kind} takes no modulus")
 
-    @property
+    @cached_property
     def is_field(self) -> bool:
+        """Decided once per ring; a modulus too large for the primality test
+        raises UnsupportedRingError."""
         if self.kind == "rationals":
             return True
         return self.kind == "int_mod" and _is_prime(self.modulus)
 
     def require_pid(self):
-        if self.kind == "int_mod" and not _is_prime(self.modulus):
+        if self.kind == "int_mod" and not self.is_field:
             raise UnsupportedRingError(
                 f"modulus {self.modulus} is composite; compute over the "
                 "integers and reduce instead"
@@ -255,6 +279,19 @@ class SparseMat:
             out = {k: v % ring.modulus for k, v in out.items()}
         return SparseMat(ring, self.rows, other.cols, out)
 
+    def apply(self, vec) -> list:
+        """self @ vec for a dense coordinate sequence, as a dense list of
+        normalized ring elements."""
+        ring = self.ring
+        out = [ring.zero] * self.rows
+        cols = self.columns()
+        for j, c in enumerate(vec):
+            if c == 0:
+                continue
+            for i, m in cols[j]:
+                out[i] = out[i] + c * m
+        return [ring.normalize(x) for x in out]
+
     def transpose(self) -> "SparseMat":
         return SparseMat(
             self.ring, self.cols, self.rows,
@@ -295,12 +332,7 @@ def _ext_gcd(a: int, b: int):
 
 
 def _content(arr) -> int:
-    g = 0
-    for x in arr:
-        g = gcd(g, int(x))
-        if g == 1:
-            return 1
-    return g
+    return int(np.gcd.reduce(arr))
 
 
 class Echelon:
@@ -516,6 +548,10 @@ class Echelon:
                     v = v - q * r
         return v
 
+    def residue_of(self, dense):
+        """residue of a dense coordinate sequence (list or numpy array)."""
+        return self.residue(self.vector([(i, x) for i, x in enumerate(dense) if x != 0]))
+
     def contains(self, v) -> bool:
         res = self.residue(v.copy() if hasattr(v, "copy") else v)
         return not res.any()
@@ -523,19 +559,19 @@ class Echelon:
     def basis_matrix(self) -> SparseMat:
         """Rows as columns of a SparseMat, ordered by pivot index."""
         order = sorted(range(len(self.rows)), key=lambda k: self.pivots[k])
-        cols = []
-        for k in order:
-            r = self.rows[k]
-            if self.mode == "intfield":
-                cols.append([Fraction(int(x)) for x in r])
-            elif self.ring.kind == "rationals":
-                cols.append([Fraction(x) for x in r])
-            else:
-                cols.append([int(x) for x in r])
+        cols = [_ring_values(self.ring, self.rows[k]) for k in order]
         return SparseMat.from_columns(self.ring, self.dim, cols)
 
     def pivot_values(self) -> dict:
         return {p: int(self.rows[at][p]) for p, at in self.row_at.items()}
+
+
+def _ring_values(ring: RingSpec, xs) -> list:
+    """Engine entries as ring elements: Fractions over the rationals, ints
+    otherwise."""
+    if ring.kind == "rationals":
+        return [x if isinstance(x, Fraction) else Fraction(int(x)) for x in xs]
+    return [int(x) for x in xs]
 
 
 def column_span_echelon(m: SparseMat, stop_rank: int | None = None) -> Echelon:
@@ -566,6 +602,27 @@ def rank(m: SparseMat) -> int:
     return column_span_echelon(m).rank
 
 
+def _augmented_echelon(m: SparseMat) -> Echelon:
+    """Echelon of the columns of m, column j extended by the unit vector at
+    m.rows + j: the rows of [m | I] after reduction record which combination
+    of columns each one is."""
+    n = m.rows
+    ech = Echelon(m.ring, n + m.cols)
+    cols = m.columns()
+    for j in range(m.cols):
+        ech.insert(ech.vector(cols[j] + [(n + j, 1)]))
+    return ech
+
+
+def _coordinates(ech: Echelon, n: int, vec):
+    """x with m @ x = vec from the augmented echelon of an n-row m, or None
+    when vec is outside the column span (lattice)."""
+    res = ech.residue_of(vec)
+    if res[:n].any():
+        return None
+    return _ring_values(ech.ring, [-x for x in res[n:]])
+
+
 def kernel_basis(m: SparseMat) -> SparseMat:
     """Columns spanning {v : m @ v = 0}.
 
@@ -574,24 +631,13 @@ def kernel_basis(m: SparseMat) -> SparseMat:
     of m augmented with companion unit vectors; a column whose matrix part
     dies leaves its companion as a kernel generator.
     """
-    m.ring.require_pid()
-    n, k = m.rows, m.cols
-    ech = Echelon(m.ring, n + k)
-    cols = m.columns()
-    for j in range(k):
-        ech.insert(ech.vector(cols[j] + [(n + j, 1)]))
-    out = []
-    for pos, p in sorted(
-        ((self_pos, piv) for self_pos, piv in enumerate(ech.pivots) if piv >= n),
-        key=lambda t: t[1],
-    ):
-        row = ech.rows[pos]
-        tail = row[n:]
-        if m.ring.kind == "rationals":
-            out.append([Fraction(int(x)) if not isinstance(x, Fraction) else x for x in tail])
-        else:
-            out.append([int(x) for x in tail])
-    return SparseMat.from_columns(m.ring, k, out)
+    n = m.rows
+    ech = _augmented_echelon(m)
+    out = [
+        _ring_values(m.ring, ech.rows[ech.row_at[p]][n:])
+        for p in sorted(p for p in ech.pivots if p >= n)
+    ]
+    return SparseMat.from_columns(m.ring, m.cols, out)
 
 
 def solve_linear(m: SparseMat, target):
@@ -599,48 +645,24 @@ def solve_linear(m: SparseMat, target):
 
     Columns may be dependent; the returned solution is then one valid choice.
     """
-    m.ring.require_pid()
-    n, k = m.rows, m.cols
-    ech = Echelon(m.ring, n + k)
-    cols = m.columns()
-    for j in range(k):
-        ech.insert(ech.vector(cols[j] + [(n + j, 1)]))
-    items = [(i, v) for i, v in enumerate(target) if v != 0]
-    res = ech.residue(ech.vector(items))
-    if res[:n].any():
-        return None
-    coords = [-x for x in res[n:]]
-    if m.ring.kind == "rationals":
-        return [Fraction(int(c)) if not isinstance(c, Fraction) else c for c in coords]
-    return [int(c) for c in coords]
+    return _coordinates(_augmented_echelon(m), m.rows, target)
 
 
 class SpanSolver:
     """Exact coordinates with respect to independent generator columns."""
 
     def __init__(self, basis: SparseMat):
-        basis.ring.require_pid()
         self.ring = basis.ring
         self.n = basis.rows
         self.k = basis.cols
-        self.ech = Echelon(basis.ring, self.n + self.k)
-        cols = basis.columns()
-        for j in range(self.k):
-            grew = self.ech.insert(self.ech.vector(cols[j] + [(self.n + j, 1)]))
-            if not grew or self.ech.pivots[-1] >= self.n:
-                raise ValueError("SpanSolver needs independent columns")
+        self.ech = _augmented_echelon(basis)
+        if any(p >= self.n for p in self.ech.pivots):
+            raise ValueError("SpanSolver needs independent columns")
 
     def solve(self, dense_vec):
         """Coefficients x with basis @ x = vec, or None if not in the span
         (over the integers: not in the lattice)."""
-        items = [(i, v) for i, v in enumerate(dense_vec) if v != 0]
-        res = self.ech.residue(self.ech.vector(items))
-        if res[: self.n].any():
-            return None
-        coords = [-x for x in res[self.n:]]
-        if self.ring.kind == "rationals":
-            return [Fraction(int(c)) if not isinstance(c, Fraction) else c for c in coords]
-        return [int(c) for c in coords]
+        return _coordinates(self.ech, self.n, dense_vec)
 
 
 # ---------------------------------------------------------------------------

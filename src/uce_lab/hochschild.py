@@ -16,6 +16,7 @@ one-dimensional case in degree 2) and are gated by the property suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .exactlin import (
     Echelon,
@@ -27,7 +28,7 @@ from .exactlin import (
     snf,
     subquotient_invariants,
 )
-from .chain import DEFAULT_SIZE_GUARD, guard_check
+from .chain import DEFAULT_SIZE_GUARD, guard_check, tensor_index, tensor_power_module
 from .leibniz import SpecialLinear, sl
 from .superdialg import SuperDialgebra, QuotientModule, quotient_Dm
 from .tensorsq import (
@@ -131,24 +132,8 @@ def d(dlg: SuperDialgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Hochschil
     dim = dlg.dim
     guard_check([dim ** (n + 1), dim ** n], guard)
     pars = dlg.module.parity
-
-    def parities(k):
-        out = [0]
-        for _ in range(k):
-            out = [(p + q) % 2 for p in out for q in pars]
-        return out
-
-    src = GradedFreeModule(dim ** (n + 1), tuple(parities(n + 1)))
-    tgt = GradedFreeModule(dim ** n, tuple(parities(n)))
-    stride = [dim ** (n - pos) for pos in range(n + 1)]
-    stride_out = [dim ** (n - 1 - pos) for pos in range(n)]
     entries = {}
-    for col in range(dim ** (n + 1)):
-        tup = []
-        rem = col
-        for pos in range(n + 1):
-            tup.append(rem // stride[pos])
-            rem %= stride[pos]
+    for col, tup in enumerate(product(range(dim), repeat=n + 1)):
         for i in range(n):
             sign = -ring.one if i % 2 else ring.one
             terms = dlg.left.get((tup[i], tup[i + 1]))
@@ -156,22 +141,18 @@ def d(dlg: SuperDialgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Hochschil
                 continue
             rest = tup[:i] + tup[i + 2:]
             for k, c in terms:
-                out_tup = rest[:i] + [k] + rest[i:]
-                row = sum(out_tup[t] * stride_out[t] for t in range(n))
-                key = (row, col)
+                key = (tensor_index(rest[:i] + (k,) + rest[i:], dim), col)
                 entries[key] = entries.get(key, ring.zero) + sign * c
         wrap_exp = n + pars[tup[n]] * sum(pars[t] for t in tup[:n])
         wsign = -ring.one if wrap_exp % 2 else ring.one
         terms = dlg.right.get((tup[n], tup[0]))
         if terms:
-            rest = tup[1:n]
             for k, c in terms:
-                out_tup = [k] + rest
-                row = sum(out_tup[t] * stride_out[t] for t in range(n))
-                key = (row, col)
+                key = (tensor_index((k,) + tup[1:n], dim), col)
                 entries[key] = entries.get(key, ring.zero) + wsign * c
     mat = SparseMat(ring, dim ** n, dim ** (n + 1), entries)
-    return HochschildMap(n, src, tgt, mat)
+    return HochschildMap(n, tensor_power_module(dlg, n + 1),
+                         tensor_power_module(dlg, n), mat)
 
 
 def _ideal_generators(dlg: SuperDialgebra):
@@ -212,26 +193,11 @@ class DegreeOneHomology:
     invariants: GradedModuleInvariants
     ideal_gens: list
 
-    def residue(self, vec):
-        items = [(i, v) for i, v in enumerate(vec) if v != 0]
-        return self.relations.residue(self.relations.vector(items))
-
     def is_zero_class(self, vec) -> bool:
-        return not self.residue(vec).any()
+        return not self.relations.residue_of(vec).any()
 
     def classes_equal(self, u, v) -> bool:
         return self.is_zero_class([a - b for a, b in zip(u, v)])
-
-    def d1_apply(self, vec):
-        ring = self.dlg.ring
-        out = [ring.zero] * self.dlg.dim
-        cols = self.d1.matrix.columns()
-        for j, c in enumerate(vec):
-            if c == 0:
-                continue
-            for i, m in cols[j]:
-                out[i] = out[i] + c * m
-        return [ring.normalize(x) for x in out]
 
 
 def degree_one_homology(dlg: SuperDialgebra, guard: int = DEFAULT_SIZE_GUARD) -> DegreeOneHomology:
@@ -477,17 +443,9 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
             quotients[mod] = quotient_Dm(base, mod)
         return quotients[mod]
 
-    def w_residue(rep, vec):
-        q = quotient_for(pattern_modulus(m, n, rep))
-        ech = Echelon(ring, dim_d)
-        cols = q.ideal.columns()
-        for j in range(q.ideal.cols):
-            ech.insert(ech.vector(cols[j]))
-        items = [(i, v) for i, v in enumerate(vec) if v != 0]
-        return ech.residue(ech.vector(items))
-
     def w_is_zero(rep, vec):
-        return not w_residue(rep, vec).any()
+        q = quotient_for(pattern_modulus(m, n, rep))
+        return not q.echelon.residue_of(vec).any()
 
     def w_equal(rep, u, v):
         return w_is_zero(rep, [a - b for a, b in zip(u, v)])
@@ -529,10 +487,10 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     # (b) both squares of the diagram commute
     trace_sq = True
     for _, g in ts.carrier_generators():
-        boundary = ts.delta2_apply(g)
+        boundary = ts.d2.matrix.apply(g)
         lhs = slalg.gl.supertrace(slalg.embed(boundary))
         dd, _ = str2.eval(g)
-        rhs = hoch.d1_apply(dd)
+        rhs = hoch.d1.matrix.apply(dd)
         if [ring.normalize(x) for x in lhs] != rhs:
             trace_sq = False
             break
@@ -541,8 +499,8 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
         for b in range(dim_d):
             vec = [ring.zero] * (dim_d * dim_d)
             vec[a * dim_d + b] = ring.one
-            omega = slalg.embed(ts.delta2_apply(mu.of_dd(vec)))
-            target = slalg.gl.unit_vector(1, 1, hoch.d1_apply(vec))
+            omega = slalg.embed(ts.d2.matrix.apply(mu.of_dd(vec)))
+            target = slalg.gl.unit_vector(1, 1, hoch.d1.matrix.apply(vec))
             if [ring.normalize(x) for x in omega] != [ring.normalize(x) for x in target]:
                 embed_sq = False
                 break

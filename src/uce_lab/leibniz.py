@@ -28,7 +28,6 @@ __all__ = [
     "SpecialLinear",
     "gl",
     "sl",
-    "supertrace",
     "centre",
     "is_perfect",
 ]
@@ -168,17 +167,7 @@ class GeneralLinear:
 
     def supertrace(self, xvec):
         """Str(x) = sum_i (-1)^{|i|(|i| + |x_ii|)} x_ii, a D element."""
-        ring = self.dlg.ring
-        out = [ring.zero] * self.dlg.dim
-        for i in range(1, self.size + 1):
-            for b in range(self.dlg.dim):
-                c = xvec[self.unit_index(i, i, b)]
-                if c == 0:
-                    continue
-                if self.row_parity(i) and self.dlg.parity(b) == 0:
-                    c = -c
-                out[b] = ring.normalize(out[b] + c)
-        return out
+        return self.supertrace_matrix().apply(xvec)
 
     def supertrace_matrix(self) -> SparseMat:
         ent = {}
@@ -226,14 +215,8 @@ class SpecialLinear:
     solver: SpanSolver
 
     def embed(self, slvec):
-        out = [self.gl.algebra.ring.zero] * self.gl.algebra.dim
-        cols = self.inclusion.columns()
-        for j, c in enumerate(slvec):
-            if c == 0:
-                continue
-            for i, v in cols[j]:
-                out[i] = out[i] + c * v
-        return [self.gl.algebra.ring.normalize(x) for x in out]
+        """gl coordinates of an element given in sl coordinates."""
+        return self.inclusion.apply(slvec)
 
     def coords_of_unit(self, i: int, j: int, dvec):
         """sl coordinates of E_ij(x); raises if the element is not in sl."""
@@ -332,10 +315,6 @@ def _check_supertrace_characterization(g: GeneralLinear, span_ech: Echelon):
         raise RuntimeError(
             "[gl, gl] differs from the supertrace characterization of sl"
         )
-
-
-def supertrace(g: GeneralLinear, xvec):
-    return g.supertrace(xvec)
 
 
 def centre(l: LeibnizSuperalgebra) -> SparseMat:

@@ -596,22 +596,22 @@ def bracket_ideal(d: SuperDialgebra) -> SparseMat:
 
 @dataclass(frozen=True)
 class QuotientModule:
-    """D / I as a graded module: invariants plus the ideal that was divided out."""
+    """D / I as a graded module: invariants plus the ideal that was divided
+    out, with its echelon for canonical residues (read-only: the residues of
+    D / I are taken against it, so nothing may be inserted into it)."""
 
     source: SuperDialgebra
     ideal: SparseMat
     invariants: GradedModuleInvariants
+    echelon: Echelon = field(compare=False, repr=False)
 
     def annihilated_by(self, m: int) -> bool:
         """True when multiplying any quotient generator by m lands in the ideal."""
-        ech = Echelon(self.source.ring, self.source.dim)
-        cols = self.ideal.columns()
-        for j in range(self.ideal.cols):
-            ech.insert(ech.vector(cols[j]))
+        ring = self.source.ring
         for i in range(self.source.dim):
-            v = [self.source.ring.zero] * self.source.dim
-            v[i] = self.source.ring.normalize(m)
-            if not ech.contains(ech.vector(v)):
+            v = [ring.zero] * self.source.dim
+            v[i] = ring.normalize(m)
+            if self.echelon.residue_of(v).any():
                 return False
         return True
 
@@ -634,7 +634,7 @@ def quotient_Dm(d: SuperDialgebra, m: int) -> QuotientModule:
     inv = subquotient_invariants(
         SparseMat.identity(ring, d.dim), ideal, d.module.parity
     )
-    return QuotientModule(d, ideal, inv)
+    return QuotientModule(d, ideal, inv, ech)
 
 
 # ---------------------------------------------------------------------------

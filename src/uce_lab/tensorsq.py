@@ -18,6 +18,7 @@ from .exactlin import (
     Echelon,
     GradedModuleInvariants,
     SparseMat,
+    column_span_echelon,
     kernel_basis,
     snf_with_transforms,
     subquotient_invariants,
@@ -181,10 +182,7 @@ class TensorSquare:
     def project(self, vec):
         """Canonical representative of the class of an ambient coordinate
         vector (list or numpy) modulo Im delta_3."""
-        if isinstance(vec, np.ndarray):
-            vec = list(vec)
-        items = [(i, v) for i, v in enumerate(vec) if v != 0]
-        return self.image.residue(self.image.vector(items))
+        return self.image.residue_of(vec)
 
     def classes_equal(self, u, v) -> bool:
         diff = [a - b for a, b in zip(u, v)]
@@ -192,17 +190,6 @@ class TensorSquare:
 
     def is_zero_class(self, u) -> bool:
         return not self.project(u).any()
-
-    def delta2_apply(self, vec):
-        ring = self.base.ring
-        out = [ring.zero] * self.base.dim
-        cols = self.d2.matrix.columns()
-        for j, c in enumerate(vec):
-            if c == 0:
-                continue
-            for i, m in cols[j]:
-                out[i] = out[i] + c * m
-        return [ring.normalize(x) for x in out]
 
     def pair_vector(self, a, b):
         """a (x) b in ambient coordinates for dense L vectors a, b."""
@@ -222,7 +209,8 @@ class TensorSquare:
         """Induced bracket on classes: project(delta_2(u) (x) delta_2(v)).
         Independent of the chosen representatives since delta_2 kills the
         image."""
-        return self.project(self.pair_vector(self.delta2_apply(u), self.delta2_apply(v)))
+        d2 = self.d2.matrix
+        return self.project(self.pair_vector(d2.apply(u), d2.apply(v)))
 
     def carrier_generators(self):
         """Ambient vectors whose classes generate the carrier: complement
@@ -247,133 +235,71 @@ class TensorSquare:
 
     # -- homology of the boundary on the carrier ----------------------------
 
-    def _carrier_decomposition(self, par: int):
-        """Per-parity free/torsion decomposition of the carrier over the
-        integers, via Smith transforms of the image block."""
-        key = ("decomp", par)
+    def _carrier_block(self, par: int):
+        """(lift, kernel, torsion_lift, torsion) of one parity of the carrier.
+
+        The columns of lift are ambient vectors whose classes form a basis of
+        the free part: complement unit vectors over a field, the free Smith
+        coordinates of the image block over the integers.  kernel is a basis
+        of Ker(delta_2 @ lift).  Torsion lies entirely in the kernel (the
+        boundary lands in a free module); column t of torsion_lift generates
+        the cyclic summand of order torsion[t].
+        """
+        key = ("block", par)
         if key in self._carrier_cache:
             return self._carrier_cache[key]
+        ring = self.base.ring
         parity = self.d2.source.parity
-        idx = [i for i in range(self.ambient_dim) if parity[i] == par]
-        imat = self.image.basis_matrix()
-        cols = []
-        for j in range(imat.cols):
-            col = imat.column_dense(j)
-            support = [i for i, v in enumerate(col) if v != 0]
-            if support and parity[support[0]] == par:
-                cols.append([col[i] for i in idx])
-        block = SparseMat.from_columns(self.base.ring, len(idx), cols)
-        diag, u, uinv = snf_with_transforms(block)
-        out = (idx, diag, u, uinv)
+        amb = self.ambient_dim
+        if ring.kind != "integers":
+            comp = [c for c in self.complement if parity[c] == par]
+            lift = SparseMat(ring, amb, len(comp),
+                             {(c, t): ring.one for t, c in enumerate(comp)})
+            torsion_lift, torsion = SparseMat.zeros(ring, amb, 0), ()
+        else:
+            idx = [i for i in range(amb) if parity[i] == par]
+            imat = self.image.basis_matrix()
+            cols = []
+            for j in range(imat.cols):
+                col = imat.column_dense(j)
+                support = [i for i, v in enumerate(col) if v != 0]
+                if support and parity[support[0]] == par:
+                    cols.append([col[i] for i in idx])
+            block = SparseMat.from_columns(ring, len(idx), cols)
+            diag, _, uinv = snf_with_transforms(block)
+
+            def smith_columns(positions):
+                return SparseMat(ring, amb, len(positions), {
+                    (idx[s], k): int(uinv[s, t])
+                    for k, t in enumerate(positions)
+                    for s in np.flatnonzero(uinv[:, t] != 0)
+                })
+
+            lift = smith_columns(range(len(diag), len(idx)))
+            torsion_lift = smith_columns([t for t, d in enumerate(diag) if d > 1])
+            torsion = tuple(int(d) for d in diag if d > 1)
+            if not (self.d2.matrix @ torsion_lift).is_zero():
+                raise RuntimeError("torsion coordinate not killed by the boundary")
+        out = (lift, kernel_basis(self.d2.matrix @ lift), torsion_lift, torsion)
         self._carrier_cache[key] = out
         return out
 
     def kernel_invariants(self) -> GradedModuleInvariants:
-        """Invariants of Ker(delta_2 on the carrier), the degree-2 homology.
-
-        Fields: the kernel of delta_2 restricted to the complement
-        coordinates.  Integers: Smith coordinates split the carrier into a
-        free part and torsion; torsion is entirely in the kernel (the
-        boundary lands in a free module), so the kernel is
-        ker(delta_2 on the free part) + torsion.
-        """
-        if "invariants" in self._carrier_cache:
-            return self._carrier_cache["invariants"]
-        ring = self.base.ring
-        parity = self.d2.source.parity
-        if ring.kind != "integers":
-            free = {0: 0, 1: 0}
-            for par in (0, 1):
-                comp = [c for c in self.complement if parity[c] == par]
-                ent = {}
-                for t, c in enumerate(comp):
-                    for i, v in self.d2.matrix.columns()[c]:
-                        ent[(i, t)] = v
-                mat = SparseMat(ring, self.base.dim, len(comp), ent)
-                free[par] = kernel_basis(mat).cols
-            inv = GradedModuleInvariants(ring, free[0], free[1])
-        else:
-            data = {}
-            for par in (0, 1):
-                idx, diag, u, uinv = self._carrier_decomposition(par)
-                torsion = tuple(int(d) for d in diag if d > 1)
-                free_cols = []
-                for t in range(len(diag), len(idx)):
-                    amb = [ring.zero] * self.ambient_dim
-                    for s in range(len(idx)):
-                        if uinv[s, t] != 0:
-                            amb[idx[s]] = int(uinv[s, t])
-                    free_cols.append(self.delta2_apply(amb))
-                for t, d in enumerate(diag):
-                    if d > 1:
-                        amb = [ring.zero] * self.ambient_dim
-                        for s in range(len(idx)):
-                            if uinv[s, t] != 0:
-                                amb[idx[s]] = int(uinv[s, t])
-                        if any(x != 0 for x in self.delta2_apply(amb)):
-                            raise RuntimeError(
-                                "torsion coordinate not killed by the boundary"
-                            )
-                fmat = SparseMat.from_columns(ring, self.base.dim, free_cols)
-                data[par] = (kernel_basis(fmat).cols, torsion)
-            inv = GradedModuleInvariants(
-                ring, data[0][0], data[1][0], data[0][1], data[1][1]
-            )
-        self._carrier_cache["invariants"] = inv
-        return inv
+        """Invariants of Ker(delta_2 on the carrier), the degree-2 homology:
+        per parity, the kernel on the free part plus all of the torsion."""
+        (_, k0, _, t0), (_, k1, _, t1) = self._carrier_block(0), self._carrier_block(1)
+        return GradedModuleInvariants(self.base.ring, k0.cols, k1.cols, t0, t1)
 
     def kernel_class_generators(self):
         """Ambient vectors in Ker delta_2 whose classes generate the
         degree-2 homology."""
-        ring = self.base.ring
-        parity = self.d2.source.parity
         gens = []
-        if ring.kind != "integers":
-            for par in (0, 1):
-                comp = [c for c in self.complement if parity[c] == par]
-                ent = {}
-                for t, c in enumerate(comp):
-                    for i, v in self.d2.matrix.columns()[c]:
-                        ent[(i, t)] = v
-                mat = SparseMat(ring, self.base.dim, len(comp), ent)
-                kb = kernel_basis(mat)
-                for j in range(kb.cols):
-                    col = kb.column_dense(j)
-                    amb = [ring.zero] * self.ambient_dim
-                    for t, c in enumerate(comp):
-                        amb[c] = col[t]
-                    gens.append(amb)
-        else:
-            for par in (0, 1):
-                idx, diag, u, uinv = self._carrier_decomposition(par)
-                free_pos = list(range(len(diag), len(idx)))
-                free_cols = []
-                embeds = []
-                for t in free_pos:
-                    amb = [ring.zero] * self.ambient_dim
-                    for s in range(len(idx)):
-                        if uinv[s, t] != 0:
-                            amb[idx[s]] = int(uinv[s, t])
-                    embeds.append(amb)
-                    free_cols.append(self.delta2_apply(amb))
-                fmat = SparseMat.from_columns(ring, self.base.dim, free_cols)
-                kb = kernel_basis(fmat)
-                for j in range(kb.cols):
-                    col = kb.column_dense(j)
-                    amb = [ring.zero] * self.ambient_dim
-                    for t, c in enumerate(col):
-                        if c != 0:
-                            amb = [a + c * e for a, e in zip(amb, embeds[t])]
-                    gens.append([ring.normalize(x) for x in amb])
-                for t, d in enumerate(diag):
-                    if d > 1:
-                        amb = [ring.zero] * self.ambient_dim
-                        for s in range(len(idx)):
-                            if uinv[s, t] != 0:
-                                amb[idx[s]] = int(uinv[s, t])
-                        gens.append(amb)
+        for par in (0, 1):
+            lift, kernel, torsion_lift, _ = self._carrier_block(par)
+            for mat in (lift @ kernel, torsion_lift):
+                gens.extend(mat.column_dense(j) for j in range(mat.cols))
         for g in gens:
-            if any(x != 0 for x in self.delta2_apply(g)):
+            if any(x != 0 for x in self.d2.matrix.apply(g)):
                 raise RuntimeError("kernel generator is not in Ker delta_2")
         return gens
 
@@ -454,7 +380,7 @@ class TensorSquare:
         gens = self.carrier_generators()
         for _, a in gens:
             for _, b in gens:
-                v = self.pair_vector(self.delta2_apply(a), self.delta2_apply(b))
+                v = self.pair_vector(self.d2.matrix.apply(a), self.d2.matrix.apply(b))
                 if any(x != 0 for x in v):
                     ech.insert(ech.vector(v))
         if ech.rank != self.ambient_dim:
@@ -498,17 +424,8 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
     d3 = delta(l, 3, guard)
     if not (d2.matrix @ d3.matrix).is_zero():
         raise RuntimeError("delta_2 o delta_3 != 0; sign conventions drifted")
-    stop = dim * dim - dim  # perfect: delta_2 has rank dim L
-    image = Echelon(l.ring, dim * dim)
-    cols = d3.matrix.columns()
-    order = sorted(range(d3.matrix.cols), key=lambda j: (len(cols[j]), j))
-    allow_stop = l.ring.is_field
-    for j in order:
-        if not cols[j]:
-            continue
-        if allow_stop and image.rank >= stop:
-            break
-        image.insert(image.vector(cols[j]))
+    # perfect: delta_2 has rank dim L, so Im delta_3 has rank <= dim^2 - dim
+    image = column_span_echelon(d3.matrix, stop_rank=dim * dim - dim)
     pivots = set(image.row_at)
     complement = [i for i in range(dim * dim) if i not in pivots]
     return TensorSquare(l, d2, d3, image, complement)
@@ -599,7 +516,7 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
     for pat in pats:
         for b in range(d.dim):
             vec = class_vec(pat, d.basis_vector(b))
-            if any(x != 0 for x in ts.delta2_apply(vec)):
+            if any(x != 0 for x in ts.d2.matrix.apply(vec)):
                 raise RuntimeError(f"class {pat} is not a cycle")
             vecs.append(vec)
             labels.append((pat, d.module.label(b)))

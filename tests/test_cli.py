@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from uce_lab import cli
 from uce_lab.cli import main
 from uce_lab.superdialg import builtin_dialgebra, dump_dialgebra
 
@@ -131,3 +134,55 @@ def test_non_unital_builtin_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--m", "2", "--n", "1",
                        "--builtin", "t3_dga_q")
     assert code == 2 and "unital" in err
+
+
+def _f2_with_modulus(tmp_path, modulus):
+    blob = dump_dialgebra(builtin_dialgebra("f2"))
+    blob["ring"] = {"kind": "int_mod", "modulus": modulus}
+    p = tmp_path / f"mod{modulus}.json"
+    p.write_text(json.dumps(blob))
+    return p
+
+
+def test_large_prime_modulus_is_decided_quickly(capsys, tmp_path):
+    p = _f2_with_modulus(tmp_path, 2**61 - 1)
+    code, out, _ = run(capsys, "hhs1", "--dialgebra", str(p))
+    assert code == 0 and "even: 0 | odd: 0" in out
+
+
+def test_carmichael_modulus_is_composite(capsys, tmp_path):
+    p = _f2_with_modulus(tmp_path, 561)  # 3 * 11 * 17, a Fermat pseudoprime
+    code, _, err = run(capsys, "hhs1", "--dialgebra", str(p))
+    assert code == 2 and "composite" in err
+
+
+def test_modulus_above_primality_bound_exits_2(capsys, tmp_path):
+    p = _f2_with_modulus(tmp_path, 10**25 + 13)
+    code, _, err = run(capsys, "hhs1", "--dialgebra", str(p))
+    assert code == 2 and "primality" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hl2", "--m", "2", "--n", "1"),
+    ("hhs1",),
+    ("verify", "--m", "2", "--n", "1"),
+])
+def test_axiom_violating_file_is_rejected_before_computing(capsys, tmp_path, argv):
+    blob = dump_dialgebra(builtin_dialgebra("rationals"))
+    blob["left"] = [[0, 0, 0, "2"]]
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(blob))
+    code, out, err = run(capsys, *argv, "--dialgebra", str(p))
+    assert code == 2 and out == ""
+    assert "INVALID" in err and "  - mixed-axiom" in err
+    assert "Traceback" not in err
+
+
+def test_internal_invariant_breach_exits_5(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("d_1 o d_2 != 0; boundary signs drifted")
+
+    monkeypatch.setattr(cli, "hhs1", broken)
+    code, _, err = run(capsys, "hhs1", "--builtin", "integers")
+    assert code == 5
+    assert err.strip().count("\n") == 0 and "d_1 o d_2" in err

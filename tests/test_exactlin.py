@@ -5,6 +5,7 @@ cross-checks, and a brute-force coset enumeration (Cramer-rule membership,
 annihilator counting) for quotient groups of full-rank sublattices.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from uce_lab.exactlin import (
     SparseMat,
     SpanSolver,
     UnsupportedRingError,
+    _is_prime,
     column_span_echelon,
     kernel_basis,
     module_iso_check,
@@ -70,6 +72,18 @@ def test_composite_modulus_rejected_by_elimination():
         snf(m)
     with pytest.raises(UnsupportedRingError):
         kernel_basis(m)
+
+
+def test_primality_matches_trial_division_and_rejects_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(3000))
+    assert not _is_prime(561)                    # Carmichael number
+    assert not _is_prime(3825123056546413051)    # strong pseudoprime to 2..23
+    assert _is_prime(2 ** 61 - 1)
+    with pytest.raises(UnsupportedRingError):
+        GF(10 ** 25 + 13).is_field
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +230,44 @@ def test_echelon_residue_is_canonical_over_z():
     r2 = ech.residue(ech.vector([5 + 2, 4 + 1]))
     assert list(r1) == list(r2)
     assert 0 <= r1[0] < 2
+
+
+def _random_entry(ring, rng, lo, hi):
+    if ring == QQ:
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+    return ring.normalize(rng.randint(lo, hi))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)])
+def test_residue_and_pivots_do_not_depend_on_insertion_order(ring):
+    rng = random.Random(7)
+    for _ in range(15):
+        rows = [[_random_entry(ring, rng, -4, 4) for _ in range(5)] for _ in range(3)]
+        probes = [[_random_entry(ring, rng, -9, 9) for _ in range(5)] for _ in range(4)]
+        seen = set()
+        for perm in itertools.permutations(rows):
+            ech = Echelon(ring, 5)
+            for r in perm:
+                ech.insert(ech.vector(r))
+            pivots = ech.pivot_values()
+            # over Q rows are only scaled to keep integers small, so the
+            # pivot set is a span invariant but the pivot values are not
+            pivots = sorted(pivots) if ring == QQ else sorted(pivots.items())
+            residues = [[ring.normalize(x) for x in ech.residue_of(p)] for p in probes]
+            seen.add(repr((pivots, residues)))
+        assert len(seen) == 1
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
+def test_sparse_apply_agrees_with_matmul(ring):
+    rng = random.Random(11)
+    for _ in range(20):
+        a = SparseMat.from_dense(
+            ring, [[_random_entry(ring, rng, -2, 3) * rng.randint(0, 1)
+                    for _ in range(6)] for _ in range(4)]
+        )
+        v = [_random_entry(ring, rng, -3, 3) for _ in range(6)]
+        assert a.apply(v) == (a @ SparseMat.from_columns(ring, 6, [v])).column_dense(0)
 
 
 # ---------------------------------------------------------------------------
