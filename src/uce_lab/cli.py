@@ -3,10 +3,11 @@
 Subcommands: check, hl2, hhs1, verify, catalog.  Exit codes are stable:
 0 success / verification passed, 1 axiom violations or a failed verification,
 2 unreadable or malformed input (including a --dialgebra file that violates
-the axioms, and a modulus too large to test for primality), 3 size guard
-exceeded, 4 unclassified (m, n) case, 5 internal invariant breach (a bug, not
-bad input).  JSON output is byte-identical for identical inputs and seed
-(timings are only printed in text mode); the seed is only recorded.
+the axioms, a negative --m or --n, and a modulus too large to test for
+primality), 3 size guard exceeded, 4 unclassified (m, n) case, 5 internal
+invariant breach (a bug, not bad input).  JSON output is byte-identical for
+identical inputs and seed (timings are only printed in text mode); the seed
+is only recorded.
 """
 
 from __future__ import annotations
@@ -243,6 +244,10 @@ def main(argv=None) -> int:
             return EXIT_PARSE
         if args.m + args.n < 3:
             print("theorem commands need m + n >= 3", file=sys.stderr)
+            return EXIT_PARSE
+    if args.command in ("hl2", "verify") and not getattr(args, "all", False):
+        if args.m < 0 or args.n < 0:
+            print("--m and --n must be nonnegative", file=sys.stderr)
             return EXIT_PARSE
     try:
         return args.func(args)

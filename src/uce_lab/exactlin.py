@@ -2,14 +2,21 @@
 incremental echelon/lattice reduction, Smith normal form, kernels and
 invariant factors of graded subquotients.
 
-Everything is exact: integers, rationals (via ``fractions.Fraction``) and
-prime fields.  numpy is used only as a fast container for exact integer
-arithmetic (int64 with a strict pre-op overflow guard, escalating to
-object-dtype Python ints when bounds are exceeded).
+Everything is exact: integers, rationals and prime fields.  numpy is used
+only as a fast container for exact integer arithmetic (int64 with a strict
+pre-op overflow guard, escalating to object-dtype Python ints when bounds are
+exceeded).  Over the rationals, echelon rows are integer vectors, and
+residues and solution coordinates are computed fraction-free, as an integer
+vector over one positive denominator; ``fractions.Fraction`` values are built
+only where results leave the module (``Echelon.residue``, ``SpanSolver.solve``,
+``basis_matrix``), and only for nonzero entries.  Input with fractional
+entries switches an echelon to Fraction rows.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -514,20 +521,60 @@ class Echelon:
             v = -v
         return v
 
+    def copy(self) -> "Echelon":
+        """An independent echelon with the same rows, pivots and mode."""
+        new = copy.copy(self)
+        new.rows = [r.copy() for r in self.rows]
+        new.pivots = list(self.pivots)
+        new.row_at = dict(self.row_at)
+        return new
+
+    def _fraction_free_residue(self, v):
+        """(w, den) with w / den the canonical residue of v, for an intfield
+        echelon with at least one row: w is an integer vector and den > 0.
+
+        One ascending sweep over the pivots, in integers with one running
+        denominator (w <- d*w - c*r, den <- d*den, both divided by their
+        common content), so no Fraction is built.  The result is checked to
+        vanish at every pivot; a breach raises RuntimeError.
+        """
+        if self._obj and v.dtype != object:
+            v = v.astype(object)
+        w, den = v, 1
+        for p in sorted(self.row_at):
+            c = int(w[p])
+            if c == 0:
+                continue
+            at = self.row_at[p]
+            r = self.rows[at]
+            d = int(r[p])
+            self._guard(d, w, c, r)
+            if self._obj:
+                r = self.rows[at]
+                w = w.astype(object)
+            w = d * w - c * r
+            den *= d
+            if den > 1:
+                g = math.gcd(_content(w), den)
+                if g > 1:
+                    w = w // g
+                    den //= g
+        if den <= 0 or w[self.pivots].any():
+            raise RuntimeError("fraction-free residue is not reduced at the pivots")
+        return w, den
+
     def residue(self, v):
         """Canonical representative of v modulo the row span / lattice.
 
         Fields: zeros at every pivot (complement coordinates).  Integers:
-        pivot coordinates reduced into [0, pivot value).  Over the rationals
-        the result may be a Fraction vector.
+        pivot coordinates reduced into [0, pivot value).  Over the rationals,
+        once there is a row, the result is a Fraction vector.
         """
-        if self._obj and v.dtype != object:
-            v = v.astype(object)
         mode = self.mode
         if mode == "intfield" and self.rows:
-            out = np.empty(self.dim, dtype=object)
-            out[:] = [Fraction(int(x)) for x in v]
-            v = out
+            return _fractions(*self._fraction_free_residue(v))
+        if self._obj and v.dtype != object:
+            v = v.astype(object)
         for p in sorted(self.row_at):
             if v[p] == 0:
                 continue
@@ -536,8 +583,6 @@ class Echelon:
                 v = (v - int(v[p]) * r) % self.ring.modulus
             elif mode == "fracfield":
                 v = v - v[p] * r
-            elif mode == "intfield":
-                v = v - (v[p] / int(r[p])) * r
             else:
                 q = int(v[p]) // int(r[p])
                 if q:
@@ -553,17 +598,46 @@ class Echelon:
         return self.residue(self.vector([(i, x) for i, x in enumerate(dense) if x != 0]))
 
     def contains(self, v) -> bool:
+        if self.mode == "intfield" and self.rows:
+            return not self._fraction_free_residue(v)[0].any()
         res = self.residue(v.copy() if hasattr(v, "copy") else v)
         return not res.any()
 
     def basis_matrix(self) -> SparseMat:
         """Rows as columns of a SparseMat, ordered by pivot index."""
         order = sorted(range(len(self.rows)), key=lambda k: self.pivots[k])
-        cols = [_ring_values(self.ring, self.rows[k]) for k in order]
-        return SparseMat.from_columns(self.ring, self.dim, cols)
+        return _engine_columns(self.ring, self.dim, [self.rows[k] for k in order])
 
     def pivot_values(self) -> dict:
+        """Leading value per pivot of a lattice (integer) echelon.
+
+        Only lattice pivot values are invariants of the span: over a field a
+        row may be rescaled freely, and intfield rows keep their
+        content-reduced leading entry, which depends on insertion order.
+        Other modes raise ValueError.
+        """
+        if self.mode != "lattice":
+            raise ValueError(f"pivot values depend on insertion order in {self.mode} mode")
         return {p: int(self.rows[at][p]) for p, at in self.row_at.items()}
+
+
+def _fractions(w, den):
+    """The Fraction object array w / den, one shared zero at the zero entries."""
+    out = np.full(len(w), Fraction(0), dtype=object)
+    for i in np.flatnonzero(w):
+        out[i] = Fraction(int(w[i]), den)
+    return out
+
+
+def _engine_columns(ring: RingSpec, nrows: int, vecs) -> SparseMat:
+    """SparseMat with the engine vectors vecs as its columns, read at their
+    nonzero entries only."""
+    ent = {}
+    for j, v in enumerate(vecs):
+        for i in np.flatnonzero(v):
+            x = v[i]
+            ent[(int(i), j)] = x if isinstance(x, Fraction) else int(x)
+    return SparseMat(ring, nrows, len(vecs), ent)
 
 
 def _ring_values(ring: RingSpec, xs) -> list:
@@ -617,7 +691,14 @@ def _augmented_echelon(m: SparseMat) -> Echelon:
 def _coordinates(ech: Echelon, n: int, vec):
     """x with m @ x = vec from the augmented echelon of an n-row m, or None
     when vec is outside the column span (lattice)."""
-    res = ech.residue_of(vec)
+    v = ech.vector([(i, x) for i, x in enumerate(vec) if x != 0])
+    # vector() may have switched the echelon to fracfield: dispatch after it
+    if ech.mode == "intfield" and ech.rows:
+        w, den = ech._fraction_free_residue(v)
+        if w[:n].any():
+            return None
+        return _fractions(-w[n:], den).tolist()
+    res = ech.residue(v)
     if res[:n].any():
         return None
     return _ring_values(ech.ring, [-x for x in res[n:]])
@@ -633,11 +714,8 @@ def kernel_basis(m: SparseMat) -> SparseMat:
     """
     n = m.rows
     ech = _augmented_echelon(m)
-    out = [
-        _ring_values(m.ring, ech.rows[ech.row_at[p]][n:])
-        for p in sorted(p for p in ech.pivots if p >= n)
-    ]
-    return SparseMat.from_columns(m.ring, m.cols, out)
+    out = [ech.rows[ech.row_at[p]][n:] for p in sorted(p for p in ech.pivots if p >= n)]
+    return _engine_columns(m.ring, m.cols, out)
 
 
 def solve_linear(m: SparseMat, target):

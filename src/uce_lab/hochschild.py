@@ -229,6 +229,11 @@ def hhs1(dlg: SuperDialgebra, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleIn
 # ---------------------------------------------------------------------------
 
 
+def _nonzero(vec) -> list:
+    """The (index, value) pairs of the nonzero entries of a dense vector."""
+    return [(t, c) for t, c in enumerate(vec) if c != 0]
+
+
 class _Str2:
     """Second supertrace: carrier of sl (x) sl -> D (x) D plus the per-pattern
     coefficient modules.
@@ -258,17 +263,16 @@ class _Str2:
         self.reps = sorted({pattern_rep_and_sign(self.m, self.n, p)[0]
                             for p in self.patterns})
 
-    def eval(self, vec):
-        """vec: ambient sl (x) sl coordinates.  Returns (dd, w) with dd a
-        dense D (x) D vector and w a dict rep-pattern -> dense D vector."""
+    def eval(self, items):
+        """items: the nonzero (index, value) pairs of an ambient sl (x) sl
+        vector.  Returns (dd, w) with dd a dense D (x) D vector and w a dict
+        rep-pattern -> dense D vector."""
         ring = self.dlg.ring
         dim_d = self.dlg.dim
         sl_dim = self.slalg.algebra.dim
         dd = [ring.zero] * (dim_d * dim_d)
         w = {rep: [ring.zero] * dim_d for rep in self.reps}
-        for t, c in enumerate(vec):
-            if c == 0:
-                continue
+        for t, c in items:
             s1, s2 = divmod(t, sl_dim)
             for g1, c1 in self.expansion[s1]:
                 i1, j1, b1 = self.decode[g1]
@@ -456,10 +460,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     for j in range(ts.d3.matrix.cols):
         if not d3cols[j]:
             continue
-        vec = [ring.zero] * ts.ambient_dim
-        for i, v in d3cols[j]:
-            vec[i] = v
-        dd, w = str2.eval(vec)
+        dd, w = str2.eval(d3cols[j])
         if not hoch.is_zero_class(dd):
             str2_ok = False
             break
@@ -489,7 +490,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     for _, g in ts.carrier_generators():
         boundary = ts.d2.matrix.apply(g)
         lhs = slalg.gl.supertrace(slalg.embed(boundary))
-        dd, _ = str2.eval(g)
+        dd, _ = str2.eval(_nonzero(g))
         rhs = hoch.d1.matrix.apply(dd)
         if [ring.normalize(x) for x in lhs] != rhs:
             trace_sq = False
@@ -511,14 +512,14 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     section = True
     for j in range(hoch.kernel.cols):
         k = hoch.kernel.column_dense(j)
-        dd, w = str2.eval(mu.of_dd(k))
+        dd, w = str2.eval(_nonzero(mu.of_dd(k)))
         if not hoch.classes_equal(dd, k):
             section = False
         if any(not w_is_zero(rep, col) for rep, col in w.items()):
             section = False
     for rep in str2.reps:
         for b in range(dim_d):
-            dd, w = str2.eval(mu.of_pattern(rep, base.basis_vector(b)))
+            dd, w = str2.eval(_nonzero(mu.of_pattern(rep, base.basis_vector(b))))
             if not hoch.is_zero_class(dd):
                 section = False
             for rep2, col in w.items():
@@ -529,7 +530,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     # (e) mu o Str2 = id on the kernel classes of the carrier
     retraction = True
     for g in ts.kernel_class_generators():
-        dd, w = str2.eval(g)
+        dd, w = str2.eval(_nonzero(g))
         back = mu.of_dd(dd)
         for rep, col in w.items():
             if any(x != 0 for x in col):
@@ -540,11 +541,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
             break
 
     # (f) induced map is onto the degree-2 homology, with equal invariants
-    surj_ech = Echelon(ring, ts.ambient_dim)
-    imat = ts.image.basis_matrix()
-    icols = imat.columns()
-    for j in range(imat.cols):
-        surj_ech.insert(surj_ech.vector(icols[j]))
+    surj_ech = ts.image.copy()
     image_cols = []
     source_parities = []
     for j in range(hoch.kernel.cols):

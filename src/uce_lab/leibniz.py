@@ -183,6 +183,8 @@ class GeneralLinear:
 
 def gl(m: int, n: int, d: SuperDialgebra) -> GeneralLinear:
     """General Leibniz superalgebra of (m+n) x (m+n) matrices over d."""
+    if m < 0 or n < 0:
+        raise ValueError(f"need m, n >= 0, got ({m}, {n})")
     if m + n < 1:
         raise ValueError("need m + n >= 1")
     if not d.is_unital:

@@ -372,11 +372,7 @@ class TensorSquare:
         """[carrier, carrier] = carrier: bracket classes plus the image span
         the full ambient module (full lattice over the integers)."""
         ring = self.base.ring
-        ech = Echelon(ring, self.ambient_dim)
-        imat = self.image.basis_matrix()
-        cols = imat.columns()
-        for j in range(imat.cols):
-            ech.insert(ech.vector(cols[j]))
+        ech = self.image.copy()
         gens = self.carrier_generators()
         for _, a in gens:
             for _, b in gens:
@@ -502,7 +498,6 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
         raise ValueError("w_cycles needs a unital superdialgebra")
     if ts is None:
         ts = tensor_square(slalg.algebra, guard)
-    ring = slalg.algebra.ring
 
     def class_vec(pat, dvec):
         i, j, k, l = pat
@@ -522,15 +517,11 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
             labels.append((pat, d.module.label(b)))
 
     # span of the classes inside the homology: (span + image)/image
-    span_plus = Echelon(ring, ts.ambient_dim)
-    imat = ts.image.basis_matrix()
-    cols = imat.columns()
-    for j in range(imat.cols):
-        span_plus.insert(span_plus.vector(cols[j]))
+    span_plus = ts.image.copy()
     for v in vecs:
         span_plus.insert(span_plus.vector(v))
     span_inv = subquotient_invariants(
-        span_plus.basis_matrix(), imat, ts.d2.source.parity
+        span_plus.basis_matrix(), ts.image.basis_matrix(), ts.d2.source.parity
     )
     expected = expected_w(m, n, d)
     matches = (

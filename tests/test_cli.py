@@ -186,3 +186,15 @@ def test_internal_invariant_breach_exits_5(capsys, monkeypatch):
     code, _, err = run(capsys, "hhs1", "--builtin", "integers")
     assert code == 5
     assert err.strip().count("\n") == 0 and "d_1 o d_2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hl2", "--m", "-1", "--n", "4"),
+    ("hl2", "--m", "2", "--n", "-1"),
+    ("verify", "--m", "-1", "--n", "4"),
+    ("verify", "--m", "4", "--n", "-1"),
+])
+def test_negative_matrix_size_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--builtin", "rationals")
+    assert code == 2 and out == ""
+    assert "nonnegative" in err

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -232,6 +234,121 @@ def test_echelon_residue_is_canonical_over_z():
     assert 0 <= r1[0] < 2
 
 
+# ---------------------------------------------------------------------------
+# the fraction-free residue over Q against a plain-Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_residue(rows, v):
+    """Canonical residue of v modulo the span of rows, by Gauss-Jordan
+    elimination in Fractions: zero at the pivot columns of the reduced row
+    echelon form."""
+    reduced = []  # (pivot, row with 1 at its pivot and 0 at other pivots)
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        for p, r in reduced:
+            row = [a - row[p] * b for a, b in zip(row, r)]
+        lead = next((i for i, x in enumerate(row) if x != 0), None)
+        if lead is None:
+            continue
+        row = [x / row[lead] for x in row]
+        reduced = [(p, [a - r[lead] * b for a, b in zip(r, row)]) for p, r in reduced]
+        reduced.append((lead, row))
+    out = [Fraction(x) for x in v]
+    for p, r in reduced:
+        out = [a - out[p] * b for a, b in zip(out, r)]
+    return out
+
+
+_SMALL = st.integers(-6, 6)
+_FRACTION = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_HUGE = st.sampled_from([2**60 - 1, -(2**60) + 5, 2**60 + 3, 3 * 2**59])
+
+
+@st.composite
+def _qq_case(draw):
+    dim = draw(st.integers(1, 6))
+    row_entry = st.one_of(_SMALL, _FRACTION) if draw(st.booleans()) else _SMALL
+    probe_entry = st.one_of(_SMALL, _FRACTION, _HUGE)
+    rows = draw(st.lists(st.lists(row_entry, min_size=dim, max_size=dim),
+                         min_size=1, max_size=5))
+    probes = draw(st.lists(st.lists(probe_entry, min_size=dim, max_size=dim),
+                           min_size=1, max_size=3))
+    return rows, probes
+
+
+@given(_qq_case())
+def test_qq_residue_matches_fraction_reference(case):
+    rows, probes = case
+    ech = Echelon(QQ, len(rows[0]))
+    for r in rows:
+        ech.insert(ech.vector(r))
+    for v in probes:
+        want = _reference_residue(rows, v)
+        assert list(ech.residue_of(v)) == want
+        assert ech.contains(ech.vector(v)) == (not any(want))
+
+
+@given(_qq_case(), st.lists(st.one_of(_SMALL, _FRACTION), min_size=5, max_size=5))
+def test_qq_solutions_are_exact(case, coeffs):
+    rows, probes = case
+    dim = len(rows[0])
+    m = SparseMat.from_columns(QQ, dim, rows)
+    for target in probes + [m.apply(coeffs[:len(rows)])]:
+        x = solve_linear(m, target)
+        in_span = not any(_reference_residue(rows, target))
+        assert (x is not None) == in_span
+        if x is not None:
+            assert m.apply(x) == [Fraction(t) for t in target]
+    basis = column_span_echelon(m).basis_matrix()
+    solver = SpanSolver(basis)
+    c = coeffs[:basis.cols]
+    assert solver.solve(basis.apply(c)) == c
+
+
+def test_residue_escalates_to_object_dtype_exactly():
+    ech = Echelon(QQ, 3)
+    ech.insert(ech.vector([3, 1, 0]))
+    assert not ech._obj
+    v = [2**60 + 1, 0, 7]
+    assert list(ech.residue_of(v)) == _reference_residue([[3, 1, 0]], v)
+    assert ech._obj
+
+
+def test_fraction_free_residue_checks_its_pivots():
+    ech = Echelon(QQ, 3)
+    ech.insert(ech.vector([2, 1, 0]))
+    ech.insert(ech.vector([0, 3, 1]))
+    ech.rows[1][0] = 5  # corrupt: the row at pivot 1 reaches back to pivot 0
+    with pytest.raises(RuntimeError, match="pivot"):
+        ech.residue_of([1, 1, 1])
+
+
+def test_copy_is_independent():
+    for ring in (ZZ, QQ, GF(3)):
+        ech = Echelon(ring, 3)
+        ech.insert(ech.vector([2, 1, 0]))
+        dup = ech.copy()
+        dup.insert(dup.vector([0, 1, 1]))
+        assert (ech.rank, dup.rank) == (1, 2)
+        assert ech.pivots == [0] and list(ech.row_at) == [0]
+        assert list(ech.residue_of([0, 1, 1])) != [0, 0, 0]
+        assert not dup.residue_of([0, 1, 1]).any()
+        assert dup.mode == ech.mode and dup._obj == ech._obj
+
+
+def test_pivot_values_are_lattice_only():
+    ech = Echelon(ZZ, 2)
+    for row in ([3, 1], [1, 0]):
+        ech.insert(ech.vector(row))
+    assert ech.pivot_values() == {0: 1, 1: 1}
+    for ring in (QQ, GF(3)):
+        ech = Echelon(ring, 2)
+        ech.insert(ech.vector([3, 1]))
+        with pytest.raises(ValueError, match="insertion order"):
+            ech.pivot_values()
+
+
 def _random_entry(ring, rng, lo, hi):
     if ring == QQ:
         return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
@@ -249,10 +366,9 @@ def test_residue_and_pivots_do_not_depend_on_insertion_order(ring):
             ech = Echelon(ring, 5)
             for r in perm:
                 ech.insert(ech.vector(r))
-            pivots = ech.pivot_values()
-            # over Q rows are only scaled to keep integers small, so the
-            # pivot set is a span invariant but the pivot values are not
-            pivots = sorted(pivots) if ring == QQ else sorted(pivots.items())
+            # over a field the pivot set is a span invariant; pivot values
+            # are one only over the integers (pivot_values is lattice-only)
+            pivots = sorted(ech.pivot_values().items()) if ring == ZZ else sorted(ech.row_at)
             residues = [[ring.normalize(x) for x in ech.residue_of(p)] for p in probes]
             seen.add(repr((pivots, residues)))
         assert len(seen) == 1

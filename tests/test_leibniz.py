@@ -50,6 +50,12 @@ def test_gl_2_0_classical_commutator():
     assert v == expect
 
 
+@pytest.mark.parametrize("m, n", [(-1, 4), (3, -1), (-2, 0)])
+def test_gl_rejects_negative_sizes(m, n):
+    with pytest.raises(ValueError, match=">= 0"):
+        gl(m, n, builtin_dialgebra("rationals"))
+
+
 def test_gl_1_1_super_sign():
     # both generators odd: [E12, E21] = E11 + E22
     g = gl(1, 1, builtin_dialgebra("rationals"))
