@@ -4,18 +4,28 @@ delta_n : L^(x)n -> L^(x)(n-1) sends x_1 (x) ... (x) x_n to the signed sum over
 pairs i < j of x_1 (x) .. (x) [x_i, x_j] (x) .. (x) ^x_j (x) .. (x) x_n with sign
 (-1)^{n-j+|x_j|(|x_{i+1}|+...+|x_{j-1}|)}.  delta_1 is the zero map to the zero
 module.  Homology in degree n is Ker delta_n / Im delta_{n+1}.
+
+Each basis tuple of L^(x)n has the block key (total weight, Koszul parity),
+the weights coming from ``LeibnizSuperalgebra.weight``.  The bracket adds
+weights and is even, so delta_n maps each block into the block of the same
+key; ``delta`` checks this for every nonzero entry and raises RuntimeError on
+a leak.  ``hl`` then computes the kernel, the image echelon and the
+subquotient one block at a time, in sorted key order, and direct-sums the
+invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 
 from .exactlin import (
     GradedFreeModule,
     GradedModuleInvariants,
     SparseMat,
     column_span_echelon,
+    direct_sum_invariants,
     kernel_basis,
     subquotient_invariants,
 )
@@ -26,6 +36,8 @@ __all__ = [
     "DEFAULT_SIZE_GUARD",
     "SizeGuardExceededError",
     "tensor_power_module",
+    "tensor_power_keys",
+    "diagonal_blocks",
     "delta",
     "hl",
 ]
@@ -47,12 +59,15 @@ def guard_check(dims, guard):
 
 @dataclass(frozen=True)
 class ChainMap:
-    """A boundary matrix together with its graded source and target."""
+    """A boundary matrix together with its graded source and target, and
+    the block key of every source and target index."""
 
     source: GradedFreeModule
     target: GradedFreeModule
     matrix: SparseMat
     degree: int
+    source_keys: list   # (total weight, parity) per index, tensor_power_keys
+    target_keys: list
 
     def parity_even_violations(self):
         """Entries mapping parity-p generators outside parity p (none for a
@@ -64,14 +79,34 @@ class ChainMap:
         return bad
 
 
+def tensor_power_keys(l, n: int) -> list:
+    """Block key (total weight, Koszul parity |x_1| + ... + |x_n| mod 2) of
+    each basis tuple of L^(x)n, tuples in lexicographic order.  l is anything
+    with a graded basis (``dim`` and ``module``); without a ``weight`` (or
+    with None) every basis vector has the empty weight."""
+    weight = getattr(l, "weight", None) or ((),) * l.dim
+    pars = l.module.parity
+    keys = [((0,) * len(weight[0]) if weight else (), 0)]
+    for _ in range(n):
+        # L^(x)n has few blocks and many indices: one tuple per distinct key
+        known = {}
+        step = {
+            k: [known.setdefault(s, s) for s in (
+                (tuple(map(add, k[0], w)), (k[1] + p) % 2) for w, p in zip(weight, pars))]
+            for k in set(keys)
+        }
+        keys = [s for k in keys for s in step[k]]
+    return keys
+
+
+def _graded(keys) -> GradedFreeModule:
+    return GradedFreeModule(len(keys), tuple(p for _, p in keys))
+
+
 def tensor_power_module(l, n: int) -> GradedFreeModule:
     """L^(x)n with basis tuples in lexicographic order and Koszul parity
-    |x_1 (x) ... (x) x_n| = sum |x_i|.  l is anything with a graded basis
-    (``dim`` and ``module``): a Leibniz superalgebra or a superdialgebra."""
-    pars = [0]
-    for _ in range(n):
-        pars = [(p + q) % 2 for p in pars for q in l.module.parity]
-    return GradedFreeModule(l.dim ** n, tuple(pars))
+    |x_1 (x) ... (x) x_n| = sum |x_i|."""
+    return _graded(tensor_power_keys(l, n))
 
 
 def tensor_index(tup, dim: int) -> int:
@@ -85,16 +120,21 @@ def tensor_index(tup, dim: int) -> int:
 
 
 def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> ChainMap:
-    """Matrix of delta_n; delta_2(x (x) y) = [x, y], delta_1 = 0."""
+    """Matrix of delta_n; delta_2(x (x) y) = [x, y], delta_1 = 0.
+
+    Every nonzero entry is checked to join two indices of the same block key;
+    a leak (weights that are not additive for the bracket) raises
+    RuntimeError.
+    """
     if n < 1:
         raise ValueError("delta is defined for n >= 1")
     dim = l.dim
     guard_check([dim ** n, dim ** (n - 1) if n > 1 else 0], guard)
-    src = tensor_power_module(l, n)
+    src_keys = tensor_power_keys(l, n)
+    src = _graded(src_keys)
     if n == 1:
-        tgt = GradedFreeModule(0, ())
-        return ChainMap(src, tgt, SparseMat.zeros(l.ring, 0, dim), 1)
-    tgt = tensor_power_module(l, n - 1)
+        return ChainMap(src, _graded([]), SparseMat.zeros(l.ring, 0, dim), 1, src_keys, [])
+    tgt_keys = tensor_power_keys(l, n - 1)
 
     ring = l.ring
     pars = l.module.parity
@@ -114,7 +154,34 @@ def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Ch
                     key = (row, col)
                     entries[key] = entries.get(key, ring.zero) + sign * c
     mat = SparseMat(ring, dim ** (n - 1), dim ** n, entries)
-    return ChainMap(src, tgt, mat, n)
+    for i, j in mat.entries:
+        if tgt_keys[i] != src_keys[j]:
+            raise RuntimeError(
+                f"delta_{n} maps index {j} of block {src_keys[j]} into block "
+                f"{tgt_keys[i]}; the weights are not additive for the bracket"
+            )
+    return ChainMap(src, _graded(tgt_keys), mat, n, src_keys, tgt_keys)
+
+
+def _indices_by_key(keys) -> dict:
+    out = {}
+    for i, k in enumerate(keys):
+        out.setdefault(k, []).append(i)
+    return out
+
+
+def diagonal_blocks(dn: ChainMap, dn1: ChainMap):
+    """For each block key of the module between dn1 and dn, in sorted key
+    order: (key, its indices there, the dn block, the dn1 block).  One block
+    is sliced at a time; delta's leak check guarantees that the blocks hold
+    every entry."""
+    below = _indices_by_key(dn.target_keys)
+    middle = _indices_by_key(dn.source_keys)
+    above = _indices_by_key(dn1.source_keys)
+    for key in sorted(middle):
+        idx = middle[key]
+        yield (key, idx, dn.matrix.submatrix(below.get(key, []), idx),
+               dn1.matrix.submatrix(idx, above.get(key, [])))
 
 
 def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
@@ -122,7 +189,7 @@ def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Grade
 
     The chain property delta_n o delta_{n+1} = 0 is verified exactly before
     the quotient is taken; over a field this also licenses stopping the image
-    reduction once it reaches the kernel dimension.
+    reduction of each block once it reaches that block's kernel dimension.
     """
     if n < 1:
         raise ValueError("homology is computed for n >= 1")
@@ -135,9 +202,11 @@ def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Grade
             "delta_n o delta_{n+1} != 0; the bracket does not satisfy the "
             "Leibniz identity or the boundary signs drifted"
         )
-    if n == 1:
-        ker = SparseMat.identity(l.ring, dim)
-    else:
-        ker = kernel_basis(dn.matrix)
-    im_ech = column_span_echelon(dn1.matrix, stop_rank=ker.cols)
-    return subquotient_invariants(ker, im_ech.basis_matrix(), dn.source.parity)
+    parts = [GradedModuleInvariants(l.ring)]
+    for (_, par), idx, down, up in diagonal_blocks(dn, dn1):
+        ker = kernel_basis(down)
+        if not ker.cols:
+            continue
+        im_ech = column_span_echelon(up, stop_rank=ker.cols)
+        parts.append(subquotient_invariants(ker, im_ech.basis_matrix(), (par,) * len(idx)))
+    return direct_sum_invariants(parts)

@@ -2,12 +2,14 @@
 
 Subcommands: check, hl2, hhs1, verify, catalog.  Exit codes are stable:
 0 success / verification passed, 1 axiom violations or a failed verification,
-2 unreadable or malformed input (including a --dialgebra file that violates
-the axioms, a negative --m or --n, and a modulus too large to test for
+2 unreadable or malformed input (including an unknown builtin, a non-unital
+dialgebra where a bar-unit is needed, a --dialgebra file that violates the
+axioms, a negative --m or --n, and a modulus too large to test for
 primality), 3 size guard exceeded, 4 unclassified (m, n) case, 5 internal
-invariant breach (a bug, not bad input).  JSON output is byte-identical for
-identical inputs and seed (timings are only printed in text mode); the seed
-is only recorded.
+invariant breach (a bug, not bad input; this includes any KeyError or
+ValueError from the computation).  JSON output is byte-identical for
+identical inputs and seed (the per-stage timings and block sizes are only
+printed in text mode); the seed is only recorded.
 """
 
 from __future__ import annotations
@@ -63,7 +65,10 @@ def _load_source(args):
     first; its axiom violations raise InvalidInputError, listed as check
     lists them."""
     if getattr(args, "builtin", None):
-        return builtin_dialgebra(args.builtin), args.builtin
+        try:
+            return builtin_dialgebra(args.builtin), args.builtin
+        except KeyError as e:
+            raise InvalidInputError(e.args[0]) from None
     d = load_dialgebra_file(args.dialgebra)
     issues = validate(d)
     if issues:
@@ -135,7 +140,7 @@ def cmd_verify(args) -> int:
             "pass": all(r.passed for r in reports),
         }
         if args.format != "json":
-            lines = [r.describe() + f"  [{_fmt_ms(r)}]" for r in reports]
+            lines = [line for r in reports for line in _report_lines(r)]
             lines.append(f"overall: {'pass' if payload['pass'] else 'FAIL'}")
             _emit(payload, args.format, lines)
         else:
@@ -153,13 +158,21 @@ def cmd_verify(args) -> int:
         payload["report"].pop("elapsed_ms", None)
         _emit(payload, args.format, [])
     else:
-        _emit(payload, args.format, [report.describe() + f"  [{_fmt_ms(report)}]"])
+        _emit(payload, args.format, _report_lines(report))
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _fmt_ms(report) -> str:
+def _report_lines(report) -> list:
+    """Text-mode verify output: the verdict with the total time, then the
+    time per stage and the (weight, parity) blocks of L (x) L."""
     total = sum(report.elapsed_ms.values())
-    return f"{total:.0f} ms"
+    stages = ", ".join(f"{k} {v:.0f} ms" for k, v in report.elapsed_ms.items())
+    blocks = report.square_blocks
+    return [
+        report.describe() + f"  [{total:.0f} ms]",
+        f"    {stages}; L(x)L: {len(blocks)} blocks, largest "
+        f"{max(blocks, default=0)} of {sum(blocks)}",
+    ]
 
 
 def cmd_catalog(args) -> int:
@@ -260,11 +273,12 @@ def main(argv=None) -> int:
     except UnclassifiedCaseError as e:
         print(f"unclassified case: {e}", file=sys.stderr)
         return EXIT_UNCLASSIFIED
-    except (UnsupportedRingError, NoBarUnitBasisError, KeyError, ValueError) as e:
+    except (UnsupportedRingError, NoBarUnitBasisError, InvalidInputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (RuntimeError, NotASubmoduleError) as e:
-        print(f"internal invariant breach: {e}", file=sys.stderr)
+    except (RuntimeError, NotASubmoduleError, KeyError, ValueError) as e:
+        # input errors were raised as the types above; these are bugs
+        print(f"internal invariant breach: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

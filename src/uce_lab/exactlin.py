@@ -272,6 +272,19 @@ class SparseMat:
             col[i] = v
         return col
 
+    def submatrix(self, rows, cols) -> "SparseMat":
+        """The block on the ascending index lists rows and cols, renumbered
+        in that order.  Every entry of the chosen columns must lie in a
+        chosen row (KeyError otherwise)."""
+        pos = {i: t for t, i in enumerate(rows)}
+        own = self.columns()
+        block_cols = [[(pos[i], v) for i, v in own[j]] for j in cols]
+        out = SparseMat(self.ring, len(rows), len(cols))
+        # the entries are normalized already, and the columns stay sorted
+        out.entries = {(i, t): v for t, col in enumerate(block_cols) for i, v in col}
+        out._cols_cache = block_cols
+        return out
+
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -382,7 +395,7 @@ class Echelon:
         """Dense engine vector from list[(index, value)] or a full list."""
         v = self._blank()
         if isinstance(items, (list, tuple)) and items and not isinstance(items[0], tuple):
-            seq = enumerate(items)
+            seq = [(i, x) for i, x in enumerate(items) if x != 0]
         else:
             seq = items
         if self.mode == "fracfield":
@@ -528,6 +541,27 @@ class Echelon:
         new.pivots = list(self.pivots)
         new.row_at = dict(self.row_at)
         return new
+
+    def add_block(self, block: "Echelon", indices) -> None:
+        """Adjoin the rows of block, an echelon of the coordinates indices
+        (ascending, and touched by no row of self), with each entry moved to
+        its coordinate.  The rows then span (generate) the direct sum of the
+        two spans (lattices).  A fracfield or object-dtype block converts
+        self first, as vector() would."""
+        if block.mode == "fracfield" and self.mode != "fracfield":
+            self._to_fracfield()
+        if block._obj and not self._obj:
+            self._escalate()
+        for r, p in zip(block.rows, block.pivots):
+            v = self._blank()
+            if self.mode == "fracfield" and block.mode != "fracfield":
+                v[indices] = [Fraction(int(x)) for x in r]
+                v = v / v[indices[p]]
+            else:
+                v[indices] = r
+            self.row_at[indices[p]] = len(self.rows)
+            self.rows.append(v)
+            self.pivots.append(indices[p])
 
     def _fraction_free_residue(self, v):
         """(w, den) with w / den the canonical residue of v, for an intfield
@@ -690,8 +724,9 @@ def _augmented_echelon(m: SparseMat) -> Echelon:
 
 def _coordinates(ech: Echelon, n: int, vec):
     """x with m @ x = vec from the augmented echelon of an n-row m, or None
-    when vec is outside the column span (lattice)."""
-    v = ech.vector([(i, x) for i, x in enumerate(vec) if x != 0])
+    when vec is outside the column span (lattice).  vec is a dense list or
+    its nonzero (index, value) pairs."""
+    v = ech.vector(vec)
     # vector() may have switched the echelon to fracfield: dispatch after it
     if ech.mode == "intfield" and ech.rows:
         w, den = ech._fraction_free_residue(v)
@@ -737,10 +772,11 @@ class SpanSolver:
         if any(p >= self.n for p in self.ech.pivots):
             raise ValueError("SpanSolver needs independent columns")
 
-    def solve(self, dense_vec):
+    def solve(self, vec):
         """Coefficients x with basis @ x = vec, or None if not in the span
-        (over the integers: not in the lattice)."""
-        return _coordinates(self.ech, self.n, dense_vec)
+        (over the integers: not in the lattice).  vec is a dense list or its
+        nonzero (index, value) pairs."""
+        return _coordinates(self.ech, self.n, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,42 +1107,43 @@ def subquotient_invariants(ker: SparseMat, im: SparseMat, parity) -> GradedModul
         raise ValueError("kernel columns must be nonzero")
 
     solver = SpanSolver(ker) if ker.cols else None
+    # position of each kernel generator among those of its parity
+    counts = [0, 0]
+    pos_of = []
+    for p in ker_par:
+        pos_of.append(counts[p])
+        counts[p] += 1
+    entries_by_parity = {0: {}, 1: {}}
+    ncols = [0, 0]
     im_cols = im.columns()
-    coords_by_parity = {0: [], 1: []}
     for j in range(im.cols):
         if not im_cols[j]:
             continue
         par = _column_parity(im_cols[j], parity, j)
         if solver is None:
             raise NotASubmoduleError("image generators outside the zero kernel")
-        x = solver.solve(im.column_dense(j))
+        x = solver.solve(im_cols[j])
         if x is None:
             raise NotASubmoduleError(f"image column {j} is not in the kernel span")
+        ent = entries_by_parity[par]
         for idx, c in enumerate(x):
-            if c != 0 and ker_par[idx] != par:
-                raise NotASubmoduleError(
-                    f"image column {j} uses kernel generators of the wrong parity"
-                )
-        coords_by_parity[par].append(x)
+            if c:
+                if ker_par[idx] != par:
+                    raise NotASubmoduleError(
+                        f"image column {j} uses kernel generators of the wrong parity"
+                    )
+                ent[(pos_of[idx], ncols[par])] = c
+        ncols[par] += 1
 
     out = {}
     for par in (0, 1):
-        k_idx = [i for i, p in enumerate(ker_par) if p == par]
-        pos_of = {ki: t for t, ki in enumerate(k_idx)}
-        cols = []
-        for x in coords_by_parity[par]:
-            col = [ring.zero] * len(k_idx)
-            for idx, c in enumerate(x):
-                if c != 0:
-                    col[pos_of[idx]] = c
-            cols.append(col)
-        x_mat = SparseMat.from_columns(ring, len(k_idx), cols)
+        x_mat = SparseMat(ring, counts[par], ncols[par], entries_by_parity[par])
         if ring.is_field and ring.kind != "integers":
             r = rank(x_mat)
-            out[par] = (len(k_idx) - r, ())
+            out[par] = (counts[par] - r, ())
         else:
             diag = snf(x_mat)
-            free = len(k_idx) - len(diag)
+            free = counts[par] - len(diag)
             out[par] = (free, tuple(int(d) for d in diag if d > 1))
     return GradedModuleInvariants(
         ring, out[0][0], out[1][0], out[0][1], out[1][1]

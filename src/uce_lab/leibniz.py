@@ -9,7 +9,7 @@ with |E_ij(a)| = |i| + |j| + |a|, |i| = 0 for i <= m and 1 for i > m.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .exactlin import (
     Echelon,
@@ -19,7 +19,12 @@ from .exactlin import (
     SpanSolver,
     kernel_basis,
 )
-from .superdialg import SuperDialgebra, matrix_dialgebra, bracket_span
+from .superdialg import (
+    InvalidInputError,
+    SuperDialgebra,
+    bracket_span,
+    matrix_dialgebra,
+)
 
 __all__ = [
     "LeibnizSuperalgebra",
@@ -36,12 +41,24 @@ __all__ = [
 @dataclass(frozen=True)
 class LeibnizSuperalgebra:
     """Bracket structure constants on a graded basis: table[(i, j)] expands
-    [e_i, e_j] as [(k, coeff), ...]; missing pairs are zero."""
+    [e_i, e_j] as [(k, coeff), ...]; missing pairs are zero.
+
+    weight, when given, is one integer tuple per basis vector for which the
+    bracket is additive: [e_i, e_j] only involves e_k of weight
+    weight[i] + weight[j].  The boundary maps then split into blocks of equal
+    total weight (chain.delta checks this exactly).  None means every basis
+    vector has the empty weight, a single block per parity.
+    """
 
     ring: RingSpec
     module: GradedFreeModule
     table: dict
     name: str = "leibniz"
+    weight: tuple | None = None
+
+    def __post_init__(self):
+        if self.weight is not None and len(self.weight) != self.dim:
+            raise ValueError("weight needs one entry per basis vector")
 
     @property
     def dim(self) -> int:
@@ -182,24 +199,31 @@ class GeneralLinear:
 
 
 def gl(m: int, n: int, d: SuperDialgebra) -> GeneralLinear:
-    """General Leibniz superalgebra of (m+n) x (m+n) matrices over d."""
+    """General Leibniz superalgebra of (m+n) x (m+n) matrices over d; the
+    matrix unit E_ij(e_b) has the weight e_i - e_j in Z^(m+n)."""
     if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got ({m}, {n})")
+        raise InvalidInputError(f"need m, n >= 0, got ({m}, {n})")
     if m + n < 1:
-        raise ValueError("need m + n >= 1")
+        raise InvalidInputError("need m + n >= 1")
     if not d.is_unital:
-        raise ValueError("gl needs a unital superdialgebra")
+        raise InvalidInputError("gl needs a unital superdialgebra")
     k = m + n
     md = matrix_dialgebra(k, d)
     parity = []
+    weight = []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
+            w = [0] * k
+            w[i - 1] += 1
+            w[j - 1] -= 1
             for b in range(d.dim):
                 ri = 0 if i <= m else 1
                 rj = 0 if j <= m else 1
                 parity.append((ri + rj + d.parity(b)) % 2)
+                weight.append(tuple(w))
     graded = md.regrade(parity, name=f"mat{k}({d.name})[{m}|{n}]")
-    alg = from_dialgebra(graded, name=f"gl({m},{n},{d.name})")
+    alg = replace(from_dialgebra(graded, name=f"gl({m},{n},{d.name})"),
+                  weight=tuple(weight))
     return GeneralLinear(m, n, d, alg)
 
 
@@ -242,10 +266,12 @@ def sl(m: int, n: int, d: SuperDialgebra, cross_check: bool = True) -> SpecialLi
     """Special linear Leibniz superalgebra: the bracket span of gl(m, n, d).
 
     With cross_check the span is verified to equal
-    {x : Str(x) in span of dialgebra brackets} as submodules.
+    {x : Str(x) in span of dialgebra brackets} as submodules.  Each basis
+    vector takes the weight of the gl matrix units in its inclusion column;
+    a column whose units differ in weight raises RuntimeError.
     """
     if m + n < 2:
-        raise ValueError("need m + n >= 2")
+        raise InvalidInputError("need m + n >= 2")
     g = gl(m, n, d)
     ech = _bracket_span_echelon(g.algebra)
     incl = ech.basis_matrix()
@@ -254,12 +280,17 @@ def sl(m: int, n: int, d: SuperDialgebra, cross_check: bool = True) -> SpecialLi
         _check_supertrace_characterization(g, ech)
 
     sub_parity = []
+    sub_weight = []
     cols = incl.columns()
     for j in range(incl.cols):
         pars = {g.algebra.parity(i) for i, _ in cols[j]}
         if len(pars) != 1:
             raise RuntimeError("bracket span produced a parity-mixed generator")
         sub_parity.append(pars.pop())
+        weights = {g.algebra.weight[i] for i, _ in cols[j]}
+        if len(weights) != 1:
+            raise RuntimeError("bracket span produced a weight-mixed generator")
+        sub_weight.append(weights.pop())
 
     solver = SpanSolver(incl)
     table = {}
@@ -277,7 +308,8 @@ def sl(m: int, n: int, d: SuperDialgebra, cross_check: bool = True) -> SpecialLi
                 table[(a, b)] = terms
     mod = GradedFreeModule(incl.cols, tuple(sub_parity))
     alg = LeibnizSuperalgebra(g.algebra.ring, mod, table,
-                              name=f"sl({m},{n},{d.name})")
+                              name=f"sl({m},{n},{d.name})",
+                              weight=tuple(sub_weight))
     return SpecialLinear(g, alg, incl, solver)
 
 

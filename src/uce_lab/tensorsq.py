@@ -5,11 +5,18 @@ The carrier is (L (x) L) / Im delta_3 with bracket
 is a central extension of L whose kernel is the degree-2 homology.  The
 w-cycle machinery tracks the explicit kernel classes E_ij(a) (x) E_kl(1) that
 realise the low-rank extra summands.
+
+Im delta_3 is reduced one (weight, parity) block of L (x) L at a time (see
+``chain``; ``delta`` rejects an entry that leaks out of its block), and the
+block echelons are placed side by side in the one ``image`` echelon of
+L (x) L.  Its pivot set, and its residues over fields and over the integers,
+depend only on the span (the lattice), so they do not depend on the blocks.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +30,7 @@ from .exactlin import (
     snf_with_transforms,
     subquotient_invariants,
 )
-from .chain import DEFAULT_SIZE_GUARD, ChainMap, delta, guard_check
+from .chain import DEFAULT_SIZE_GUARD, ChainMap, delta, diagonal_blocks, guard_check
 from .leibniz import LeibnizSuperalgebra, SpecialLinear, is_perfect
 
 __all__ = [
@@ -178,6 +185,12 @@ class TensorSquare:
     @property
     def ambient_dim(self) -> int:
         return self.base.dim ** 2
+
+    def block_sizes(self) -> list:
+        """Sizes of the (weight, parity) blocks of L (x) L, in sorted key
+        order."""
+        sizes = Counter(self.d2.source_keys)
+        return [sizes[k] for k in sorted(sizes)]
 
     def project(self, vec):
         """Canonical representative of the class of an ambient coordinate
@@ -410,7 +423,8 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
     """Build (L (x) L)/Im delta_3 for perfect L.
 
     delta_2 o delta_3 = 0 is verified exactly first; over a field this also
-    allows the image reduction to stop at the kernel dimension.
+    allows the image reduction of each block to stop at the dimension of the
+    block of Ker delta_2.
     """
     if not is_perfect(l):
         raise NotPerfectError(f"{l.name} is not perfect")
@@ -420,8 +434,13 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
     d3 = delta(l, 3, guard)
     if not (d2.matrix @ d3.matrix).is_zero():
         raise RuntimeError("delta_2 o delta_3 != 0; sign conventions drifted")
-    # perfect: delta_2 has rank dim L, so Im delta_3 has rank <= dim^2 - dim
-    image = column_span_echelon(d3.matrix, stop_rank=dim * dim - dim)
+    image = Echelon(l.ring, dim * dim)
+    for _, idx, d2_block, d3_block in diagonal_blocks(d2, d3):
+        # perfect and block-diagonal: delta_2 maps each block onto the block
+        # of L with the same key, so the block of Im delta_3 has rank at most
+        # |block of L (x) L| - |block of L|
+        block = column_span_echelon(d3_block, stop_rank=len(idx) - d2_block.rows)
+        image.add_block(block, idx)
     pivots = set(image.row_at)
     complement = [i for i in range(dim * dim) if i not in pivots]
     return TensorSquare(l, d2, d3, image, complement)

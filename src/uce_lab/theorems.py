@@ -25,7 +25,12 @@ from .exactlin import (
 )
 from .chain import DEFAULT_SIZE_GUARD, hl
 from .leibniz import sl
-from .superdialg import SuperDialgebra, builtin_dialgebra, quotient_Dm
+from .superdialg import (
+    InvalidInputError,
+    SuperDialgebra,
+    builtin_dialgebra,
+    quotient_Dm,
+)
 from .tensorsq import (
     WCycleReport,
     low_rank_case,
@@ -116,6 +121,7 @@ class VerificationReport:
     certificates: list = field(default_factory=list)
     w_cycles: WCycleReport | None = None
     steinberg_h2: GradedModuleInvariants | None = None
+    square_blocks: tuple = ()  # sizes of the L (x) L blocks; not in to_json
 
     def to_json(self) -> dict:
         out = {
@@ -167,7 +173,7 @@ def verify_dialgebra(case: CaseLabel, d: SuperDialgebra,
                      guard: int = DEFAULT_SIZE_GUARD) -> VerificationReport:
     """verify_case for an explicitly supplied dialgebra (file-loaded ones)."""
     if not d.is_unital:
-        raise ValueError(f"{case.dialgebra} is not unital")
+        raise InvalidInputError(f"{case.dialgebra} is not unital")
     times = {}
 
     t0 = time.perf_counter()
@@ -202,6 +208,7 @@ def verify_dialgebra(case: CaseLabel, d: SuperDialgebra,
     return VerificationReport(
         case, chain_inv, tensor_inv, expected, passed, agree, times,
         certificates, wrep, expected_w(case.m, case.n, d),
+        square_blocks=tuple(ts.block_sizes()),
     )
 
 

@@ -1,12 +1,26 @@
 """Chain complex boundary signs, the complex property, and homology."""
 
 import itertools
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from uce_lab.chain import SizeGuardExceededError, delta, hl, tensor_power_module
+from uce_lab.exactlin import QQ
 from uce_lab.leibniz import from_dialgebra, gl, sl
-from uce_lab.superdialg import builtin_dialgebra, catalog_names
+from uce_lab.superdialg import builtin_dialgebra, catalog_names, from_algebra
+from uce_lab.theorems import default_cases
+
+
+def split_halfx():
+    """Q[x]/(x^2 - x/2): a unital dialgebra with a fractional structure
+    constant, so its eliminations switch to Fraction rows."""
+    prod = {
+        (0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)],
+        (1, 1): [(1, Fraction(1, 2))],
+    }
+    return from_algebra(QQ, (0, 0), prod, (1, 0), "split_halfx")
 
 
 def test_delta2_on_abelian_is_zero():
@@ -110,3 +124,53 @@ def test_size_guard():
         delta(l, 3, guard=100)
     with pytest.raises(SizeGuardExceededError):
         hl(l, 2, guard=1000)
+
+
+@pytest.mark.parametrize("kind,m,n,name,degree", [
+    ("sl", 2, 0, "rationals", 1),
+    ("sl", 2, 0, "rationals", 3),
+    ("sl", 2, 2, "rationals", 2),
+    ("sl", 2, 1, "grassmann_q", 2),
+    ("gl", 2, 0, "split_halfx", 2),
+    ("sl", 3, 0, "f3", 2),
+    ("sl", 4, 0, "integers", 2),
+])
+def test_weight_blocks_do_not_change_homology(kind, m, n, name, degree):
+    d = split_halfx() if name == "split_halfx" else builtin_dialgebra(name)
+    l = gl(m, n, d).algebra if kind == "gl" else sl(m, n, d).algebra
+    assert l.weight is not None
+    assert hl(l, degree) == hl(replace(l, weight=None), degree)
+
+
+def test_a_wrong_weight_leaks_out_of_its_block():
+    l = sl(2, 0, builtin_dialgebra("rationals"), cross_check=False).algebra
+    weight = list(l.weight)
+    weight[0] = tuple(2 * x + 1 for x in weight[0])
+    wrong = replace(l, weight=tuple(weight))
+    for n in (2, 3):
+        delta(l, n)
+        with pytest.raises(RuntimeError, match="not additive"):
+            delta(wrong, n)
+
+
+def test_weight_needs_one_entry_per_basis_vector():
+    l = sl(2, 0, builtin_dialgebra("rationals"), cross_check=False).algebra
+    with pytest.raises(ValueError):
+        replace(l, weight=l.weight[1:])
+
+
+@pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.describe())
+def test_sl_weights_are_homogeneous(case):
+    s = sl(case.m, case.n, builtin_dialgebra(case.dialgebra), cross_check=False)
+    l, g = s.algebra, s.gl
+    size = case.m + case.n
+    for j, col in enumerate(s.inclusion.columns()):
+        for u, _ in col:
+            i, rest = divmod(u // g.dlg.dim, size)
+            unit = [0] * size
+            unit[i] += 1
+            unit[rest] -= 1
+            assert l.weight[j] == tuple(unit)
+    for (a, b), terms in l.table.items():
+        total = tuple(x + y for x, y in zip(l.weight[a], l.weight[b]))
+        assert all(l.weight[k] == total for k, _ in terms)

@@ -1,12 +1,15 @@
 """CLI exit codes, formats and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from uce_lab import cli
 from uce_lab.cli import main
 from uce_lab.superdialg import builtin_dialgebra, dump_dialgebra
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -198,3 +201,37 @@ def test_negative_matrix_size_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--builtin", "rationals")
     assert code == 2 and out == ""
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_value_or_key_error_inside_hl_exits_5(capsys, monkeypatch, error):
+    from uce_lab import chain
+
+    def broken(*args, **kwargs):
+        raise error("block bookkeeping went wrong")
+
+    monkeypatch.setattr(chain, "subquotient_invariants", broken)
+    code, out, err = run(capsys, "hl2", "--m", "2", "--n", "1",
+                         "--builtin", "rationals")
+    assert code == 5 and out == ""
+    assert err.strip().count("\n") == 0 and error.__name__ in err
+
+
+def test_text_verify_prints_stage_times_and_blocks(capsys):
+    code, out, _ = run(capsys, "verify", "--m", "4", "--n", "0",
+                       "--builtin", "integers")
+    assert code == 0
+    verdict, detail = out.splitlines()
+    assert "pass" in verdict and verdict.endswith(" ms]")
+    for stage in ("sl_build", "chain_path", "tensor_path", "expected", "w_cycles"):
+        assert f"{stage} " in detail
+    # sl(4, 0, Z) has dimension 15: 55 (weight, parity) blocks of L (x) L
+    assert detail.endswith("L(x)L: 55 blocks, largest 21 of 225")
+
+
+def test_json_verify_matches_the_golden_bytes(capsys):
+    golden = ROOT / "perfbench" / "golden" / "verify_q" / "sl_3_0_rationals.json"
+    code, out, _ = run(capsys, "verify", "--m", "3", "--n", "0",
+                       "--builtin", "rationals", "--format", "json")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()

@@ -374,6 +374,36 @@ def test_residue_and_pivots_do_not_depend_on_insertion_order(ring):
         assert len(seen) == 1
 
 
+@pytest.mark.parametrize("ring,fractional", [
+    (ZZ, None), (QQ, None), (GF(3), None), (QQ, 0), (QQ, 1),
+])
+def test_echelon_of_blocks_matches_one_echelon(ring, fractional):
+    """Echelons of two disjoint coordinate blocks, put side by side with
+    add_block, have the pivots and residues of one echelon of all the rows;
+    a block with a fractional entry (fracfield) may come first or second."""
+    rng = random.Random(13)
+    blocks = ([0, 2, 5, 6], [1, 3, 4, 7])
+    for _ in range(10):
+        whole = Echelon(ring, 8)
+        joined = Echelon(ring, 8)
+        for b, idx in enumerate(blocks):
+            part = Echelon(ring, len(idx))
+            for _ in range(3):
+                local = [ring.normalize(rng.randint(-4, 4)) for _ in idx]
+                if b == fractional:
+                    local[rng.randrange(len(idx))] = Fraction(1, 2)
+                part.insert(part.vector(local))
+                whole.insert(whole.vector([(i, x) for i, x in zip(idx, local)]))
+            joined.add_block(part, idx)
+        assert sorted(joined.row_at) == sorted(whole.row_at)
+        assert (joined.mode == "fracfield") == (fractional is not None)
+        if ring == ZZ:
+            assert joined.pivot_values() == whole.pivot_values()
+        for _ in range(4):
+            probe = [ring.normalize(rng.randint(-9, 9)) for _ in range(8)]
+            assert list(joined.residue_of(probe)) == list(whole.residue_of(probe))
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
 def test_sparse_apply_agrees_with_matmul(ring):
     rng = random.Random(11)

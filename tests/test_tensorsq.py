@@ -1,12 +1,17 @@
 """Tensor square construction, its central-extension properties, and the
 explicit low-rank kernel classes."""
 
+import random
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from uce_lab.chain import hl
+from uce_lab.exactlin import QQ
 from uce_lab.exactlin import module_iso_check
 from uce_lab.leibniz import gl, sl
-from uce_lab.superdialg import builtin_dialgebra
+from uce_lab.superdialg import builtin_dialgebra, from_algebra
 from uce_lab.tensorsq import (
     NotPerfectError,
     admissible_patterns,
@@ -47,6 +52,35 @@ def test_sl32_square_has_zero_kernel():
     ts = tensor_square(_sl(3, 2, "rationals").algebra)
     assert len(ts.complement) == 24
     assert ts.kernel_invariants().is_zero()
+
+
+def _split_halfx():
+    # Q[x]/(x^2 - x/2): a fractional structure constant (fracfield blocks)
+    prod = {
+        (0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)],
+        (1, 1): [(1, Fraction(1, 2))],
+    }
+    return from_algebra(QQ, (0, 0), prod, (1, 0), "split_halfx")
+
+
+@pytest.mark.parametrize("m,n,name", [
+    (2, 0, "split_halfx"), (2, 2, "rationals"), (2, 1, "grassmann_q"),
+    (3, 0, "f3"), (4, 0, "integers"),
+])
+def test_image_blocks_do_not_change_pivots_or_residues(m, n, name):
+    d = _split_halfx() if name == "split_halfx" else builtin_dialgebra(name)
+    l = sl(m, n, d, cross_check=False).algebra
+    blocked = tensor_square(l)
+    single = tensor_square(replace(l, weight=None))
+    assert len(blocked.block_sizes()) > len(single.block_sizes())
+    assert sorted(blocked.image.row_at) == sorted(single.image.row_at)
+    assert blocked.complement == single.complement
+    if l.ring.kind == "integers":
+        assert blocked.image.pivot_values() == single.image.pivot_values()
+    rng = random.Random(5)
+    for _ in range(20):
+        v = [l.ring.normalize(rng.randint(-5, 5)) for _ in range(l.dim ** 2)]
+        assert list(blocked.project(v)) == list(single.project(v))
 
 
 @pytest.mark.parametrize("m,n,name", [
