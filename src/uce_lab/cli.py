@@ -2,14 +2,14 @@
 
 Subcommands: check, hl2, hhs1, verify, catalog.  Exit codes are stable:
 0 success / verification passed, 1 axiom violations or a failed verification,
-2 unreadable or malformed input (including an unknown builtin, a non-unital
-dialgebra where a bar-unit is needed, a --dialgebra file that violates the
-axioms, a negative --m or --n, and a modulus too large to test for
-primality), 3 size guard exceeded, 4 unclassified (m, n) case, 5 internal
-invariant breach (a bug, not bad input; this includes any KeyError or
-ValueError from the computation).  JSON output is byte-identical for
-identical inputs and seed (the per-stage timings and block sizes are only
-printed in text mode); the seed is only recorded.
+2 unreadable or malformed input (including a modulus that is not an integer,
+an unknown builtin, a non-unital dialgebra where a bar-unit is needed, a
+--dialgebra file that violates the axioms, a negative --m or --n, and a
+modulus too large to test for primality), 3 size guard exceeded,
+4 unclassified (m, n) case, 5 internal invariant breach (a bug, not bad
+input; this includes any KeyError or ValueError from the computation).  JSON
+output is byte-identical for identical inputs and seed (the per-stage timings
+and block sizes are only printed in text mode); the seed is only recorded.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .superdialg import (
     InvalidInputError,
     builtin_dialgebra,
     catalog_entries,
+    catalog_names,
     load_dialgebra_file,
     validate,
 )
@@ -90,7 +91,7 @@ def _preflight_guard(m, n, d, guard):
 
 def cmd_check(args) -> int:
     try:
-        if args.source in catalog_names_set():
+        if args.source in catalog_names():
             d = builtin_dialgebra(args.source)
         else:
             d = load_dialgebra_file(args.source)
@@ -101,10 +102,6 @@ def cmd_check(args) -> int:
     payload = {"name": d.name, "valid": not issues, "violations": issues}
     _emit(payload, args.format, _check_lines(d, issues))
     return EXIT_OK if not issues else EXIT_FAIL
-
-
-def catalog_names_set():
-    return {e["name"] for e in catalog_entries()}
 
 
 def cmd_hl2(args) -> int:

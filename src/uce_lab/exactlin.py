@@ -1,6 +1,13 @@
 """Exact linear algebra substrate: coefficient rings, sparse matrices,
-incremental echelon/lattice reduction, Smith normal form, kernels and
-invariant factors of graded subquotients.
+products from structure constants (``bilinear``), incremental echelon/lattice
+reduction, Smith normal form, kernels and invariant factors of graded
+subquotients.
+
+Span and lattice facts go through one ``Echelon`` API: ``extend`` builds the
+span of a sequence of vectors (zero vectors skipped, insertion order kept),
+``contains`` and ``residue`` test and reduce one vector, ``same_span``
+compares two echelons and ``is_full`` says whether the rows span the whole
+module (over the integers: generate the whole lattice).
 
 Everything is exact: integers, rationals and prime fields.  numpy is used
 only as a fast container for exact integer arithmetic (int64 with a strict
@@ -41,6 +48,7 @@ __all__ = [
     "module_iso_check",
     "parity_shift",
     "direct_sum_invariants",
+    "bilinear",
     "UnsupportedRingError",
     "NotASubmoduleError",
 ]
@@ -112,8 +120,9 @@ class RingSpec:
         if self.kind not in ("integers", "rationals", "int_mod"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "int_mod":
-            if self.modulus is None or self.modulus < 2:
-                raise ValueError("int_mod needs a modulus >= 2")
+            m = self.modulus
+            if not isinstance(m, int) or isinstance(m, bool) or m < 2:
+                raise ValueError(f"int_mod needs an integer modulus >= 2, got {m!r}")
         elif self.modulus is not None:
             raise ValueError(f"{self.kind} takes no modulus")
 
@@ -312,12 +321,6 @@ class SparseMat:
                 out[i] = out[i] + c * m
         return [ring.normalize(x) for x in out]
 
-    def transpose(self) -> "SparseMat":
-        return SparseMat(
-            self.ring, self.cols, self.rows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseMat)
@@ -329,6 +332,23 @@ class SparseMat:
 
     def __repr__(self):
         return f"SparseMat({self.ring.describe()}, {self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def bilinear(ring: RingSpec, table: dict, dim: int, a, b) -> list:
+    """The product of dense coordinate vectors a and b from structure
+    constants: table[(i, j)] expands e_i * e_j as [(k, coeff), ...] in a basis
+    of size dim, missing pairs are zero.  A dense list of normalized ring
+    elements."""
+    out = [ring.zero] * dim
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            if cb == 0:
+                continue
+            for k, c in table.get((i, j), ()):
+                out[k] = out[k] + ca * cb * c
+    return [ring.normalize(x) for x in out]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +538,16 @@ class Echelon:
                     v = (d // g) * v - (c // g) * r
                     self.rows[at] = new_r
 
+    def extend(self, vectors) -> "Echelon":
+        """Insert each nonzero vector, in order; each is a dense coordinate
+        list or its nonzero (index, value) pairs.  Returns self, whose rows
+        then span the old span plus the vectors (lattice: generate)."""
+        for items in vectors:
+            v = self.vector(items)
+            if v.any():
+                self.insert(v)
+        return self
+
     def _normalize_new_row(self, v, p):
         if self.mode == "modp":
             inv = pow(int(v[p]), self.ring.modulus - 2, self.ring.modulus)
@@ -636,6 +666,26 @@ class Echelon:
             return not self._fraction_free_residue(v)[0].any()
         res = self.residue(v.copy() if hasattr(v, "copy") else v)
         return not res.any()
+
+    def same_span(self, other: "Echelon") -> bool:
+        """Equal rank and mutual containment: the two echelons have the same
+        span (over the integers: generate the same lattice)."""
+        if self.rank != other.rank:
+            return False
+        for src, dst in ((self, other), (other, self)):
+            for col in src.basis_matrix().columns():
+                if not dst.contains(dst.vector(col)):
+                    return False
+        return True
+
+    def is_full(self) -> bool:
+        """True when the rows span the whole module.  Over the integers they
+        must also generate the whole lattice: the rows are triangular, so the
+        lattice index is the absolute value of the product of the pivot
+        values, which must all be 1 or -1."""
+        if self.rank != self.dim:
+            return False
+        return self.mode != "lattice" or all(abs(d) == 1 for d in self.pivot_values().values())
 
     def basis_matrix(self) -> SparseMat:
         """Rows as columns of a SparseMat, ordered by pivot index."""

@@ -23,6 +23,8 @@ from .exactlin import (
     GradedFreeModule,
     GradedModuleInvariants,
     SparseMat,
+    SpanSolver,
+    bilinear,
     kernel_basis,
     module_iso_check,
     snf,
@@ -98,15 +100,13 @@ def with_bar_unit_first(dlg: SuperDialgebra) -> SuperDialgebra:
         raise NoBarUnitBasisError(
             f"{dlg.name}: no unimodular basis contains the bar-unit"
         )
-    from .exactlin import SpanSolver
-
     solver = SpanSolver(basis)
     left = {}
     right = {}
     for i in range(dim):
         for j in range(dim):
             for table, out in ((dlg.left, left), (dlg.right, right)):
-                prod = dlg._mul(table, chosen[i], chosen[j])
+                prod = bilinear(ring, table, dim, chosen[i], chosen[j])
                 if any(x != 0 for x in prod):
                     coords = solver.solve(prod)
                     if coords is None:
@@ -208,13 +208,7 @@ def degree_one_homology(dlg: SuperDialgebra, guard: int = DEFAULT_SIZE_GUARD) ->
         raise RuntimeError("d_1 o d_2 != 0; boundary signs drifted")
     ker = kernel_basis(d1.matrix)
     gens = _ideal_generators(base)
-    rel = Echelon(base.ring, base.dim ** 2)
-    cols = d2.matrix.columns()
-    for j in range(d2.matrix.cols):
-        if cols[j]:
-            rel.insert(rel.vector(cols[j]))
-    for g in gens:
-        rel.insert(rel.vector(g))
+    rel = Echelon(base.ring, base.dim ** 2).extend(d2.matrix.columns()).extend(gens)
     inv = subquotient_invariants(ker, rel.basis_matrix(), d1.source.parity)
     return DegreeOneHomology(base, d1, d2, ker, rel, inv, gens)
 
@@ -300,8 +294,9 @@ class _Str2:
                         for k, pv in enumerate(prod):
                             if pv != 0:
                                 w[rep][k] = w[rep][k] + s * coeff * pv
-        dd = [ring.normalize(x) for x in dd]
-        w = {rep: [ring.normalize(x) for x in col] for rep, col in w.items()}
+        # the zero entries already hold the ring's zero
+        dd = [ring.normalize(x) if x != 0 else x for x in dd]
+        w = {rep: [ring.normalize(x) if x != 0 else x for x in col] for rep, col in w.items()}
         return dd, w
 
 
@@ -541,7 +536,6 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
             break
 
     # (f) induced map is onto the degree-2 homology, with equal invariants
-    surj_ech = ts.image.copy()
     image_cols = []
     source_parities = []
     for j in range(hoch.kernel.cols):
@@ -555,16 +549,11 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
         for b in range(dim_d):
             image_cols.append(mu.of_pattern(rep, base.basis_vector(b)))
             source_parities.append((base.parity(b) + off) % 2)
-    for col in image_cols:
-        if any(x != 0 for x in col):
-            surj_ech.insert(surj_ech.vector(col))
-    surjective = True
-    ker_amb = kernel_basis(ts.d2.matrix)
-    kcols = ker_amb.columns()
-    for j in range(ker_amb.cols):
-        if not surj_ech.contains(surj_ech.vector(kcols[j])):
-            surjective = False
-            break
+    surj_ech = ts.image.copy().extend(image_cols)
+    surjective = all(
+        surj_ech.contains(surj_ech.vector(col))
+        for col in kernel_basis(ts.d2.matrix).columns()
+    )
 
     computed = ts.kernel_invariants()
     expected = hoch.invariants.direct_sum(expected_w(m, n, base))

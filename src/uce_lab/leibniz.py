@@ -17,6 +17,7 @@ from .exactlin import (
     RingSpec,
     SparseMat,
     SpanSolver,
+    bilinear,
     kernel_basis,
 )
 from .superdialg import (
@@ -74,17 +75,7 @@ class LeibnizSuperalgebra:
 
     def bracket(self, a, b):
         """[a, b] on dense coordinate vectors (bilinear extension)."""
-        ring = self.ring
-        out = [ring.zero] * self.dim
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                for k, c in self.table.get((i, j), ()):
-                    out[k] = out[k] + ca * cb * c
-        return [ring.normalize(x) for x in out]
+        return bilinear(self.ring, self.table, self.dim, a, b)
 
     def bracket_basis(self, i: int, j: int):
         out = [self.ring.zero] * self.dim
@@ -253,13 +244,9 @@ class SpecialLinear:
 
 
 def _bracket_span_echelon(l: LeibnizSuperalgebra) -> Echelon:
-    ech = Echelon(l.ring, l.dim)
-    for i in range(l.dim):
-        for j in range(l.dim):
-            v = l.bracket_basis(i, j)
-            if any(x != 0 for x in v):
-                ech.insert(ech.vector(v))
-    return ech
+    return Echelon(l.ring, l.dim).extend(
+        l.bracket_basis(i, j) for i in range(l.dim) for j in range(l.dim)
+    )
 
 
 def sl(m: int, n: int, d: SuperDialgebra, cross_check: bool = True) -> SpecialLinear:
@@ -323,29 +310,11 @@ def _check_supertrace_characterization(g: GeneralLinear, span_ech: Echelon):
     for (i, j), v in dd.entries.items():
         ent[(i, str_mat.cols + j)] = v
     block = SparseMat(ring, str_mat.rows, str_mat.cols + dd.cols, ent)
-    ker = kernel_basis(block)
-    char_ech = Echelon(ring, g.algebra.dim)
-    kcols = ker.columns()
-    for j in range(ker.cols):
-        v = [ring.zero] * g.algebra.dim
-        for i, c in kcols[j]:
-            if i < g.algebra.dim:
-                v[i] = c
-        if any(x != 0 for x in v):
-            char_ech.insert(char_ech.vector(v))
-    ok = char_ech.rank == span_ech.rank
-    if ok:
-        mat = span_ech.basis_matrix()
-        cols = mat.columns()
-        ok = all(
-            char_ech.contains(char_ech.vector(cols[j])) for j in range(mat.cols)
-        )
-        mat = char_ech.basis_matrix()
-        cols = mat.columns()
-        ok = ok and all(
-            span_ech.contains(span_ech.vector(cols[j])) for j in range(mat.cols)
-        )
-    if not ok:
+    dim = g.algebra.dim
+    char_ech = Echelon(ring, dim).extend(
+        [(i, c) for i, c in col if i < dim] for col in kernel_basis(block).columns()
+    )
+    if not span_ech.same_span(char_ech):
         raise RuntimeError(
             "[gl, gl] differs from the supertrace characterization of sl"
         )

@@ -17,6 +17,7 @@ from .exactlin import (
     GradedModuleInvariants,
     RingSpec,
     SparseMat,
+    bilinear,
     solve_linear,
     subquotient_invariants,
 )
@@ -111,26 +112,13 @@ class SuperDialgebra:
         v[i] = self.ring.one
         return v
 
-    def _mul(self, table, a, b):
-        ring = self.ring
-        out = [ring.zero] * self.dim
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                for k, c in table.get((i, j), ()):
-                    out[k] = out[k] + ca * cb * c
-        return [ring.normalize(x) for x in out]
-
     def lmul(self, a, b):
         """a <| b on dense coordinate vectors."""
-        return self._mul(self.left, a, b)
+        return bilinear(self.ring, self.left, self.dim, a, b)
 
     def rmul(self, a, b):
         """a |> b on dense coordinate vectors."""
-        return self._mul(self.right, a, b)
+        return bilinear(self.ring, self.right, self.dim, a, b)
 
     def bracket(self, a, pa, b, pb):
         """[a, b] = a <| b - (-1)^{|a||b|} b |> a for homogeneous a, b."""
@@ -268,15 +256,7 @@ def from_dga(alg: SuperDialgebra, dmat, name=None) -> SuperDialgebra:
     """
     ring = alg.ring
     dim = alg.dim
-
-    def apply_d(v):
-        out = [ring.zero] * dim
-        for j, c in enumerate(v):
-            if c == 0:
-                continue
-            for i in range(dim):
-                out[i] = out[i] + c * dmat[i][j]
-        return [ring.normalize(x) for x in out]
+    apply_d = SparseMat.from_dense(ring, dmat).apply
 
     for j in range(dim):
         col = apply_d(alg.basis_vector(j))
@@ -334,37 +314,13 @@ def from_bimodule_map(alg: SuperDialgebra, left_action, right_action, fmat,
     ra = _table_normalize(ring, dim_m, right_action)
 
     def act_left(avec, mvec):
-        out = [ring.zero] * dim_m
-        for i, ca in enumerate(avec):
-            if ca == 0:
-                continue
-            for j, cm in enumerate(mvec):
-                if cm == 0:
-                    continue
-                for k, c in la.get((i, j), ()):
-                    out[k] = out[k] + ca * cm * c
-        return [ring.normalize(x) for x in out]
+        return bilinear(ring, la, dim_m, avec, mvec)
 
     def act_right(mvec, avec):
-        out = [ring.zero] * dim_m
-        for i, cm in enumerate(mvec):
-            if cm == 0:
-                continue
-            for j, ca in enumerate(avec):
-                if ca == 0:
-                    continue
-                for k, c in ra.get((i, j), ()):
-                    out[k] = out[k] + cm * ca * c
-        return [ring.normalize(x) for x in out]
+        return bilinear(ring, ra, dim_m, mvec, avec)
 
-    def f(mvec):
-        out = [ring.zero] * dim_a
-        for j, cm in enumerate(mvec):
-            if cm == 0:
-                continue
-            for i in range(dim_a):
-                out[i] = out[i] + cm * fmat[i][j]
-        return [ring.normalize(x) for x in out]
+    fm = SparseMat.from_dense(ring, fmat)
+    f = fm.apply
 
     for i in range(dim_a):
         a = alg.basis_vector(i)
@@ -413,7 +369,6 @@ def from_bimodule_map(alg: SuperDialgebra, left_action, right_action, fmat,
                 bar = mj
                 break
     if bar is None:
-        fm = SparseMat.from_dense(ring, fmat)
         sol = solve_linear(fm, unit)
         if sol is not None and all(
             c == 0 for c, p in zip(sol, mod_parity) if p == 1
@@ -515,29 +470,17 @@ def matrix_dialgebra(k: int, d: SuperDialgebra) -> SuperDialgebra:
 # ---------------------------------------------------------------------------
 
 
-def _same_span(ring, a: Echelon, b: Echelon) -> bool:
-    """Mutual containment of two echelons over the same ambient module."""
-    if a.rank != b.rank:
-        return False
-    for src, dst in ((a, b), (b, a)):
-        for mat in (src.basis_matrix(),):
-            cols = mat.columns()
-            for j in range(mat.cols):
-                if not dst.contains(dst.vector(cols[j])):
-                    return False
-    return True
+def _basis_brackets(d: SuperDialgebra) -> list:
+    """[e_i, e_j] for all basis pairs, i outer and j inner."""
+    return [
+        d.bracket(d.basis_vector(i), d.parity(i), d.basis_vector(j), d.parity(j))
+        for i in range(d.dim) for j in range(d.dim)
+    ]
 
 
 def bracket_span(d: SuperDialgebra) -> SparseMat:
     """R-span of all brackets a <| b - (-1)^{|a||b|} b |> a on basis pairs."""
-    ech = Echelon(d.ring, d.dim)
-    for i in range(d.dim):
-        for j in range(d.dim):
-            v = d.bracket(d.basis_vector(i), d.parity(i),
-                          d.basis_vector(j), d.parity(j))
-            if any(x != 0 for x in v):
-                ech.insert(ech.vector(v))
-    return ech.basis_matrix()
+    return Echelon(d.ring, d.dim).extend(_basis_brackets(d)).basis_matrix()
 
 
 def _ideal_closure(d: SuperDialgebra, generators) -> Echelon:
@@ -573,20 +516,12 @@ def bracket_ideal(d: SuperDialgebra) -> SparseMat:
     """
     if not d.is_unital:
         raise InvalidInputError("bracket_ideal needs a unital dialgebra")
-    gens = []
-    for i in range(d.dim):
-        for j in range(d.dim):
-            gens.append(d.bracket(d.basis_vector(i), d.parity(i),
-                                  d.basis_vector(j), d.parity(j)))
+    gens = _basis_brackets(d)
     ech = _ideal_closure(d, gens)
-
-    alt = Echelon(d.ring, d.dim)
-    for g in gens:
-        for k in range(d.dim):
-            v = d.lmul(g, d.basis_vector(k))
-            if any(x != 0 for x in v):
-                alt.insert(alt.vector(v))
-    if not _same_span(d.ring, ech, alt):
+    alt = Echelon(d.ring, d.dim).extend(
+        d.lmul(g, d.basis_vector(k)) for g in gens for k in range(d.dim)
+    )
+    if not ech.same_span(alt):
         raise RuntimeError(
             "bracket ideal differs from the span of [D,D] <| D; "
             "the dialgebra violates the expected unital identity"
@@ -782,6 +717,11 @@ def _fail(loc, msg):
     raise DialgebraFormatError(f"{loc}: {msg}")
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: true and 1.0 compare equal to 1 but are not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_dialgebra(data: dict, source="<dict>") -> SuperDialgebra:
     if not isinstance(data, dict):
         _fail(source, "top level must be a JSON object")
@@ -794,13 +734,13 @@ def load_dialgebra(data: dict, source="<dict>") -> SuperDialgebra:
     except ValueError as e:
         _fail(f"{source}:ring", str(e))
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         _fail(f"{source}:dim", "expected a non-negative integer")
     parity = data.get("parity")
     if (
         not isinstance(parity, list)
         or len(parity) != dim
-        or any(p not in (0, 1) for p in parity)
+        or any(not _is_int(p) or p not in (0, 1) for p in parity)
     ):
         _fail(f"{source}:parity", f"expected a list of {dim} values in {{0, 1}}")
 
@@ -815,8 +755,8 @@ def load_dialgebra(data: dict, source="<dict>") -> SuperDialgebra:
                 _fail(loc, "expected [i, j, k, coeff]")
             i, j, k, coeff = row
             for v in (i, j, k):
-                if not isinstance(v, int) or not 0 <= v < dim:
-                    _fail(loc, f"index {v} outside 0..{dim - 1}")
+                if not _is_int(v) or not 0 <= v < dim:
+                    _fail(loc, f"index {v!r} is not an integer in 0..{dim - 1}")
             try:
                 c = ring.parse(str(coeff))
             except (ValueError, ZeroDivisionError) as e:
@@ -849,6 +789,10 @@ def load_dialgebra_file(path) -> SuperDialgebra:
         raise DialgebraFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     except OSError as e:
         raise DialgebraFormatError(f"{path}: {e.strerror}") from None
+    except (ValueError, RecursionError) as e:
+        # bytes that are not UTF-8, an integer literal over Python's digit
+        # limit, or arrays nested deeper than the recursion limit
+        raise DialgebraFormatError(f"{path}: {e}") from None
     return load_dialgebra(data, source=str(path))
 
 

@@ -384,39 +384,14 @@ class TensorSquare:
     def carrier_is_perfect(self) -> bool:
         """[carrier, carrier] = carrier: bracket classes plus the image span
         the full ambient module (full lattice over the integers)."""
-        ring = self.base.ring
-        ech = self.image.copy()
-        gens = self.carrier_generators()
-        for _, a in gens:
-            for _, b in gens:
-                v = self.pair_vector(self.d2.matrix.apply(a), self.d2.matrix.apply(b))
-                if any(x != 0 for x in v):
-                    ech.insert(ech.vector(v))
-        if ech.rank != self.ambient_dim:
-            return False
-        if ring.kind == "integers":
-            for t in range(self.ambient_dim):
-                v = [0] * self.ambient_dim
-                v[t] = 1
-                if not ech.contains(ech.vector(v)):
-                    return False
-        return True
+        bd = [self.d2.matrix.apply(g) for _, g in self.carrier_generators()]
+        return self.image.copy().extend(
+            self.pair_vector(a, b) for a in bd for b in bd
+        ).is_full()
 
     def boundary_is_surjective(self) -> bool:
-        ech = Echelon(self.base.ring, self.base.dim)
-        cols = self.d2.matrix.columns()
-        for j in range(self.d2.matrix.cols):
-            if cols[j]:
-                ech.insert(ech.vector(cols[j]))
-        if ech.rank != self.base.dim:
-            return False
-        if self.base.ring.kind == "integers":
-            for t in range(self.base.dim):
-                v = [0] * self.base.dim
-                v[t] = 1
-                if not ech.contains(ech.vector(v)):
-                    return False
-        return True
+        """delta_2 is onto L (onto the lattice over the integers)."""
+        return Echelon(self.base.ring, self.base.dim).extend(self.d2.matrix.columns()).is_full()
 
 
 def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> TensorSquare:
@@ -536,9 +511,7 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
             labels.append((pat, d.module.label(b)))
 
     # span of the classes inside the homology: (span + image)/image
-    span_plus = ts.image.copy()
-    for v in vecs:
-        span_plus.insert(span_plus.vector(v))
+    span_plus = ts.image.copy().extend(vecs)
     span_inv = subquotient_invariants(
         span_plus.basis_matrix(), ts.image.basis_matrix(), ts.d2.source.parity
     )

@@ -1,9 +1,14 @@
 """CLI exit codes, formats and determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uce_lab import cli
 from uce_lab.cli import main
@@ -163,6 +168,79 @@ def test_modulus_above_primality_bound_exits_2(capsys, tmp_path):
     p = _f2_with_modulus(tmp_path, 10**25 + 13)
     code, _, err = run(capsys, "hhs1", "--dialgebra", str(p))
     assert code == 2 and "primality" in err
+
+
+@pytest.mark.parametrize("modulus", ["7", 7.5, [7]])
+@pytest.mark.parametrize("command", [("check",), ("hhs1", "--dialgebra")])
+def test_non_integer_modulus_exits_2(capsys, tmp_path, modulus, command):
+    p = _f2_with_modulus(tmp_path, modulus)
+    code, out, err = run(capsys, *command, str(p))
+    assert code == 2 and out == ""
+    assert err.strip().count("\n") == 0 and "integer modulus" in err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"dim": ' + b"1" * 5000 + b"}",     # over Python's integer digit limit
+    b"[" * 100_000 + b"]" * 100_000,      # nested deeper than the recursion limit
+    b"\xff\xfe{",                         # not UTF-8
+])
+@pytest.mark.parametrize("command", [("check",), ("hhs1", "--dialgebra")])
+def test_undecodable_file_exits_2(capsys, tmp_path, content, command):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    code, out, err = run(capsys, *command, str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.strip().count("\n") == 0
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz: one field of a valid file replaced by something malformed
+# ---------------------------------------------------------------------------
+
+_WRONG_TYPE = st.sampled_from([None, True, 1.5, "x", [], {}, -1, 10**400, [[0, 0]]])
+_BAD_INDEX = st.sampled_from([-1, 2, 10**400, 1.0, True, "0", None, [0]])
+_BAD_COEFF = st.sampled_from([
+    "1/0", "x", "1/2/3", "", "1e3", "1.5", 1.5, None, [1], True, "1/-2",
+    "1/" + "9" * 50, "9" * 400, "-0", " 3 ", "0x10",
+])
+_BAD_MODULUS = st.sampled_from([0, 1, 4, -7, 10**400, 2**61 - 1, "7", 7.5, [7], True])
+
+
+@st.composite
+def _mutated_dialgebra(draw):
+    blob = dump_dialgebra(builtin_dialgebra(
+        draw(st.sampled_from(["bar_duplex_f2", "dual_numbers_q", "grassmann_q", "integers"]))))
+    where = draw(st.sampled_from(["field", "ring", "parity", "index", "coeff", "bar_unit"]))
+    if where == "field":
+        blob[draw(st.sampled_from(sorted(blob)))] = draw(_WRONG_TYPE)
+    elif where == "ring":
+        key = draw(st.sampled_from(["kind", "modulus"]))
+        blob["ring"][key] = draw(_BAD_MODULUS if key == "modulus" else _WRONG_TYPE)
+    elif where == "parity":
+        blob["parity"][draw(st.integers(0, blob["dim"] - 1))] = draw(_BAD_INDEX)
+    elif where == "bar_unit":
+        blob["bar_unit"][draw(st.integers(0, blob["dim"] - 1))] = draw(_BAD_COEFF)
+    else:
+        row = draw(st.sampled_from(blob[draw(st.sampled_from(["left", "right"]))]))
+        if where == "index":
+            row[draw(st.integers(0, 2))] = draw(_BAD_INDEX)
+        else:
+            row[3] = draw(_BAD_COEFF)
+    return blob
+
+
+@given(_mutated_dialgebra())
+def test_loader_fuzz_ends_in_a_documented_exit_code(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.json")
+        Path(path).write_text(json.dumps(blob))
+        for argv, allowed in ((["check", path], (0, 1, 2)),
+                              (["hhs1", "--dialgebra", path], (0, 2))):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in allowed, (argv[0], err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from uce_lab.superdialg import builtin_dialgebra, catalog_names
 from uce_lab.exactlin import (
     GF,
     QQ,
@@ -27,6 +28,7 @@ from uce_lab.exactlin import (
     SpanSolver,
     UnsupportedRingError,
     _is_prime,
+    bilinear,
     column_span_echelon,
     kernel_basis,
     module_iso_check,
@@ -402,6 +404,127 @@ def test_echelon_of_blocks_matches_one_echelon(ring, fractional):
         for _ in range(4):
             probe = [ring.normalize(rng.randint(-9, 9)) for _ in range(8)]
             assert list(joined.residue_of(probe)) == list(whole.residue_of(probe))
+
+
+# ---------------------------------------------------------------------------
+# the span API (extend, same_span, is_full) against the loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _insert_loop(ring, dim, vectors):
+    """The hand-written loop extend replaced: insert each nonzero vector."""
+    ech = Echelon(ring, dim)
+    for v in vectors:
+        if any(x != 0 for x in v):
+            ech.insert(ech.vector(v))
+    return ech
+
+
+def _full_by_units(ech):
+    """The unit-vector test is_full replaced: full rank, and every unit
+    vector in the span (over the integers: in the lattice)."""
+    if ech.rank != ech.dim:
+        return False
+    for t in range(ech.dim):
+        v = [0] * ech.dim
+        v[t] = 1
+        if not ech.contains(ech.vector(v)):
+            return False
+    return True
+
+
+def _contains_all(ech, vectors):
+    return all(ech.contains(ech.vector(v)) for v in vectors if any(x != 0 for x in v))
+
+
+@st.composite
+def _span_case(draw):
+    """A ring, a dimension, up to six rows (zero rows included) and probes."""
+    ring = draw(st.sampled_from([ZZ, QQ, GF(3)]))
+    dim = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3), _FRACTION) if ring == QQ else st.integers(-3, 3)
+    vec = st.lists(entry, min_size=dim, max_size=dim).map(
+        lambda v: [ring.normalize(x) for x in v])
+    rows = draw(st.lists(vec, max_size=6))
+    probes = draw(st.lists(vec, min_size=1, max_size=3))
+    return ring, dim, rows, probes
+
+
+def _state(ech, probes):
+    return (ech.mode, list(ech.pivots), [list(r) for r in ech.rows],
+            [list(ech.residue_of(p)) for p in probes])
+
+
+@given(_span_case())
+def test_extend_matches_an_insert_loop(case):
+    ring, dim, rows, probes = case
+    want = _state(_insert_loop(ring, dim, rows), probes)
+    ech = Echelon(ring, dim)
+    assert ech.extend(rows) is ech
+    assert _state(ech, probes) == want
+    # the nonzero (index, value) pairs of the same rows, as a generator
+    pairs = ([(i, x) for i, x in enumerate(r) if x != 0] for r in rows)
+    assert _state(Echelon(ring, dim).extend(pairs), probes) == want
+
+
+@given(_span_case())
+def test_is_full_matches_unit_vector_containment(case):
+    ring, dim, rows, _ = case
+    assert Echelon(ring, dim).extend(rows).is_full() == _full_by_units(
+        _insert_loop(ring, dim, rows))
+
+
+@given(_span_case(), st.sampled_from(["random", "recombined", "doubled"]))
+def test_same_span_matches_two_way_containment(case, how):
+    ring, dim, rows, probes = case
+    if how == "random":
+        other = probes
+    elif how == "recombined":
+        # the same span and lattice: reversed, plus the sum of the first two
+        other = rows[::-1]
+        if len(rows) > 1:
+            other.append([ring.normalize(a + b) for a, b in zip(rows[0], rows[1])])
+    else:
+        # the same span, but over the integers a sublattice of index 2
+        other = [[ring.normalize(2 * x) for x in r] for r in rows[:1]] + rows[1:]
+    want = (_contains_all(_insert_loop(ring, dim, rows), other)
+            and _contains_all(_insert_loop(ring, dim, other), rows))
+    a = Echelon(ring, dim).extend(rows)
+    b = Echelon(ring, dim).extend(other)
+    assert a.same_span(b) == b.same_span(a) == want
+
+
+def test_span_api_over_the_integers_sees_the_lattice():
+    assert Echelon(QQ, 2).extend([[2, 1], [0, 3]]).is_full()
+    assert not Echelon(ZZ, 2).extend([[2, 1], [0, 3]]).is_full()
+    assert Echelon(ZZ, 2).extend([[2, 1], [1, 1]]).is_full()
+    assert not Echelon(GF(3), 2).extend([[1, 2], [2, 1]]).is_full()
+    assert Echelon(ZZ, 0).is_full()
+    for ring, same in ((ZZ, False), (QQ, True)):
+        a = Echelon(ring, 2).extend([[1, 1], [0, 1]])
+        assert a.same_span(Echelon(ring, 2).extend([[2, 0], [0, 1]])) == same
+
+
+def _reference_product(ring, table, dim, a, b):
+    """sum over the table entries of a_i b_j c e_k, in table order."""
+    out = [ring.zero] * dim
+    for (i, j), terms in table.items():
+        for k, c in terms:
+            out[k] = out[k] + a[i] * b[j] * c
+    return [ring.normalize(x) for x in out]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@given(data=st.data())
+def test_bilinear_matches_the_products_of_the_catalog(name, data):
+    d = builtin_dialgebra(name)
+    entry = st.integers(-3, 3).map(d.ring.normalize)
+    vec = st.lists(entry, min_size=d.dim, max_size=d.dim)
+    a, b = data.draw(vec), data.draw(vec)
+    for table, mul in ((d.left, d.lmul), (d.right, d.rmul)):
+        want = _reference_product(d.ring, table, d.dim, a, b)
+        assert bilinear(d.ring, table, d.dim, a, b) == want
+        assert mul(a, b) == want
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
