@@ -338,5 +338,5 @@ def centre(l: LeibnizSuperalgebra) -> SparseMat:
 
 
 def is_perfect(l: LeibnizSuperalgebra) -> bool:
-    """True iff the bracket span has full rank."""
-    return _bracket_span_echelon(l).rank == l.dim
+    """True iff [L, L] = L (over the integers: the brackets generate L)."""
+    return _bracket_span_echelon(l).is_full()

@@ -1,9 +1,12 @@
 """Hochschild boundary, degree-one homology, and the splitting diagram."""
 
+from dataclasses import replace
+
 import pytest
 
+from uce_lab import hochschild
 from uce_lab.chain import delta
-from uce_lab.exactlin import module_iso_check
+from uce_lab.exactlin import Echelon, SparseMat, kernel_basis, module_iso_check
 from uce_lab.hochschild import (
     NoBarUnitBasisError,
     d,
@@ -12,8 +15,9 @@ from uce_lab.hochschild import (
     splitting_check,
     with_bar_unit_first,
 )
-from uce_lab.leibniz import from_dialgebra
-from uce_lab.superdialg import builtin_dialgebra, catalog_names, validate
+from uce_lab.leibniz import from_dialgebra, sl
+from uce_lab.superdialg import builtin_dialgebra, catalog_names, quotient_Dm, validate
+from uce_lab.tensorsq import pattern_modulus, tensor_square
 
 UNITAL = [n for n in catalog_names() if builtin_dialgebra(n).is_unital]
 
@@ -131,7 +135,7 @@ def test_ideal_nonzero_for_bar_duplex():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m,n,name", [
+SPLITTING_CASES = [
     (2, 2, "rationals"),
     (3, 0, "rationals"),
     (3, 0, "f3"),
@@ -142,7 +146,14 @@ def test_ideal_nonzero_for_bar_duplex():
     (2, 1, "grassmann_q"),
     (2, 1, "dual_numbers_q"),
     (2, 1, "bar_duplex_q"),
-])
+]
+
+FLAGS = ("str2_well_defined", "mu_well_defined", "trace_square_commutes",
+         "embed_square_commutes", "section_identity", "retraction_identity",
+         "surjective", "invariants_match", "parity_preserving")
+
+
+@pytest.mark.parametrize("m,n,name", SPLITTING_CASES)
 def test_splitting_diagram(m, n, name):
     rep = splitting_check(m, n, builtin_dialgebra(name))
     assert rep.str2_well_defined
@@ -168,3 +179,69 @@ def test_splitting_diagram_super_2_2():
 def test_splitting_rejects_unclassified():
     with pytest.raises(ValueError):
         splitting_check(1, 2, builtin_dialgebra("rationals"))
+
+
+def _drop_orbit_sign(monkeypatch):
+    """Break Str2: every pattern maps to its orbit representative with sign
+    +1, so the coefficients of the relations v_ijkl = -v_ilkj no longer
+    cancel."""
+    rep_and_sign = hochschild.pattern_rep_and_sign
+    monkeypatch.setattr(hochschild, "pattern_rep_and_sign",
+                        lambda m, n, pat: (rep_and_sign(m, n, pat)[0], 1))
+
+
+def _str2_kills_every_d3_column(m, n, dlg) -> bool:
+    """Check (a) as it was first written, the reference for the check on
+    the echelon rows: Str2 on every nonzero column of delta_3."""
+    base = with_bar_unit_first(dlg)
+    slalg = sl(m, n, base)
+    ts = tensor_square(slalg.algebra)
+    hoch = degree_one_homology(base)
+    str2 = hochschild._Str2(slalg)
+    quotients = {rep: quotient_Dm(base, pattern_modulus(m, n, rep)) for rep in str2.reps}
+    for col in ts.d3.matrix.columns():
+        if not col:
+            continue
+        dd, w = str2.eval(col)
+        if not hoch.is_zero_class(dd):
+            return False
+        for rep, wcol in w.items():
+            if quotients[rep].echelon.residue_of(wcol).any():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["f3", "rationals"])
+def test_splitting_check_catches_a_broken_str2(monkeypatch, name):
+    _drop_orbit_sign(monkeypatch)
+    rep = splitting_check(2, 2, builtin_dialgebra(name))
+    assert not rep.str2_well_defined
+    assert all(getattr(rep, f) for f in FLAGS if f != "str2_well_defined")
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("m,n,name", SPLITTING_CASES)
+def test_str2_check_on_image_rows_equals_check_on_all_columns(monkeypatch, m, n, name, broken):
+    if broken:
+        _drop_orbit_sign(monkeypatch)
+    dlg = builtin_dialgebra(name)
+    want = _str2_kills_every_d3_column(m, n, dlg)
+    assert splitting_check(m, n, dlg).str2_well_defined == want
+
+
+@pytest.mark.parametrize("m,n,name", [(3, 0, "f3"), (2, 1, "rationals"), (4, 0, "integers")])
+def test_d2_kernel_blocks_span_the_kernel(m, n, name):
+    ts = tensor_square(sl(m, n, builtin_dialgebra(name)).algebra)
+    gens = hochschild._d2_kernel_by_block(ts)
+    assert len(gens) == ts.ambient_dim - ts.base.dim
+    ring, amb = ts.base.ring, ts.ambient_dim
+    blocks = Echelon(ring, amb).extend(gens)
+    dense = Echelon(ring, amb).extend(kernel_basis(ts.d2.matrix).columns())
+    assert blocks.same_span(dense)  # over Z: the same lattice
+
+
+def test_d2_kernel_blocks_check_their_count():
+    ts = tensor_square(sl(2, 1, builtin_dialgebra("rationals")).algebra)
+    zero = SparseMat.zeros(ts.base.ring, ts.d2.matrix.rows, ts.d2.matrix.cols)
+    with pytest.raises(RuntimeError, match="dim\\^2 - dim"):
+        hochschild._d2_kernel_by_block(replace(ts, d2=replace(ts.d2, matrix=zero)))

@@ -224,6 +224,10 @@ def test_perfectness():
     assert is_perfect(sl(3, 0, builtin_dialgebra("f2")).algebra)
     assert not is_perfect(gl(1, 0, builtin_dialgebra("rationals")).algebra)
     assert not is_perfect(gl(2, 0, builtin_dialgebra("rationals")).algebra)
+    # over Z the bracket lattice must be all of L, not of full rank only
+    assert not is_perfect(sl(2, 0, builtin_dialgebra("integers")).algebra)
+    assert is_perfect(sl(2, 0, builtin_dialgebra("rationals")).algebra)
+    assert is_perfect(sl(3, 0, builtin_dialgebra("integers")).algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ def test_requires_perfect():
         tensor_square(gl(1, 0, builtin_dialgebra("rationals")).algebra)
 
 
+def test_requires_the_bracket_lattice_over_the_integers():
+    # the brackets of sl(2, 0, Z) have full rank but span a sublattice of
+    # index 4 (pivot values 1, 2, 2), so it is not perfect over Z
+    with pytest.raises(NotPerfectError):
+        tensor_square(_sl(2, 0, "integers").algebra)
+
+
 def test_sl2_square_dimension_regression():
     # frozen regression value computed by this library at first build:
     # the carrier of sl(2, 0, Q) is 3-dimensional and the kernel vanishes
