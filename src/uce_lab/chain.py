@@ -9,9 +9,10 @@ Each basis tuple of L^(x)n has the block key (total weight, Koszul parity),
 the weights coming from ``LeibnizSuperalgebra.weight``.  The bracket adds
 weights and is even, so delta_n maps each block into the block of the same
 key; ``delta`` checks this for every nonzero entry and raises RuntimeError on
-a leak.  ``hl`` then computes the kernel, the image echelon and the
-subquotient one block at a time, in sorted key order, and direct-sums the
-invariants.
+a leak.  ``blocked_complex`` then computes the kernel and the image echelon
+one block at a time, in sorted key order, once per algebra and degree: ``hl``
+takes the subquotient of each block and direct-sums the invariants, and the
+tensor square and the splitting check read the same blocks.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ __all__ = [
     "SizeGuardExceededError",
     "tensor_power_module",
     "tensor_power_keys",
-    "diagonal_blocks",
     "delta",
+    "blocked_complex",
     "hl",
 ]
 
@@ -170,31 +171,21 @@ def _indices_by_key(keys) -> dict:
     return out
 
 
-def diagonal_blocks(dn: ChainMap, dn1: ChainMap):
-    """For each block key of the module between dn1 and dn, in sorted key
-    order: (key, its indices there, the dn block, the dn1 block).  One block
-    is sliced at a time; delta's leak check guarantees that the blocks hold
-    every entry."""
-    below = _indices_by_key(dn.target_keys)
-    middle = _indices_by_key(dn.source_keys)
-    above = _indices_by_key(dn1.source_keys)
-    for key in sorted(middle):
-        idx = middle[key]
-        yield (key, idx, dn.matrix.submatrix(below.get(key, []), idx),
-               dn1.matrix.submatrix(idx, above.get(key, [])))
-
-
-def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
-    """HL_n(L) = Ker delta_n / Im delta_{n+1} as a graded module.
-
-    The chain property delta_n o delta_{n+1} = 0 is verified exactly before
-    the quotient is taken; over a field this also licenses stopping the image
-    reduction of each block once it reaches that block's kernel dimension.
-    """
+def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> tuple:
+    """(delta_n, delta_{n+1}, blocks) with delta_n o delta_{n+1} = 0 verified
+    exactly; blocks lists, per block of L^(x)n in sorted key order, (key,
+    indices, kernel basis of the delta_n block, echelon of the image of the
+    delta_{n+1} block) in the block's own coordinates.  The chain property
+    licenses stopping each image reduction over a field at the block's kernel
+    dimension.  Memoised on l per n after the guard check; ``hl``,
+    ``tensor_square`` and the splitting check share it, so no caller may
+    mutate it."""
     if n < 1:
         raise ValueError("homology is computed for n >= 1")
     dim = l.dim
     guard_check([dim ** (n + 1), dim ** n, dim ** (n - 1) if n > 1 else 0], guard)
+    if n in l._complexes:
+        return l._complexes[n]
     dn = delta(l, n, guard)
     dn1 = delta(l, n + 1, guard)
     if n > 1 and not (dn.matrix @ dn1.matrix).is_zero():
@@ -202,11 +193,22 @@ def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Grade
             "delta_n o delta_{n+1} != 0; the bracket does not satisfy the "
             "Leibniz identity or the boundary signs drifted"
         )
+    below = _indices_by_key(dn.target_keys)
+    above = _indices_by_key(dn1.source_keys)
+    blocks = []
+    for key, idx in sorted(_indices_by_key(dn.source_keys).items()):
+        ker = kernel_basis(dn.matrix.submatrix(below.get(key, []), idx))
+        up = dn1.matrix.submatrix(idx, above.get(key, []))
+        blocks.append((key, idx, ker, column_span_echelon(up, stop_rank=ker.cols)))
+    l._complexes[n] = (dn, dn1, tuple(blocks))
+    return l._complexes[n]
+
+
+def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
+    """HL_n(L) = Ker delta_n / Im delta_{n+1} as a graded module: the direct
+    sum of the subquotients of the blocks of ``blocked_complex``."""
     parts = [GradedModuleInvariants(l.ring)]
-    for (_, par), idx, down, up in diagonal_blocks(dn, dn1):
-        ker = kernel_basis(down)
-        if not ker.cols:
-            continue
-        im_ech = column_span_echelon(up, stop_rank=ker.cols)
-        parts.append(subquotient_invariants(ker, im_ech.basis_matrix(), (par,) * len(idx)))
+    for (_, par), idx, ker, image in blocked_complex(l, n, guard)[2]:
+        if ker.cols:
+            parts.append(subquotient_invariants(ker, image.basis_matrix(), (par,) * len(idx)))
     return direct_sum_invariants(parts)

@@ -22,6 +22,7 @@ entries switches an echelon to Fraction rows.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 from dataclasses import dataclass
@@ -398,6 +399,7 @@ class Echelon:
         self.rows: list = []
         self.pivots: list = []        # leading index per row, parallel to rows
         self.row_at: dict = {}        # leading index -> row position
+        self.sorted_pivots: list = []  # the pivots in ascending order
         # mod-p products stay below p^2, so int64 is safe only for small p
         self._obj = ring.kind == "int_mod" and ring.modulus >= 1 << 31
 
@@ -496,6 +498,7 @@ class Echelon:
             at = self.row_at.get(p)
             if at is None:
                 v = self._normalize_new_row(v, p)
+                bisect.insort(self.sorted_pivots, p)
                 self.row_at[p] = len(self.rows)
                 self.rows.append(v)
                 self.pivots.append(p)
@@ -570,6 +573,7 @@ class Echelon:
         new.rows = [r.copy() for r in self.rows]
         new.pivots = list(self.pivots)
         new.row_at = dict(self.row_at)
+        new.sorted_pivots = list(self.sorted_pivots)
         return new
 
     def add_block(self, block: "Echelon", indices) -> None:
@@ -592,6 +596,7 @@ class Echelon:
             self.row_at[indices[p]] = len(self.rows)
             self.rows.append(v)
             self.pivots.append(indices[p])
+            bisect.insort(self.sorted_pivots, indices[p])
 
     def _fraction_free_residue(self, v):
         """(w, den) with w / den the canonical residue of v, for an intfield
@@ -605,7 +610,7 @@ class Echelon:
         if self._obj and v.dtype != object:
             v = v.astype(object)
         w, den = v, 1
-        for p in sorted(self.row_at):
+        for p in self.sorted_pivots:
             c = int(w[p])
             if c == 0:
                 continue
@@ -639,7 +644,7 @@ class Echelon:
             return _fractions(*self._fraction_free_residue(v))
         if self._obj and v.dtype != object:
             v = v.astype(object)
-        for p in sorted(self.row_at):
+        for p in self.sorted_pivots:
             if v[p] == 0:
                 continue
             r = self.rows[self.row_at[p]]
@@ -689,8 +694,8 @@ class Echelon:
 
     def basis_matrix(self) -> SparseMat:
         """Rows as columns of a SparseMat, ordered by pivot index."""
-        order = sorted(range(len(self.rows)), key=lambda k: self.pivots[k])
-        return _engine_columns(self.ring, self.dim, [self.rows[k] for k in order])
+        rows = [self.rows[self.row_at[p]] for p in self.sorted_pivots]
+        return _engine_columns(self.ring, self.dim, rows)
 
     def pivot_values(self) -> dict:
         """Leading value per pivot of a lattice (integer) echelon.

@@ -30,7 +30,7 @@ from .exactlin import (
     snf,
     subquotient_invariants,
 )
-from .chain import (DEFAULT_SIZE_GUARD, _indices_by_key, guard_check, tensor_index,
+from .chain import (DEFAULT_SIZE_GUARD, blocked_complex, guard_check, tensor_index,
                     tensor_power_module)
 from .leibniz import SpecialLinear, sl
 from .superdialg import SuperDialgebra, quotient_Dm
@@ -425,20 +425,14 @@ class SplittingReport:
         }
 
 
-def _d2_kernel_by_block(ts: TensorSquare) -> list:
-    """A basis (lattice basis) of Ker delta_2 as (index, value) pairs, one
-    (weight, parity) block at a time: delta_2 is block diagonal (delta's leak
-    check), so its kernel is the direct sum of the block kernels.  L is
-    perfect, so the rank is dim^2 - dim; any other count raises RuntimeError."""
-    d2 = ts.d2
-    below = _indices_by_key(d2.target_keys)
-    gens = []
-    for key, idx in sorted(_indices_by_key(d2.source_keys).items()):
-        ker = kernel_basis(d2.matrix.submatrix(below.get(key, []), idx))
-        gens.extend([(idx[i], v) for i, v in col] for col in ker.columns())
-    if len(gens) != ts.ambient_dim - ts.base.dim:
-        raise RuntimeError(f"Ker delta_2 has {len(gens)} block generators, not dim^2 - dim")
-    return gens
+def _d2_kernel_by_block(ts: TensorSquare, guard: int = DEFAULT_SIZE_GUARD) -> list:
+    """A basis (lattice basis) of Ker delta_2 as (index, value) pairs: delta_2
+    is block diagonal (delta's leak check), so its kernel is the direct sum of
+    the block kernels of ``chain.blocked_complex``, which ``tensor_square``
+    shares and whose counts it checks."""
+    return [[(idx[i], v) for i, v in col]
+            for _, idx, ker, _ in blocked_complex(ts.base, 2, guard)[2]
+            for col in ker.columns()]
 
 
 def splitting_check(m: int, n: int, dlg: SuperDialgebra,
@@ -552,7 +546,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
             source_parities.append((base.parity(b) + off) % 2)
     surj_ech = ts.image.copy().extend(image_cols)
     surjective = all(surj_ech.contains(surj_ech.vector(col))
-                     for col in _d2_kernel_by_block(ts))
+                     for col in _d2_kernel_by_block(ts, guard))
 
     computed = ts.kernel_invariants()
     expected = hoch.invariants.direct_sum(expected_w(m, n, base))

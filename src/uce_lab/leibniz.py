@@ -9,7 +9,7 @@ with |E_ij(a)| = |i| + |j| + |a|, |i| = 0 for i <= m and 1 for i > m.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .exactlin import (
     Echelon,
@@ -56,6 +56,8 @@ class LeibnizSuperalgebra:
     table: dict
     name: str = "leibniz"
     weight: tuple | None = None
+    # chain.blocked_complex per degree; not an init field, so replace() empties it
+    _complexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight is not None and len(self.weight) != self.dim:
@@ -125,13 +127,18 @@ class LeibnizSuperalgebra:
 
 
 def from_dialgebra(d: SuperDialgebra, name=None) -> LeibnizSuperalgebra:
-    """[a, b] = a <| b - (-1)^{|a||b|} b |> a on the dialgebra's basis."""
+    """[e_i, e_j] = e_i <| e_j - (-1)^{|i||j|} e_j |> e_i on the dialgebra's
+    basis, read off left[(i, j)] and right[(j, i)], terms in ascending k."""
     table = {}
     for i in range(d.dim):
         for j in range(d.dim):
-            v = d.bracket(d.basis_vector(i), d.parity(i),
-                          d.basis_vector(j), d.parity(j))
-            terms = [(k, c) for k, c in enumerate(v) if c != 0]
+            sign = -1 if (d.parity(i) * d.parity(j)) % 2 else 1
+            acc = {}
+            for k, c in d.left.get((i, j), ()):
+                acc[k] = acc.get(k, 0) + c
+            for k, c in d.right.get((j, i), ()):
+                acc[k] = acc.get(k, 0) - sign * c
+            terms = [(k, c) for k in sorted(acc) if (c := d.ring.normalize(acc[k])) != 0]
             if terms:
                 table[(i, j)] = terms
     return LeibnizSuperalgebra(d.ring, d.module, table,

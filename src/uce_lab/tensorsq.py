@@ -6,11 +6,12 @@ is a central extension of L whose kernel is the degree-2 homology.  The
 w-cycle machinery tracks the explicit kernel classes E_ij(a) (x) E_kl(1) that
 realise the low-rank extra summands.
 
-Im delta_3 is reduced one (weight, parity) block of L (x) L at a time (see
-``chain``; ``delta`` rejects an entry that leaks out of its block), and the
+delta_2, delta_3 and the Im delta_3 echelon of each (weight, parity) block of
+L (x) L come from ``chain.blocked_complex``, shared with ``chain.hl``; the
 block echelons are placed side by side in the one ``image`` echelon of
 L (x) L.  Its pivot set, and its residues over fields and over the integers,
 depend only on the span (the lattice), so they do not depend on the blocks.
+What stays independent of the chain path is Ker delta_2 on the carrier.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from .exactlin import (
     Echelon,
     GradedModuleInvariants,
     SparseMat,
-    column_span_echelon,
     kernel_basis,
     snf_with_transforms,
     subquotient_invariants,
 )
-from .chain import DEFAULT_SIZE_GUARD, ChainMap, delta, diagonal_blocks, guard_check
+from .chain import DEFAULT_SIZE_GUARD, ChainMap, blocked_complex
 from .leibniz import LeibnizSuperalgebra, SpecialLinear, is_perfect
 
 __all__ = [
@@ -271,14 +271,9 @@ class TensorSquare:
             torsion_lift, torsion = SparseMat.zeros(ring, amb, 0), ()
         else:
             idx = [i for i in range(amb) if parity[i] == par]
-            imat = self.image.basis_matrix()
-            cols = []
-            for j in range(imat.cols):
-                col = imat.column_dense(j)
-                support = [i for i, v in enumerate(col) if v != 0]
-                if support and parity[support[0]] == par:
-                    cols.append([col[i] for i in idx])
-            block = SparseMat.from_columns(ring, len(idx), cols)
+            imat = self.image.basis_matrix()   # rows of one (weight, parity) block each
+            block = imat.submatrix(idx, [j for j, col in enumerate(imat.columns())
+                                         if col and parity[col[0][0]] == par])
             diag, _, uinv = snf_with_transforms(block)
 
             def smith_columns(positions):
@@ -395,29 +390,23 @@ class TensorSquare:
 
 
 def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> TensorSquare:
-    """Build (L (x) L)/Im delta_3 for perfect L.
-
-    delta_2 o delta_3 = 0 is verified exactly first; over a field this also
-    allows the image reduction of each block to stop at the dimension of the
-    block of Ker delta_2.
-    """
+    """Build (L (x) L)/Im delta_3 for perfect L from ``chain.blocked_complex``.
+    delta_2 then maps each block onto the block of L with the same key, so a
+    block of Ker delta_2 with other than |block of L (x) L| - |block of L|
+    generators raises RuntimeError."""
     if not is_perfect(l):
         raise NotPerfectError(f"{l.name} is not perfect")
-    dim = l.dim
-    guard_check([dim ** 3, dim ** 2, dim], guard)
-    d2 = delta(l, 2, guard)
-    d3 = delta(l, 3, guard)
-    if not (d2.matrix @ d3.matrix).is_zero():
-        raise RuntimeError("delta_2 o delta_3 != 0; sign conventions drifted")
-    image = Echelon(l.ring, dim * dim)
-    for _, idx, d2_block, d3_block in diagonal_blocks(d2, d3):
-        # perfect and block-diagonal: delta_2 maps each block onto the block
-        # of L with the same key, so the block of Im delta_3 has rank at most
-        # |block of L (x) L| - |block of L|
-        block = column_span_echelon(d3_block, stop_rank=len(idx) - d2_block.rows)
+    d2, d3, blocks = blocked_complex(l, 2, guard)
+    below = Counter(d2.target_keys)
+    image = Echelon(l.ring, l.dim ** 2)
+    for key, idx, ker, block in blocks:
+        if ker.cols != len(idx) - below[key]:
+            raise RuntimeError(
+                f"Ker delta_2 block {key} has {ker.cols} generators, not "
+                f"{len(idx) - below[key]}; the blocks of a perfect L sum to dim^2 - dim"
+            )
         image.add_block(block, idx)
-    pivots = set(image.row_at)
-    complement = [i for i in range(dim * dim) if i not in pivots]
+    complement = [i for i in range(l.dim ** 2) if i not in image.row_at]
     return TensorSquare(l, d2, d3, image, complement)
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from uce_lab.chain import SizeGuardExceededError, delta, hl, tensor_power_module
+from uce_lab.chain import (SizeGuardExceededError, blocked_complex, delta, hl,
+                           tensor_power_module)
 from uce_lab.exactlin import QQ
 from uce_lab.leibniz import from_dialgebra, gl, sl
 from uce_lab.superdialg import builtin_dialgebra, catalog_names, from_algebra
@@ -124,6 +125,25 @@ def test_size_guard():
         delta(l, 3, guard=100)
     with pytest.raises(SizeGuardExceededError):
         hl(l, 2, guard=1000)
+
+
+def test_a_warm_memo_still_checks_the_guard():
+    l = sl(2, 2, builtin_dialgebra("rationals")).algebra
+    hl(l, 2)
+    assert 2 in l._complexes
+    with pytest.raises(SizeGuardExceededError):
+        hl(l, 2, guard=1000)
+    with pytest.raises(SizeGuardExceededError):
+        blocked_complex(l, 2, guard=1000)
+
+
+def test_replace_starts_with_an_empty_memo():
+    l = sl(3, 0, builtin_dialgebra("f3")).algebra
+    hl(l, 2)
+    abelian = replace(l, table={})
+    assert 2 in l._complexes and abelian._complexes == {}
+    assert blocked_complex(abelian, 2)[0].matrix.is_zero()
+    assert not blocked_complex(l, 2)[0].matrix.is_zero()
 
 
 @pytest.mark.parametrize("kind,m,n,name,degree", [

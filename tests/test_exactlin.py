@@ -406,6 +406,50 @@ def test_echelon_of_blocks_matches_one_echelon(ring, fractional):
             assert list(joined.residue_of(probe)) == list(whole.residue_of(probe))
 
 
+def _plain_sort_residue(ech, v):
+    """The loop the kept pivot order replaced: sort the pivots on every call,
+    then one ascending sweep (exact Fractions; floor quotients over Z)."""
+    out = [Fraction(x) for x in v]
+    for p in sorted(ech.row_at):
+        r = [Fraction(x) for x in ech.rows[ech.row_at[p]]]
+        q = out[p] // r[p] if ech.ring == ZZ else out[p] / r[p]
+        out = [a - q * b for a, b in zip(out, r)]
+    return [ech.ring.normalize(x) for x in out]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)])
+def test_pivot_order_follows_insert_add_block_and_copy(ring):
+    """Random interleavings of insert, add_block and copy, with residue and
+    contains on every echelon after each step: every residue equals the
+    plain-sort sweep, and the kept order is sorted(row_at), also in copies
+    and in originals that grow after being copied."""
+    rng = random.Random(17)
+    for _ in range(12):
+        # add_block needs coordinates no row touches yet: inserts stay on
+        # the free coordinates plus those of the blocks already added
+        states = [[Echelon(ring, 12), [[0, 5], [1, 7, 10], [2, 8], [4]], [3, 6, 9, 11]]]
+        for _ in range(14):
+            ech, blocks, free = rng.choice(states)
+            op = rng.choice(["insert", "insert", "block", "copy"])
+            if op == "insert":
+                idx = rng.sample(free, min(len(free), rng.randint(1, 3)))
+                ech.insert(ech.vector([(i, _random_entry(ring, rng, 1, 4)) for i in sorted(idx)]))
+            elif op == "block" and blocks:
+                idx = blocks.pop(rng.randrange(len(blocks)))
+                part = Echelon(ring, len(idx))
+                part.insert(part.vector([_random_entry(ring, rng, 1, 4) for _ in idx]))
+                ech.add_block(part, idx)
+                free.extend(idx)
+            elif op == "copy":
+                states.append([ech.copy(), list(blocks), list(free)])
+            for e, _, _ in states:
+                assert e.sorted_pivots == sorted(e.row_at)
+                probe = [ring.normalize(rng.randint(-9, 9)) for _ in range(12)]
+                want = _plain_sort_residue(e, probe)
+                assert [ring.normalize(x) for x in e.residue_of(probe)] == want
+                assert e.contains(e.vector(probe)) == (not any(want))
+
+
 # ---------------------------------------------------------------------------
 # the span API (extend, same_span, is_full) against the loops it replaced
 # ---------------------------------------------------------------------------

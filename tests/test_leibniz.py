@@ -4,7 +4,7 @@ perfectness, and the bracket-formula and identity property suites."""
 import pytest
 
 from uce_lab.leibniz import centre, from_dialgebra, gl, is_perfect, sl
-from uce_lab.superdialg import builtin_dialgebra, catalog_names
+from uce_lab.superdialg import builtin_dialgebra, catalog_names, matrix_dialgebra
 
 UNITAL = [n for n in catalog_names() if builtin_dialgebra(n).is_unital]
 
@@ -30,6 +30,36 @@ def test_mat2_gives_gl2_commutator():
     e12, e21 = l.basis_vector(1), l.basis_vector(2)
     assert l.bracket(e12, e21) == [1, 0, 0, -1]               # E11 - E22
     assert l.bracket(e21, e12) == [-1, 0, 0, 1]
+
+
+def _dense_from_dialgebra(d):
+    """The construction from_dialgebra replaced, kept as the reference: every
+    basis bracket through SuperDialgebra.bracket on dense basis vectors."""
+    table = {}
+    for i in range(d.dim):
+        for j in range(d.dim):
+            v = d.bracket(d.basis_vector(i), d.parity(i),
+                          d.basis_vector(j), d.parity(j))
+            terms = [(k, c) for k, c in enumerate(v) if c != 0]
+            if terms:
+                table[(i, j)] = terms
+    return table
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_from_dialgebra_matches_the_dense_brackets(name):
+    d = builtin_dialgebra(name)
+    # repr: the same pairs, terms, order and value types (Fraction vs int)
+    assert repr(from_dialgebra(d).table) == repr(_dense_from_dialgebra(d))
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("name", ["grassmann_q", "mat2_q", "bar_duplex_f2"])
+def test_gl_table_matches_the_dense_brackets(m, n, name):
+    d = builtin_dialgebra(name)
+    g = gl(m, n, d)
+    graded = matrix_dialgebra(m + n, d).regrade(g.algebra.module.parity)
+    assert repr(g.algebra.table) == repr(_dense_from_dialgebra(graded))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from uce_lab.chain import hl
+from uce_lab import chain
+from uce_lab.chain import blocked_complex, hl
 from uce_lab.exactlin import QQ
 from uce_lab.exactlin import module_iso_check
 from uce_lab.leibniz import gl, sl
@@ -88,6 +89,43 @@ def test_image_blocks_do_not_change_pivots_or_residues(m, n, name):
     for _ in range(20):
         v = [l.ring.normalize(rng.randint(-5, 5)) for _ in range(l.dim ** 2)]
         assert list(blocked.project(v)) == list(single.project(v))
+
+
+@pytest.mark.parametrize("m,n,name", [
+    (3, 0, "f3"), (2, 1, "rationals"), (2, 1, "split_halfx"), (4, 0, "integers"),
+])
+def test_shared_complex_gives_what_fresh_builds_give(m, n, name):
+    def build():
+        d = _split_halfx() if name == "split_halfx" else builtin_dialgebra(name)
+        return sl(m, n, d, cross_check=False).algebra
+
+    l = build()
+    chain_inv = hl(l, 2)
+    ts = tensor_square(l)
+    assert ts.d2 is blocked_complex(l, 2)[0]  # built once, read by both
+    alone = tensor_square(build())
+    assert chain_inv == hl(build(), 2)
+    assert ts.kernel_invariants() == alone.kernel_invariants()
+    assert sorted(ts.image.row_at) == sorted(alone.image.row_at)
+    assert ts.complement == alone.complement
+    if l.ring.kind == "integers":
+        assert ts.image.pivot_values() == alone.image.pivot_values()
+    rng = random.Random(11)
+    for _ in range(20):
+        v = [l.ring.normalize(rng.randint(-5, 5)) for _ in range(l.dim ** 2)]
+        assert list(ts.project(v)) == list(alone.project(v))
+
+
+def test_tensor_square_checks_each_kernel_block(monkeypatch):
+    real = chain.kernel_basis
+
+    def one_short(m):
+        k = real(m)
+        return k.submatrix(list(range(k.rows)), list(range(max(k.cols - 1, 0))))
+
+    monkeypatch.setattr(chain, "kernel_basis", one_short)
+    with pytest.raises(RuntimeError, match="Ker delta_2 block .* generators"):
+        tensor_square(_sl(2, 1, "rationals").algebra)
 
 
 @pytest.mark.parametrize("m,n,name", [

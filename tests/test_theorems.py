@@ -2,9 +2,11 @@
 counterexample report."""
 
 import json
+import sys
 
 import pytest
 
+from uce_lab import chain
 from uce_lab.exactlin import module_iso_check, parity_shift
 from uce_lab.superdialg import builtin_dialgebra
 from uce_lab.theorems import (
@@ -97,6 +99,24 @@ def test_verify_case_passes(case):
     rep = verify_case(case)
     assert rep.passed and rep.paths_agree
     assert module_iso_check(rep.computed_chain, rep.computed_tensor)
+
+
+@pytest.mark.parametrize("case", [
+    CaseLabel(3, 0, "f3"), CaseLabel(2, 1, "grassmann_q"), CaseLabel(5, 0, "f2"),
+])
+def test_verify_builds_each_boundary_once(monkeypatch, case):
+    # the chain path and the tensor square share delta_2 and delta_3
+    real, calls = chain.delta, []
+
+    def counted(l, n, guard=chain.DEFAULT_SIZE_GUARD):
+        calls.append(n)
+        return real(l, n, guard)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "uce_lab" and getattr(mod, "delta", None) is real:
+            monkeypatch.setattr(mod, "delta", counted)
+    assert verify_case(case).passed
+    assert sorted(calls) == [2, 3]
 
 
 def test_verify_report_json_shape():
