@@ -5,6 +5,11 @@ pairs i < j of x_1 (x) .. (x) [x_i, x_j] (x) .. (x) ^x_j (x) .. (x) x_n with sig
 (-1)^{n-j+|x_j|(|x_{i+1}|+...+|x_{j-1}|)}.  delta_1 is the zero map to the zero
 module.  Homology in degree n is Ker delta_n / Im delta_{n+1}.
 
+``delta`` loops per pair i < j, per nonzero bracket [e_a, e_b], per choice of
+the other n - 2 slots, with offsets and Koszul parity once per (pair, choice)
+and normalised signed terms once per bracket; only a key hit twice is summed
+(then normalised, and dropped if zero), so no second normalisation pass runs.
+
 Each basis tuple of L^(x)n has the block key (total weight, Koszul parity),
 the weights coming from ``LeibnizSuperalgebra.weight``.  The bracket adds
 weights and is even, so delta_n maps each block into the block of the same
@@ -123,9 +128,9 @@ def tensor_index(tup, dim: int) -> int:
 def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> ChainMap:
     """Matrix of delta_n; delta_2(x (x) y) = [x, y], delta_1 = 0.
 
-    Every nonzero entry is checked to join two indices of the same block key;
-    a leak (weights that are not additive for the bracket) raises
-    RuntimeError.
+    Assembled bracket by bracket (module docstring).  Every nonzero entry is
+    checked to join two indices of the same block key; a leak (weights that
+    are not additive for the bracket) raises RuntimeError.
     """
     if n < 1:
         raise ValueError("delta is defined for n >= 1")
@@ -139,22 +144,34 @@ def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Ch
 
     ring = l.ring
     pars = l.module.parity
+    norm = ring.normalize
+    brackets = []   # (a, b, |e_b|, + terms, - terms), normalised and nonzero
+    for (a, b), terms in l.table.items():
+        plus = [(k, v) for k, v in ((k, norm(c)) for k, c in terms) if v != 0]
+        if plus:
+            brackets.append((a, b, pars[b], plus, [(k, norm(-v)) for k, v in plus]))
     entries = {}
-    for col, tup in enumerate(product(range(dim), repeat=n)):
-        for jpos in range(1, n):          # 0-based position of x_j, j = jpos+1
-            for ipos in range(jpos):      # 0-based position of x_i
-                koszul = sum(pars[tup[t]] for t in range(ipos + 1, jpos))
-                exp = (n - (jpos + 1)) + pars[tup[jpos]] * koszul
-                sign = -ring.one if exp % 2 else ring.one
-                terms = l.table.get((tup[ipos], tup[jpos]))
-                if not terms:
-                    continue
-                rest = tup[:ipos] + tup[ipos + 1:jpos] + tup[jpos + 1:]
-                for k, c in terms:
-                    row = tensor_index(rest[:ipos] + (k,) + rest[ipos:], dim)
-                    key = (row, col)
-                    entries[key] = entries.get(key, ring.zero) + sign * c
-    mat = SparseMat(ring, dim ** (n - 1), dim ** n, entries)
+    for jpos in range(1, n):              # 0-based position of x_j, j = jpos+1
+        for ipos in range(jpos):          # 0-based position of x_i
+            # per choice of the other slots: row and column with e_0 in place
+            # of [x_i, x_j], x_i and x_j, and the parity between x_i and x_j
+            slots = [(tensor_index(r[:ipos] + (0,) + r[ipos:], dim),
+                      tensor_index(r[:ipos] + (0,) + r[ipos:jpos - 1] + (0,) + r[jpos - 1:], dim),
+                      sum(pars[t] for t in r[ipos:jpos - 1]))
+                     for r in product(range(dim), repeat=n - 2)]
+            rk, ca, cb = dim ** (n - 2 - ipos), dim ** (n - 1 - ipos), dim ** (n - 1 - jpos)
+            for a, b, pb, plus, minus in brackets:
+                for row, col, koszul in slots:
+                    col += a * ca + b * cb
+                    for k, v in minus if (n - 1 - jpos + pb * koszul) % 2 else plus:
+                        key = (row + k * rk, col)
+                        if key not in entries:
+                            entries[key] = v
+                        elif total := norm(entries[key] + v):   # hit twice
+                            entries[key] = total
+                        else:
+                            del entries[key]
+    mat = SparseMat._trusted(ring, dim ** (n - 1), dim ** n, entries)
     for i, j in mat.entries:
         if tgt_keys[i] != src_keys[j]:
             raise RuntimeError(

@@ -214,7 +214,11 @@ class GradedFreeModule:
 
 
 class SparseMat:
-    """Immutable sparse matrix with exact entries, stored as (row, col) -> value."""
+    """Immutable sparse matrix with exact entries, stored as (row, col) -> value.
+
+    The constructor normalises values and drops zeros; ``_trusted`` skips that
+    pass, for code that itself builds normalised nonzero in-range entries
+    (``submatrix``, ``chain.delta``)."""
 
     __slots__ = ("ring", "rows", "cols", "entries", "_cols_cache")
 
@@ -232,6 +236,14 @@ class SparseMat:
                     clean[(i, j)] = v
         self.entries = clean
         self._cols_cache = None
+
+    @classmethod
+    def _trusted(cls, ring, rows, cols, entries, columns=None):
+        """Wrap normalised nonzero in-range entries as they are; columns, when
+        given, must be their ``columns()``."""
+        out = cls.__new__(cls)
+        out.ring, out.rows, out.cols, out.entries, out._cols_cache = ring, rows, cols, entries, columns
+        return out
 
     @classmethod
     def identity(cls, ring, n):
@@ -271,8 +283,10 @@ class SparseMat:
         """entries grouped per column: list of list[(row, value)]."""
         if self._cols_cache is None:
             cols = [[] for _ in range(self.cols)]
-            for (i, j), v in sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+            for (i, j), v in self.entries.items():
                 cols[j].append((i, v))
+            for col in cols:
+                col.sort()   # rows are distinct, so values are never compared
             self._cols_cache = cols
         return self._cols_cache
 
@@ -289,11 +303,9 @@ class SparseMat:
         pos = {i: t for t, i in enumerate(rows)}
         own = self.columns()
         block_cols = [[(pos[i], v) for i, v in own[j]] for j in cols]
-        out = SparseMat(self.ring, len(rows), len(cols))
         # the entries are normalized already, and the columns stay sorted
-        out.entries = {(i, t): v for t, col in enumerate(block_cols) for i, v in col}
-        out._cols_cache = block_cols
-        return out
+        entries = {(i, t): v for t, col in enumerate(block_cols) for i, v in col}
+        return SparseMat._trusted(self.ring, len(rows), len(cols), entries, block_cols)
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
         if self.cols != other.rows:

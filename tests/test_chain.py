@@ -1,17 +1,24 @@
 """Chain complex boundary signs, the complex property, and homology."""
 
+import functools
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from uce_lab.chain import (SizeGuardExceededError, blocked_complex, delta, hl,
-                           tensor_power_module)
-from uce_lab.exactlin import QQ
-from uce_lab.leibniz import from_dialgebra, gl, sl
-from uce_lab.superdialg import builtin_dialgebra, catalog_names, from_algebra
+from uce_lab.chain import (DEFAULT_SIZE_GUARD, ChainMap, SizeGuardExceededError,
+                           _graded, blocked_complex, delta, guard_check, hl,
+                           tensor_index, tensor_power_keys, tensor_power_module)
+from uce_lab.exactlin import QQ, GradedFreeModule, RingSpec, SparseMat
+from uce_lab.leibniz import LeibnizSuperalgebra, from_dialgebra, gl, sl
+from uce_lab.superdialg import (builtin_dialgebra, catalog_names, from_algebra,
+                                load_dialgebra_file)
 from uce_lab.theorems import default_cases
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def split_halfx():
@@ -194,3 +201,143 @@ def test_sl_weights_are_homogeneous(case):
     for (a, b), terms in l.table.items():
         total = tuple(x + y for x, y in zip(l.weight[a], l.weight[b]))
         assert all(l.weight[k] == total for k, _ in terms)
+
+
+def reference_delta(l, n, guard=DEFAULT_SIZE_GUARD):
+    """The per-column assembly that ``chain.delta`` replaced, kept verbatim
+    as the reference: every basis tuple, every position pair, one dict
+    update per bracket term, and ``SparseMat`` normalising at the end."""
+    if n < 1:
+        raise ValueError("delta is defined for n >= 1")
+    dim = l.dim
+    guard_check([dim ** n, dim ** (n - 1) if n > 1 else 0], guard)
+    src_keys = tensor_power_keys(l, n)
+    src = _graded(src_keys)
+    if n == 1:
+        return ChainMap(src, _graded([]), SparseMat.zeros(l.ring, 0, dim), 1, src_keys, [])
+    tgt_keys = tensor_power_keys(l, n - 1)
+
+    ring = l.ring
+    pars = l.module.parity
+    entries = {}
+    for col, tup in enumerate(product(range(dim), repeat=n)):
+        for jpos in range(1, n):          # 0-based position of x_j, j = jpos+1
+            for ipos in range(jpos):      # 0-based position of x_i
+                koszul = sum(pars[tup[t]] for t in range(ipos + 1, jpos))
+                exp = (n - (jpos + 1)) + pars[tup[jpos]] * koszul
+                sign = -ring.one if exp % 2 else ring.one
+                terms = l.table.get((tup[ipos], tup[jpos]))
+                if not terms:
+                    continue
+                rest = tup[:ipos] + tup[ipos + 1:jpos] + tup[jpos + 1:]
+                for k, c in terms:
+                    row = tensor_index(rest[:ipos] + (k,) + rest[ipos:], dim)
+                    key = (row, col)
+                    entries[key] = entries.get(key, ring.zero) + sign * c
+    mat = SparseMat(ring, dim ** (n - 1), dim ** n, entries)
+    for i, j in mat.entries:
+        if tgt_keys[i] != src_keys[j]:
+            raise RuntimeError(
+                f"delta_{n} maps index {j} of block {src_keys[j]} into block "
+                f"{tgt_keys[i]}; the weights are not additive for the bracket"
+            )
+    return ChainMap(src, _graded(tgt_keys), mat, n, src_keys, tgt_keys)
+
+
+def _typed(mat):
+    return {key: (type(v), v) for key, v in mat.entries.items()}
+
+
+def assert_same_delta(got, ref):
+    assert _typed(got.matrix) == _typed(ref.matrix)
+    assert (got.matrix.rows, got.matrix.cols) == (ref.matrix.rows, ref.matrix.cols)
+    assert [[(i, type(v), v) for i, v in col] for col in got.matrix.columns()] == \
+        [[(i, type(v), v) for i, v in col] for col in ref.matrix.columns()]
+    assert got.source_keys == ref.source_keys and got.target_keys == ref.target_keys
+    assert (got.source, got.target, got.degree) == (ref.source, ref.target, ref.degree)
+
+
+# (m, n) -> degrees compared, by the dimension of the dialgebra: every unital
+# catalog dialgebra on each shape, degree 3 where L^(x)3 stays small
+_SL_DEGREES = {
+    (2, 0): {1: (1, 2, 3, 4), 2: (1, 2, 3, 4), 4: (2, 3)},
+    (3, 0): {1: (2, 3), 2: (2,), 4: (2,)},
+    (2, 1): {1: (2, 3), 2: (2, 3), 4: (2,)},
+    (2, 2): {1: (1, 2, 3), 2: (2,), 4: (2,)},
+}
+
+
+def _reference_cases():
+    unital = [nm for nm in catalog_names() if nm not in ("t3_dga_q", "dual_dga_zero_q")]
+    for shape, by_dim in _SL_DEGREES.items():
+        for nm in unital:
+            for degree in by_dim[builtin_dialgebra(nm).dim]:
+                yield ("sl", *shape, nm, degree)
+    for data in ("split_halfx", "dual_z", "grass_f3"):
+        for degree in (1, 2, 3):
+            yield ("sl", 2, 1, data, degree)
+        yield ("sl", 2, 0, data, 4)
+    for degree in (2, 3):
+        yield ("gl", 2, 1, "grassmann_q", degree)
+        yield ("gl", 1, 1, "bar_duplex_f2", degree)
+    yield ("gl", 1, 1, "grassmann_q", 4)
+
+
+@functools.cache
+def _algebra(kind, m, n, name):
+    """Built once for all degrees; delta leaves the algebra as it is."""
+    path = DATA / f"{name}.json"
+    d = load_dialgebra_file(path) if path.exists() else builtin_dialgebra(name)
+    return (gl(m, n, d) if kind == "gl" else sl(m, n, d, cross_check=False)).algebra
+
+
+@pytest.mark.parametrize("kind,m,n,name,degree", list(_reference_cases()))
+def test_delta_equals_the_per_column_reference(kind, m, n, name, degree):
+    l = _algebra(kind, m, n, name)
+    assert_same_delta(delta(l, degree), reference_delta(l, degree))
+
+
+def _hand_table(ring, parity, table):
+    return LeibnizSuperalgebra(ring, GradedFreeModule(len(parity), tuple(parity)), table, "hand")
+
+
+def test_two_pairs_hitting_one_entry_cancel():
+    """e_0 even, e_1 odd, [e_0, e_1] = e_1 and no other bracket: the pairs
+    (1, 2) and (1, 3) both send e_0 (x) e_1 (x) e_1 to -e_1 (x) e_1 (the
+    second through the Koszul sign of swapping two odd e_1), so the entry is
+    -2 over Z and 1 + 1 = 0 over F_2, where it must be absent."""
+    col = tensor_index((0, 1, 1), 2)
+    row = tensor_index((1, 1), 2)
+    zz = _hand_table(RingSpec("integers"), (0, 1), {(0, 1): [(1, 1)]})
+    assert delta(zz, 3).matrix.entries[(row, col)] == -2
+    l = _hand_table(RingSpec("int_mod", 2), (0, 1), {(0, 1): [(1, 1)]})
+    d3 = delta(l, 3)
+    assert (row, col) not in d3.matrix.entries
+    assert d3.matrix.columns()[col] == []
+    assert_same_delta(d3, reference_delta(l, 3))
+
+
+def test_unnormalised_and_zero_coefficients_are_cleaned():
+    f2 = RingSpec("int_mod", 2)
+    l = _hand_table(f2, (0, 1), {
+        (0, 0): [(0, -1), (1, 0)], (1, 1): [(0, 4)], (0, 1): [(1, 3)],
+        (1, 0): [(1, -5), (0, 2)],
+    })
+    for degree in (2, 3, 4):
+        got = delta(l, degree)
+        assert got.matrix.entries
+        assert all(v == 1 and type(v) is int for v in got.matrix.entries.values())
+        assert_same_delta(got, reference_delta(l, degree))
+    # the zero-only bracket [e_1, e_1] = 4 e_0 = 0 mod 2 leaves no column
+    assert delta(l, 2).matrix.columns()[tensor_index((1, 1), 2)] == []
+
+
+def test_delta_shapes_in_degrees_one_and_two():
+    l = _hand_table(QQ, (0, 1), {(0, 1): [(1, Fraction(2, 4))], (1, 0): [(1, -1)]})
+    d1 = delta(l, 1)
+    assert (d1.matrix.rows, d1.matrix.cols, d1.target_keys) == (0, 2, [])
+    d2 = delta(l, 2)
+    assert (d2.matrix.rows, d2.matrix.cols) == (2, 4)
+    assert _typed(d2.matrix) == {(1, 1): (Fraction, Fraction(1, 2)), (1, 2): (Fraction, Fraction(-1))}
+    for degree in (1, 2):
+        assert_same_delta(delta(l, degree), reference_delta(l, degree))

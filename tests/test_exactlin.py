@@ -583,6 +583,36 @@ def test_sparse_apply_agrees_with_matmul(ring):
         assert a.apply(v) == (a @ SparseMat.from_columns(ring, 6, [v])).column_dense(0)
 
 
+def _columns_by_global_sort(m):
+    """columns() as it was built before: one sort of every entry by (col, row)."""
+    cols = [[] for _ in range(m.cols)]
+    for (i, j), v in sorted(m.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+        cols[j].append((i, v))
+    return cols
+
+
+@st.composite
+def _sparse_case(draw):
+    """A ring and a sparse matrix whose entries arrive in a drawn order."""
+    ring = draw(st.sampled_from([ZZ, QQ, GF(3)]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), _FRACTION) if ring == QQ else st.integers(-3, 3)
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    chosen = draw(st.permutations(cells)) if cells else []
+    chosen = chosen[:draw(st.integers(0, len(chosen)))]
+    return SparseMat(ring, rows, cols, {c: draw(entry) for c in chosen})
+
+
+@given(_sparse_case())
+def test_columns_match_the_global_sort(m):
+    got, want = m.columns(), _columns_by_global_sort(m)
+    assert got == want
+    assert [[type(v) for _, v in col] for col in got] == [[type(v) for _, v in col] for col in want]
+    # the trusted constructor with ready columns equals the checked one
+    assert SparseMat._trusted(m.ring, m.rows, m.cols, dict(m.entries), got) == m
+    assert SparseMat._trusted(m.ring, m.rows, m.cols, dict(m.entries)).columns() == got
+
+
 # ---------------------------------------------------------------------------
 # subquotients, with a brute-force enumeration oracle
 # ---------------------------------------------------------------------------
