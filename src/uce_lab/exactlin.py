@@ -49,6 +49,7 @@ __all__ = [
     "module_iso_check",
     "parity_shift",
     "direct_sum_invariants",
+    "merge_torsion",
     "bilinear",
     "UnsupportedRingError",
     "NotASubmoduleError",
@@ -1023,38 +1024,20 @@ def snf_with_transforms(m: SparseMat):
 # ---------------------------------------------------------------------------
 
 
-def _factorize(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def merge_torsion(lists) -> tuple:
+    """Invariant factors of the direct sum of the cyclic modules Z/d, d in
+    the given lists: an ascending chain d1 | d2 | ... without 1s.
 
-
-def _merge_torsion(lists) -> tuple:
-    by_prime: dict = {}
-    for tl in lists:
-        for d in tl:
-            for p, e in _factorize(int(d)).items():
-                by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    width = max(len(v) for v in by_prime.values())
-    factors = []
-    for slot in range(width):
-        d = 1
-        for p, exps in by_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if slot < len(exps_sorted):
-                d *= p ** exps_sorted[slot]
-        factors.append(d)
-    factors.reverse()  # ascending divisibility chain
-    return tuple(factors)
+    Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b), so a pass of gcd/lcm steps
+    over all pairs leaves each entry dividing the later ones; no entry is
+    ever factorised, so huge moduli cost a few gcds each."""
+    factors = sorted(int(d) for tl in lists for d in tl)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = math.gcd(a, b)
+            factors[i], factors[j] = g, a // g * b
+    return tuple(d for d in factors if d != 1)
 
 
 @dataclass(frozen=True)
@@ -1093,8 +1076,8 @@ class GradedModuleInvariants:
             self.ring,
             self.even_free_rank + other.even_free_rank,
             self.odd_free_rank + other.odd_free_rank,
-            _merge_torsion([self.even_torsion, other.even_torsion]),
-            _merge_torsion([self.odd_torsion, other.odd_torsion]),
+            merge_torsion([self.even_torsion, other.even_torsion]),
+            merge_torsion([self.odd_torsion, other.odd_torsion]),
         )
 
     def describe(self) -> str:

@@ -8,10 +8,16 @@ realise the low-rank extra summands.
 
 delta_2, delta_3 and the Im delta_3 echelon of each (weight, parity) block of
 L (x) L come from ``chain.blocked_complex``, shared with ``chain.hl``; the
-block echelons are placed side by side in the one ``image`` echelon of
-L (x) L.  Its pivot set, and its residues over fields and over the integers,
-depend only on the span (the lattice), so they do not depend on the blocks.
-What stays independent of the chain path is Ker delta_2 on the carrier.
+block echelons are kept per block (``TensorSquare.blocks``) and placed side
+by side in the one ``image`` echelon of L (x) L.  Its pivot set, and its
+residues over fields and over the integers, depend only on the span (the
+lattice), so they do not depend on the blocks.  Over the integers the carrier
+is reduced one block at a time: each block's Smith form gives its free and
+cyclic coordinates, the columns of ``torsion_lift`` generate the cyclic
+summands of the blocks, and the torsion is the merged invariant factor chain
+of their orders.  The W classes lie in single blocks too, so ``w_cycles``
+takes their span only on the blocks they hit.  What stays independent of the
+chain path is Ker delta_2 on the carrier, taken on a whole parity.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ from .exactlin import (
     Echelon,
     GradedModuleInvariants,
     SparseMat,
+    direct_sum_invariants,
     kernel_basis,
+    merge_torsion,
     snf_with_transforms,
     subquotient_invariants,
 )
@@ -180,7 +188,10 @@ class TensorSquare:
     d3: ChainMap
     image: Echelon                  # echelon/lattice of Im delta_3
     complement: list                # ambient indices without image pivots
-    _carrier_cache: dict = field(default_factory=dict)
+    # (weight, parity) key -> (ambient indices, Im delta_3 echelon in the
+    # block's own coordinates), in sorted key order; set by tensor_square
+    blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _carrier_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -193,9 +204,10 @@ class TensorSquare:
         return [sizes[k] for k in sorted(sizes)]
 
     def project(self, vec):
-        """Canonical representative of the class of an ambient coordinate
-        vector (list or numpy) modulo Im delta_3."""
-        return self.image.residue_of(vec)
+        """Canonical representative of the class of an ambient vector modulo
+        Im delta_3; vec is a dense coordinate list or its nonzero (index,
+        value) pairs."""
+        return self.image.residue(self.image.vector(vec))
 
     def classes_equal(self, u, v) -> bool:
         diff = [a - b for a, b in zip(u, v)]
@@ -205,17 +217,18 @@ class TensorSquare:
         return not self.project(u).any()
 
     def pair_vector(self, a, b):
-        """a (x) b in ambient coordinates for dense L vectors a, b."""
-        ring = self.base.ring
+        """a (x) b for dense L vectors a, b, as its nonzero (index, value)
+        pairs in ascending index order."""
+        norm = self.base.ring.normalize
         dim = self.base.dim
-        out = [ring.zero] * (dim * dim)
+        right = [(j, cb) for j, cb in enumerate(b) if cb != 0]
+        out = []
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                out[i * dim + j] = ring.normalize(ca * cb)
+            if ca != 0:
+                for j, cb in right:
+                    x = norm(ca * cb)
+                    if x != 0:
+                        out.append((i * dim + j, x))
         return out
 
     def bracket(self, u, v):
@@ -252,44 +265,54 @@ class TensorSquare:
         """(lift, kernel, torsion_lift, torsion) of one parity of the carrier.
 
         The columns of lift are ambient vectors whose classes form a basis of
-        the free part: complement unit vectors over a field, the free Smith
-        coordinates of the image block over the integers.  kernel is a basis
-        of Ker(delta_2 @ lift).  Torsion lies entirely in the kernel (the
-        boundary lands in a free module); column t of torsion_lift generates
-        the cyclic summand of order torsion[t].
+        the free part: complement unit vectors over a field; over the
+        integers, the free Smith coordinates of each (weight, parity) block
+        of Im delta_3 of this parity, each block reduced on its own.  kernel
+        is a basis of Ker(delta_2 @ lift), taken on the whole parity.
+        Torsion lies entirely in the kernel (the boundary lands in a free
+        module): the columns of torsion_lift generate the cyclic summands of
+        the blocks, one per Smith diagonal entry above 1, and torsion is the
+        merged invariant factor chain of those entries.  A block whose Smith
+        diagonal is not as long as its echelon's rank raises RuntimeError.
         """
-        key = ("block", par)
-        if key in self._carrier_cache:
-            return self._carrier_cache[key]
+        if par in self._carrier_cache:
+            return self._carrier_cache[par]
         ring = self.base.ring
-        parity = self.d2.source.parity
         amb = self.ambient_dim
         if ring.kind != "integers":
+            parity = self.d2.source.parity
             comp = [c for c in self.complement if parity[c] == par]
             lift = SparseMat(ring, amb, len(comp),
                              {(c, t): ring.one for t, c in enumerate(comp)})
             torsion_lift, torsion = SparseMat.zeros(ring, amb, 0), ()
         else:
-            idx = [i for i in range(amb) if parity[i] == par]
-            imat = self.image.basis_matrix()   # rows of one (weight, parity) block each
-            block = imat.submatrix(idx, [j for j, col in enumerate(imat.columns())
-                                         if col and parity[col[0][0]] == par])
-            diag, _, uinv = snf_with_transforms(block)
+            free, cyclic, orders = [], [], []
+            for key, (idx, image) in self.blocks.items():
+                if key[1] != par:
+                    continue
+                diag, _, uinv = snf_with_transforms(image.basis_matrix())
+                if len(diag) != image.rank:
+                    raise RuntimeError(
+                        f"Smith diagonal of block {key} has {len(diag)} entries, "
+                        f"not the rank {image.rank} of its echelon"
+                    )
+                # column t of uinv in ambient coordinates
+                cols = [[(idx[s], int(uinv[s, t])) for s in np.flatnonzero(uinv[:, t])]
+                        for t in range(len(idx))]
+                free.extend(cols[len(diag):])
+                cyclic.extend(cols[t] for t, d in enumerate(diag) if d > 1)
+                orders.append([d for d in diag if d > 1])
 
-            def smith_columns(positions):
-                return SparseMat(ring, amb, len(positions), {
-                    (idx[s], k): int(uinv[s, t])
-                    for k, t in enumerate(positions)
-                    for s in np.flatnonzero(uinv[:, t] != 0)
-                })
+            def matrix(columns):
+                return SparseMat(ring, amb, len(columns),
+                                 {(s, k): x for k, col in enumerate(columns) for s, x in col})
 
-            lift = smith_columns(range(len(diag), len(idx)))
-            torsion_lift = smith_columns([t for t, d in enumerate(diag) if d > 1])
-            torsion = tuple(int(d) for d in diag if d > 1)
+            lift, torsion_lift = matrix(free), matrix(cyclic)
+            torsion = merge_torsion(orders)
             if not (self.d2.matrix @ torsion_lift).is_zero():
                 raise RuntimeError("torsion coordinate not killed by the boundary")
         out = (lift, kernel_basis(self.d2.matrix @ lift), torsion_lift, torsion)
-        self._carrier_cache[key] = out
+        self._carrier_cache[par] = out
         return out
 
     def kernel_invariants(self) -> GradedModuleInvariants:
@@ -407,7 +430,9 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
             )
         image.add_block(block, idx)
     complement = [i for i in range(l.dim ** 2) if i not in image.row_at]
-    return TensorSquare(l, d2, d3, image, complement)
+    ts = TensorSquare(l, d2, d3, image, complement)
+    ts.blocks.update((key, (idx, block)) for key, idx, _, block in blocks)
+    return ts
 
 
 def hl2(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
@@ -469,7 +494,17 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
              guard: int = DEFAULT_SIZE_GUARD) -> WCycleReport:
     """Kernel classes E_ij(a) (x) E_kl(1) for the admissible low-rank index
     patterns, their span inside the degree-2 homology, and the relation
-    checks tying them to the expected quotient modules."""
+    checks tying them to the expected quotient modules.
+
+    Class vectors are kept as sparse (index, value) pairs, one per pattern
+    and basis vector a of D; a class with a coefficient outside that basis
+    is the matching combination of them.  Each class must lie in exactly
+    one (weight, parity) block of L (x) L, the one of weight
+    e_i - e_j + e_k - e_l, else RuntimeError.  The span in homology is then
+    the direct sum, over the blocks the classes hit, of
+    (block image + classes) / block image.  The relation and torsion checks
+    form sparse combinations and test them with ``ts.is_zero_class``.
+    """
     from .theorems import expected_w  # local import; theorems drives this module
 
     m, n = slalg.gl.m, slalg.gl.n
@@ -481,29 +516,58 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
         raise ValueError("w_cycles needs a unital superdialgebra")
     if ts is None:
         ts = tensor_square(slalg.algebra, guard)
+    ring = ts.base.ring
+    keys = ts.d2.source_keys
+    boundary = ts.d2.matrix.columns()
 
-    def class_vec(pat, dvec):
-        i, j, k, l = pat
-        a = slalg.coords_of_unit(i, j, dvec)
-        b = slalg.coords_of_unit(k, l, list(d.bar_unit))
-        return ts.pair_vector(a, b)
+    def combine(terms):
+        """The nonzero (index, value) pairs of sum coef * vec over the
+        (coef, sparse vec) terms."""
+        acc = {}
+        for coef, vec in terms:
+            for x, c in vec:
+                acc[x] = acc.get(x, 0) + coef * c
+        out = [(x, ring.normalize(c)) for x, c in sorted(acc.items())]
+        return [(x, c) for x, c in out if c != 0]
+
+    def block_of(pat, vec):
+        weight = [0] * (m + n)
+        for t, s in zip(pat, (1, -1, 1, -1)):
+            weight[t - 1] += s
+        hit = {keys[x] for x, _ in vec}
+        if len(hit) != 1 or next(iter(hit))[0] != tuple(weight):
+            raise RuntimeError(
+                f"class {pat} lies in the blocks {sorted(hit)}, not in one block "
+                f"of weight {tuple(weight)}"
+            )
+        return hit.pop()
 
     pats = admissible_patterns(m, n)
+    right = {}   # sl coordinates of E_kl(1)
+    vecs = {}    # (pattern, basis index of D) -> sparse class vector
     labels = []
-    vecs = []
+    by_block = {}
     for pat in pats:
+        i, j, k, l = pat
+        if (k, l) not in right:
+            right[(k, l)] = slalg.coords_of_unit(k, l, list(d.bar_unit))
         for b in range(d.dim):
-            vec = class_vec(pat, d.basis_vector(b))
-            if any(x != 0 for x in ts.d2.matrix.apply(vec)):
+            vec = ts.pair_vector(slalg.coords_of_unit(i, j, d.basis_vector(b)), right[(k, l)])
+            by_block.setdefault(block_of(pat, vec), []).append(vec)
+            if combine((c, boundary[x]) for x, c in vec):
                 raise RuntimeError(f"class {pat} is not a cycle")
-            vecs.append(vec)
+            vecs[(pat, b)] = vec
             labels.append((pat, d.module.label(b)))
 
-    # span of the classes inside the homology: (span + image)/image
-    span_plus = ts.image.copy().extend(vecs)
-    span_inv = subquotient_invariants(
-        span_plus.basis_matrix(), ts.image.basis_matrix(), ts.d2.source.parity
-    )
+    # span of the classes inside the homology, block by block
+    parts = [GradedModuleInvariants(ring)]
+    for key, classes in sorted(by_block.items()):
+        idx, image = ts.blocks[key]
+        at = {x: s for s, x in enumerate(idx)}
+        plus = image.copy().extend([(at[x], c) for x, c in vec] for vec in classes)
+        parts.append(subquotient_invariants(
+            plus.basis_matrix(), image.basis_matrix(), (key[1],) * len(idx)))
+    span_inv = direct_sum_invariants(parts)
     expected = expected_w(m, n, d)
     matches = (
         span_inv.even_free_rank == expected.even_free_rank
@@ -514,35 +578,35 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
 
     relations = True
     for pat in pats:
+        i, j, k, l = pat
+        if case == "(3,0)":
+            others = [((k, l, i, j), -1)]
+        else:
+            others = [((i, l, k, j), -1), ((k, j, i, l), -1), ((k, l, i, j), 1)]
         for b in range(d.dim):
-            dv = d.basis_vector(b)
-            base = class_vec(pat, dv)
-            i, j, k, l = pat
-            if case == "(3,0)":
-                others = [((k, l, i, j), -1)]
-            else:
-                others = [((i, l, k, j), -1), ((k, j, i, l), -1), ((k, l, i, j), 1)]
             for opat, sign in others:
-                other = class_vec(opat, dv)
-                diff = [x - sign * y for x, y in zip(base, other)]
+                diff = combine([(1, vecs[(pat, b)]), (-sign, vecs[(opat, b)])])
                 if not ts.is_zero_class(diff):
                     relations = False
 
+    # the D bracket table, once: coefficients in the bracket span die
+    brackets = []
+    for b1 in range(d.dim):
+        for b2 in range(d.dim):
+            br = d.bracket(d.basis_vector(b1), d.parity(b1),
+                           d.basis_vector(b2), d.parity(b2))
+            if any(x != 0 for x in br):
+                brackets.append(br)
     torsion_ok = True
     for pat in pats:
         mod = pattern_modulus(m, n, pat)
         for b in range(d.dim):
-            scaled = [mod * x for x in class_vec(pat, d.basis_vector(b))]
-            if not ts.is_zero_class(scaled):
+            if not ts.is_zero_class(combine([(mod, vecs[(pat, b)])])):
                 torsion_ok = False
-        # the D_m equivalence: coefficients in the bracket span die
-        for b1 in range(d.dim):
-            for b2 in range(d.dim):
-                br = d.bracket(d.basis_vector(b1), d.parity(b1),
-                               d.basis_vector(b2), d.parity(b2))
-                if any(x != 0 for x in br):
-                    if not ts.is_zero_class(class_vec(pat, br)):
-                        torsion_ok = False
+        for br in brackets:
+            terms = [(c, vecs[(pat, b)]) for b, c in enumerate(br) if c != 0]
+            if not ts.is_zero_class(combine(terms)):
+                torsion_ok = False
 
     return WCycleReport(case, labels, span_inv, expected, matches,
                         relations, torsion_ok)

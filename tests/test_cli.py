@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -313,3 +316,30 @@ def test_json_verify_matches_the_golden_bytes(capsys):
                        "--builtin", "rationals", "--format", "json")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["hl2", "verify"])
+def test_huge_invariant_factors_end_in_bounded_time(tmp_path, command):
+    # Z[x]/(x^2 - p), p = 10^18 + 3: HHS_1 has the factor 2p, which trial
+    # division could not split in reasonable time; a subprocess with a
+    # timeout turns a hang into a failure
+    p = 10**18 + 3
+    mult = [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, str(p)]]
+    path = tmp_path / "z_sqrt_p.json"
+    path.write_text(json.dumps({
+        "name": "z_sqrt_p", "ring": {"kind": "integers"}, "dim": 2,
+        "parity": [0, 0], "bar_unit": ["1", "0"], "left": mult, "right": mult,
+    }))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "uce_lab.cli", command, "--m", "3", "--n", "0",
+         "--dialgebra", str(path), "--format", "json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    blob = json.loads(done.stdout)
+    inv = blob["hl2"] if command == "hl2" else blob["report"]["computed"]
+    assert inv["even_torsion"] == [3] * 10 + [6, 6 * p]

@@ -31,6 +31,7 @@ from uce_lab.exactlin import (
     bilinear,
     column_span_echelon,
     kernel_basis,
+    merge_torsion,
     module_iso_check,
     parity_shift,
     rank,
@@ -799,3 +800,53 @@ def test_invariants_validate_chain():
         GradedModuleInvariants(ZZ, even_torsion=(4, 2))
     with pytest.raises(ValueError):
         GradedModuleInvariants(QQ, even_torsion=(2,))
+
+
+def _factorize(n: int) -> dict:
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def reference_merge_torsion(lists) -> tuple:
+    """The factorising merge that ``merge_torsion`` replaced, kept verbatim
+    as the reference: split every factor into prime powers by trial
+    division, then rebuild the chain slot by slot."""
+    by_prime: dict = {}
+    for tl in lists:
+        for d in tl:
+            for p, e in _factorize(int(d)).items():
+                by_prime.setdefault(p, []).append(e)
+    if not by_prime:
+        return ()
+    width = max(len(v) for v in by_prime.values())
+    factors = []
+    for slot in range(width):
+        d = 1
+        for p, exps in by_prime.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if slot < len(exps_sorted):
+                d *= p ** exps_sorted[slot]
+        factors.append(d)
+    factors.reverse()  # ascending divisibility chain
+    return tuple(factors)
+
+
+@given(st.lists(st.lists(st.integers(2, 400), max_size=5), max_size=4))
+def test_merge_torsion_matches_the_factorising_merge(lists):
+    got = merge_torsion(lists)
+    assert got == reference_merge_torsion(lists)
+    assert all(type(d) is int for d in got)
+
+
+def test_merge_torsion_of_huge_factors_needs_no_factorisation():
+    p = 10**18 + 3  # trial division would run up to 10^9
+    assert merge_torsion([(2,), (2 * p,), (3,)]) == (2, 6 * p)
+    assert merge_torsion([(p * p,), (p,)]) == (p, p * p)

@@ -4,19 +4,30 @@ explicit low-rank kernel classes."""
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from uce_lab import chain
+from uce_lab import chain, cli, tensorsq
 from uce_lab.chain import blocked_complex, hl
-from uce_lab.exactlin import QQ
-from uce_lab.exactlin import module_iso_check
+from uce_lab.exactlin import (
+    QQ,
+    GradedModuleInvariants,
+    SparseMat,
+    kernel_basis,
+    module_iso_check,
+    snf_with_transforms,
+    subquotient_invariants,
+)
 from uce_lab.leibniz import gl, sl
-from uce_lab.superdialg import builtin_dialgebra, from_algebra
+from uce_lab.superdialg import builtin_dialgebra, from_algebra, load_dialgebra_file
 from uce_lab.tensorsq import (
     NotPerfectError,
+    TensorSquare,
     admissible_patterns,
     hl2,
+    low_rank_case,
     pattern_modulus,
     pattern_parity_offset,
     pattern_rep_and_sign,
@@ -25,6 +36,9 @@ from uce_lab.tensorsq import (
     uce,
     w_cycles,
 )
+from uce_lab.theorems import default_cases
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def _sl(m, n, name):
@@ -271,3 +285,147 @@ def test_w_cycles_3_0_f3():
 def test_w_cycles_rejects_stable_range():
     with pytest.raises(ValueError):
         w_cycles(_sl(3, 2, "rationals"))
+
+
+# ---------------------------------------------------------------------------
+# blockwise carrier Smith form and W span against the whole-L (x) L versions
+# ---------------------------------------------------------------------------
+
+
+def reference_carrier_block(ts, par):
+    """The whole-parity integer step that ``TensorSquare._carrier_block``
+    replaced, kept verbatim as the reference: one Smith form with transforms
+    on every Im delta_3 row of one parity of L (x) L."""
+    ring = ts.base.ring
+    parity = ts.d2.source.parity
+    amb = ts.ambient_dim
+    idx = [i for i in range(amb) if parity[i] == par]
+    imat = ts.image.basis_matrix()   # rows of one (weight, parity) block each
+    block = imat.submatrix(idx, [j for j, col in enumerate(imat.columns())
+                                 if col and parity[col[0][0]] == par])
+    diag, _, uinv = snf_with_transforms(block)
+
+    def smith_columns(positions):
+        return SparseMat(ring, amb, len(positions), {
+            (idx[s], k): int(uinv[s, t])
+            for k, t in enumerate(positions)
+            for s in np.flatnonzero(uinv[:, t] != 0)
+        })
+
+    lift = smith_columns(range(len(diag), len(idx)))
+    torsion_lift = smith_columns([t for t, d in enumerate(diag) if d > 1])
+    torsion = tuple(int(d) for d in diag if d > 1)
+    if not (ts.d2.matrix @ torsion_lift).is_zero():
+        raise RuntimeError("torsion coordinate not killed by the boundary")
+    return (lift, kernel_basis(ts.d2.matrix @ lift), torsion_lift, torsion)
+
+
+def reference_w_span(slalg, ts):
+    """The whole-ambient W span that ``w_cycles`` replaced, kept verbatim as
+    the reference: dense class vectors, one echelon of Im delta_3 plus all
+    of them, and one subquotient over all of L (x) L."""
+    d = slalg.gl.dlg
+    ring = ts.base.ring
+    dim = ts.base.dim
+
+    def pair_vector(a, b):
+        out = [ring.zero] * (dim * dim)
+        for i, ca in enumerate(a):
+            if ca == 0:
+                continue
+            for j, cb in enumerate(b):
+                if cb == 0:
+                    continue
+                out[i * dim + j] = ring.normalize(ca * cb)
+        return out
+
+    def class_vec(pat, dvec):
+        i, j, k, l = pat
+        a = slalg.coords_of_unit(i, j, dvec)
+        b = slalg.coords_of_unit(k, l, list(d.bar_unit))
+        return pair_vector(a, b)
+
+    vecs = [class_vec(pat, d.basis_vector(b))
+            for pat in admissible_patterns(slalg.gl.m, slalg.gl.n) for b in range(d.dim)]
+    span_plus = ts.image.copy().extend(vecs)
+    return subquotient_invariants(
+        span_plus.basis_matrix(), ts.image.basis_matrix(), ts.d2.source.parity
+    )
+
+
+def _built(m, n, name):
+    d = load_dialgebra_file(DATA / f"{name}.json") if name == "dual_z" else builtin_dialgebra(name)
+    slalg = sl(m, n, d, cross_check=False)
+    return slalg, tensor_square(slalg.algebra)
+
+
+INTEGER_CASES = sorted(
+    {(c.m, c.n, c.dialgebra) for c in default_cases() if c.dialgebra == "integers"}
+    | {(2, 1, "dual_z"), (3, 0, "dual_z"), (2, 2, "dual_z"),
+       (3, 2, "integers"), (5, 0, "integers")}
+)
+LOW_RANK_CASES = sorted(
+    {(c.m, c.n, c.dialgebra) for c in default_cases() if low_rank_case(c.m, c.n) != "stable"}
+    | {(m, n, name) for m, n, name in INTEGER_CASES if low_rank_case(m, n) != "stable"}
+)
+
+
+@pytest.mark.parametrize("m,n,name", INTEGER_CASES)
+def test_blockwise_carrier_smith_matches_the_whole_parity(m, n, name):
+    _, ts = _built(m, n, name)
+    old = []
+    for par in (0, 1):
+        lift, kernel, torsion_lift, torsion = ts._carrier_block(par)
+        ref = reference_carrier_block(ts, par)
+        old.append(ref)
+        assert torsion == ref[3]
+        assert (lift.cols, kernel.cols) == (ref[0].cols, ref[1].cols)
+        # one generator per cyclic summand of a block; the chain merges them
+        assert len(torsion) <= torsion_lift.cols
+        assert (ts.d2.matrix @ torsion_lift).is_zero()
+    (_, k0, _, t0), (_, k1, _, t1) = old
+    assert ts._carrier_block(0) is ts._carrier_block(0)
+    assert ts.kernel_invariants() == GradedModuleInvariants(ts.base.ring, k0.cols, k1.cols, t0, t1)
+    # the generators lie in Ker delta_2 and give the invariants back over Im
+    gens = ts.kernel_class_generators()
+    assert all(not any(ts.d2.matrix.apply(g)) for g in gens)
+    plus = ts.image.copy().extend(gens)
+    assert subquotient_invariants(
+        plus.basis_matrix(), ts.image.basis_matrix(), ts.d2.source.parity
+    ) == ts.kernel_invariants()
+
+
+@pytest.mark.parametrize("m,n,name", LOW_RANK_CASES)
+def test_blockwise_w_span_matches_the_whole_ambient_span(m, n, name):
+    slalg, ts = _built(m, n, name)
+    rep = w_cycles(slalg, ts)
+    assert rep.ok
+    assert rep.span_invariants == reference_w_span(slalg, ts)
+
+
+def test_short_block_smith_diagonal_exits_5(capsys, monkeypatch):
+    real = tensorsq.snf_with_transforms
+
+    def one_short(m):
+        diag, u, uinv = real(m)
+        return diag[:-1], u, uinv
+
+    monkeypatch.setattr(tensorsq, "snf_with_transforms", one_short)
+    code = cli.main(["verify", "--m", "3", "--n", "0", "--builtin", "integers"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.strip().count("\n") == 0 and "Smith diagonal of block" in err
+
+
+def test_w_class_outside_its_block_exits_5(capsys, monkeypatch):
+    real = TensorSquare.pair_vector
+
+    def leaky(self, a, b):
+        # one more entry at e_0 (x) e_0, whose weight is 0 or twice a root
+        return [(0, 1)] + [(x, c) for x, c in real(self, a, b) if x != 0]
+
+    monkeypatch.setattr(TensorSquare, "pair_vector", leaky)
+    code = cli.main(["verify", "--m", "4", "--n", "0", "--builtin", "f2"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.strip().count("\n") == 0 and "not in one block of weight" in err
