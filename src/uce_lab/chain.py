@@ -196,7 +196,7 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     licenses stopping each image reduction over a field at the block's kernel
     dimension.  Memoised on l per n after the guard check; ``hl``,
     ``tensor_square`` and the splitting check share it, so no caller may
-    mutate it."""
+    change a span in it (a query may switch an echelon's number type)."""
     if n < 1:
         raise ValueError("homology is computed for n >= 1")
     dim = l.dim

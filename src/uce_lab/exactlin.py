@@ -410,7 +410,6 @@ class Echelon:
         else:
             self.mode = "intfield"  # rationals; switches to fracfield on demand
         self.rows: list = []
-        self.pivots: list = []        # leading index per row, parallel to rows
         self.row_at: dict = {}        # leading index -> row position
         self.sorted_pivots: list = []  # the pivots in ascending order
         # mod-p products stay below p^2, so int64 is safe only for small p
@@ -514,7 +513,6 @@ class Echelon:
                 bisect.insort(self.sorted_pivots, p)
                 self.row_at[p] = len(self.rows)
                 self.rows.append(v)
-                self.pivots.append(p)
                 return True
             r = self.rows[at]
             if self._obj and r.dtype != object:
@@ -584,32 +582,9 @@ class Echelon:
         """An independent echelon with the same rows, pivots and mode."""
         new = copy.copy(self)
         new.rows = [r.copy() for r in self.rows]
-        new.pivots = list(self.pivots)
         new.row_at = dict(self.row_at)
         new.sorted_pivots = list(self.sorted_pivots)
         return new
-
-    def add_block(self, block: "Echelon", indices) -> None:
-        """Adjoin the rows of block, an echelon of the coordinates indices
-        (ascending, and touched by no row of self), with each entry moved to
-        its coordinate.  The rows then span (generate) the direct sum of the
-        two spans (lattices).  A fracfield or object-dtype block converts
-        self first, as vector() would."""
-        if block.mode == "fracfield" and self.mode != "fracfield":
-            self._to_fracfield()
-        if block._obj and not self._obj:
-            self._escalate()
-        for r, p in zip(block.rows, block.pivots):
-            v = self._blank()
-            if self.mode == "fracfield" and block.mode != "fracfield":
-                v[indices] = [Fraction(int(x)) for x in r]
-                v = v / v[indices[p]]
-            else:
-                v[indices] = r
-            self.row_at[indices[p]] = len(self.rows)
-            self.rows.append(v)
-            self.pivots.append(indices[p])
-            bisect.insort(self.sorted_pivots, indices[p])
 
     def _fraction_free_residue(self, v):
         """(w, den) with w / den the canonical residue of v, for an intfield
@@ -641,7 +616,7 @@ class Echelon:
                 if g > 1:
                     w = w // g
                     den //= g
-        if den <= 0 or w[self.pivots].any():
+        if den <= 0 or w[self.sorted_pivots].any():
             raise RuntimeError("fraction-free residue is not reduced at the pivots")
         return w, den
 
@@ -817,7 +792,7 @@ def kernel_basis(m: SparseMat) -> SparseMat:
     """
     n = m.rows
     ech = _augmented_echelon(m)
-    out = [ech.rows[ech.row_at[p]][n:] for p in sorted(p for p in ech.pivots if p >= n)]
+    out = [ech.rows[ech.row_at[p]][n:] for p in ech.sorted_pivots if p >= n]
     return _engine_columns(m.ring, m.cols, out)
 
 
@@ -837,7 +812,7 @@ class SpanSolver:
         self.n = basis.rows
         self.k = basis.cols
         self.ech = _augmented_echelon(basis)
-        if any(p >= self.n for p in self.ech.pivots):
+        if any(p >= self.n for p in self.ech.row_at):
             raise ValueError("SpanSolver needs independent columns")
 
     def solve(self, vec):

@@ -35,8 +35,8 @@ from .chain import (DEFAULT_SIZE_GUARD, blocked_complex, guard_check, tensor_ind
 from .leibniz import SpecialLinear, sl
 from .superdialg import SuperDialgebra, quotient_Dm
 from .tensorsq import (
-    TensorSquare,
     admissible_patterns,
+    combine,
     low_rank_case,
     pattern_coefficient_sign,
     pattern_modulus,
@@ -237,17 +237,6 @@ def _dense(ring, n: int, items) -> list:
     return out
 
 
-def _combine(ring, items, column) -> list:
-    """The nonzero (key, normalized value) pairs of sum c * column(t) over the
-    (t, c) pairs of items; column(t) lists (key, value) pairs, keys may repeat."""
-    acc = {}
-    for t, c in items:
-        for k, v in column(t):
-            acc[k] = acc.get(k, 0) + c * v
-    out = ((k, ring.normalize(v)) for k, v in acc.items())
-    return [(k, v) for k, v in out if v != 0]
-
-
 class _Str2:
     """Second supertrace: carrier of sl (x) sl -> D (x) D plus the per-pattern
     coefficient modules.
@@ -319,7 +308,7 @@ class _Str2:
         dim_d = self.dlg.dim
         dd = [ring.zero] * (dim_d * dim_d)
         w = {rep: [ring.zero] * dim_d for rep in self.reps}
-        for (rep, k), v in _combine(ring, items, self.column):
+        for (rep, k), v in combine(ring, ((c, self.column(t)) for t, c in items)):
             (dd if rep is None else w[rep])[k] = v
         return dd, w
 
@@ -364,13 +353,13 @@ class _Mu:
     def of_dd(self, items) -> list:
         """mu(a (x) b) = E_12(a) (x) E_21(b)
         - (-1)^{|a||b|} E_12(b |> a) (x) E_21(1), extended bilinearly."""
-        return _combine(self.ring, items, self._dd_unit)
+        return combine(self.ring, ((c, self._dd_unit(t)) for t, c in items))
 
     def of_pattern(self, rep, items) -> list:
         """The class E_ij(a) (x) E_kl(1) of an orbit representative, with the
         coefficient-transfer sign compensated so the second supertrace sends
         it back to exactly the same coefficient."""
-        return _combine(self.ring, items, lambda b: self._pattern_unit(rep, b))
+        return combine(self.ring, ((c, self._pattern_unit(rep, b)) for b, c in items))
 
 
 @dataclass(frozen=True)
@@ -425,16 +414,6 @@ class SplittingReport:
         }
 
 
-def _d2_kernel_by_block(ts: TensorSquare, guard: int = DEFAULT_SIZE_GUARD) -> list:
-    """A basis (lattice basis) of Ker delta_2 as (index, value) pairs: delta_2
-    is block diagonal (delta's leak check), so its kernel is the direct sum of
-    the block kernels of ``chain.blocked_complex``, which ``tensor_square``
-    shares and whose counts it checks."""
-    return [[(idx[i], v) for i, v in col]
-            for _, idx, ker, _ in blocked_complex(ts.base, 2, guard)[2]
-            for col in ker.columns()]
-
-
 def splitting_check(m: int, n: int, dlg: SuperDialgebra,
                     guard: int = DEFAULT_SIZE_GUARD) -> SplittingReport:
     """Verify the splitting diagram case (m, n, dlg): well-definedness of the
@@ -443,9 +422,11 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     homology plus the kernel-class modules onto the degree-2 homology is a
     parity-preserving isomorphism (surjection + equal invariants).
 
-    The linear checks run on generating sets: (a) on the rows of the Im
-    delta_3 echelon ``ts.image``, (f) on the generators of Ker delta_2
-    computed one (weight, parity) block at a time."""
+    The linear checks run on generating sets and on the (weight, parity)
+    blocks of L (x) L: (a) on the rows of the Im delta_3 block echelons, (f)
+    on the generators of Ker delta_2 of each block, each tested in its own
+    block against Im delta_3 plus the images of the map.  An image that
+    meets two blocks raises RuntimeError."""
     from .theorems import expected_w  # lazy; theorems drives this module
 
     if low_rank_case(m, n) is None:
@@ -466,23 +447,21 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     def w_is_zero(rep, vec):
         return not any(vec) or not quotient[rep].echelon.residue_of(vec).any()
 
-    def zero_mod_image(items):
-        return ts.image.contains(ts.image.vector(items))
-
     def str2_is_zero(items):
         dd, w = str2.eval(items)
         return hoch.is_zero_class(dd) and all(w_is_zero(rep, col) for rep, col in w.items())
 
     # (a) the second supertrace kills the tensor-square relations.  Str2 is
     # linear, so it kills Im delta_3 iff it kills a generating set, such as the
-    # rows of ts.image: over a field they span Im delta_3 (a block stops early
-    # only at the proven rank), over the integers they generate its lattice.
-    str2_ok = all(str2_is_zero(row) for row in ts.image.basis_matrix().columns())
+    # rows of the block echelons: over a field they span Im delta_3 (a block
+    # stops early only at the proven rank), over the integers they generate
+    # its lattice.
+    str2_ok = all(str2_is_zero(row) for row in ts.image_rows())
 
     # (c) the embedding kills the Hochschild relations and quotient ideals
-    mu_ok = all(zero_mod_image(mu.of_dd(col))
+    mu_ok = all(ts.is_zero_class(mu.of_dd(col))
                 for col in hoch.relations.basis_matrix().columns()) and all(
-        zero_mod_image(mu.of_pattern(rep, col))
+        ts.is_zero_class(mu.of_pattern(rep, col))
         for rep in str2.reps for col in quotient[rep].ideal.columns())
 
     # (b) both squares of the diagram commute
@@ -544,9 +523,13 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
         for b in range(dim_d):
             image_cols.append(mu.of_pattern(rep, [(b, ring.one)]))
             source_parities.append((base.parity(b) + off) % 2)
-    surj_ech = ts.image.copy().extend(image_cols)
-    surjective = all(surj_ech.contains(surj_ech.vector(col))
-                     for col in _d2_kernel_by_block(ts, guard))
+    # the images extend only the blocks they hit; each Ker delta_2 generator
+    # is tested in its own block's coordinates
+    plus = ts.extend_blocks(image_cols)
+    surjective = True
+    for key, _, ker, image in blocked_complex(ts.base, 2, guard)[2]:
+        ech = plus.get(key, image)
+        surjective = surjective and all(ech.contains(ech.vector(col)) for col in ker.columns())
 
     computed = ts.kernel_invariants()
     expected = hoch.invariants.direct_sum(expected_w(m, n, base))

@@ -256,10 +256,10 @@ def _bracket_span_echelon(l: LeibnizSuperalgebra) -> Echelon:
     )
 
 
-def sl(m: int, n: int, d: SuperDialgebra, cross_check: bool = True) -> SpecialLinear:
+def sl(m: int, n: int, d: SuperDialgebra) -> SpecialLinear:
     """Special linear Leibniz superalgebra: the bracket span of gl(m, n, d).
 
-    With cross_check the span is verified to equal
+    The span is verified to equal
     {x : Str(x) in span of dialgebra brackets} as submodules.  Each basis
     vector takes the weight of the gl matrix units in its inclusion column;
     a column whose units differ in weight raises RuntimeError.
@@ -269,9 +269,7 @@ def sl(m: int, n: int, d: SuperDialgebra, cross_check: bool = True) -> SpecialLi
     g = gl(m, n, d)
     ech = _bracket_span_echelon(g.algebra)
     incl = ech.basis_matrix()
-
-    if cross_check:
-        _check_supertrace_characterization(g, ech)
+    _check_supertrace_characterization(g, ech)
 
     sub_parity = []
     sub_weight = []

@@ -7,17 +7,16 @@ w-cycle machinery tracks the explicit kernel classes E_ij(a) (x) E_kl(1) that
 realise the low-rank extra summands.
 
 delta_2, delta_3 and the Im delta_3 echelon of each (weight, parity) block of
-L (x) L come from ``chain.blocked_complex``, shared with ``chain.hl``; the
-block echelons are kept per block (``TensorSquare.blocks``) and placed side
-by side in the one ``image`` echelon of L (x) L.  Its pivot set, and its
-residues over fields and over the integers, depend only on the span (the
-lattice), so they do not depend on the blocks.  Over the integers the carrier
-is reduced one block at a time: each block's Smith form gives its free and
+L (x) L come from ``chain.blocked_complex``, shared with ``chain.hl``.  These
+block echelons (``TensorSquare.blocks``) are the only copy of Im delta_3: a
+query splits an ambient vector into its blocks and works in block
+coordinates, and a span grows one block at a time, each added vector lying
+in one block.  Over the integers each block's Smith form gives its free and
 cyclic coordinates, the columns of ``torsion_lift`` generate the cyclic
 summands of the blocks, and the torsion is the merged invariant factor chain
-of their orders.  The W classes lie in single blocks too, so ``w_cycles``
-takes their span only on the blocks they hit.  What stays independent of the
-chain path is Ker delta_2 on the carrier, taken on a whole parity.
+of their orders.  The W classes lie in single blocks, so ``w_cycles`` takes
+their span only on the blocks they hit.  What stays independent of the chain
+path is Ker delta_2 on the carrier, taken on a whole parity.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -178,19 +178,29 @@ def pattern_coefficient_sign(m: int, n: int, pat, a_parity: int, b_parity: int) 
 # ---------------------------------------------------------------------------
 
 
+def combine(ring, terms) -> list:
+    """The nonzero (key, normalized value) pairs of sum coef * vec over the
+    (coef, vec) terms, each vec a list of (key, value) pairs (keys may
+    repeat).  Unsorted, since the keys need not compare."""
+    acc = {}
+    for coef, vec in terms:
+        for k, v in vec:
+            acc[k] = acc.get(k, 0) + coef * v
+    out = ((k, ring.normalize(v)) for k, v in acc.items())
+    return [(k, v) for k, v in out if v != 0]
+
+
 @dataclass(eq=False)
 class TensorSquare:
     """Quotient presentation of (L (x) L)/Im delta_3 with the induced bracket
-    and the boundary to L."""
+    and the boundary to L.  Im delta_3 is held only as its block echelons."""
 
     base: LeibnizSuperalgebra
     d2: ChainMap
     d3: ChainMap
-    image: Echelon                  # echelon/lattice of Im delta_3
-    complement: list                # ambient indices without image pivots
     # (weight, parity) key -> (ambient indices, Im delta_3 echelon in the
-    # block's own coordinates), in sorted key order; set by tensor_square
-    blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # block's own coordinates), in sorted key order
+    blocks: dict
     _carrier_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -200,14 +210,42 @@ class TensorSquare:
     def block_sizes(self) -> list:
         """Sizes of the (weight, parity) blocks of L (x) L, in sorted key
         order."""
-        sizes = Counter(self.d2.source_keys)
-        return [sizes[k] for k in sorted(sizes)]
+        return [len(idx) for idx, _ in self.blocks.values()]
+
+    @cached_property
+    def complement(self) -> list:
+        """Ambient indices without an Im delta_3 pivot, ascending."""
+        return sorted(idx[s] for idx, image in self.blocks.values()
+                      for s in range(len(idx)) if s not in image.row_at)
+
+    @cached_property
+    def _position(self) -> dict:
+        """ambient index -> its position within its block."""
+        return {i: s for idx, _ in self.blocks.values() for s, i in enumerate(idx)}
+
+    def _pieces(self, vec) -> dict:
+        """key -> the nonzero (block position, value) pairs of an ambient
+        vector in that block; vec is a dense coordinate list or its (index,
+        value) pairs."""
+        keys, pos = self.d2.source_keys, self._position
+        out = {}
+        for i, x in vec if not vec or isinstance(vec[0], tuple) else enumerate(vec):
+            if x != 0:
+                out.setdefault(keys[i], []).append((pos[i], x))
+        return out
 
     def project(self, vec):
-        """Canonical representative of the class of an ambient vector modulo
-        Im delta_3; vec is a dense coordinate list or its nonzero (index,
-        value) pairs."""
-        return self.image.residue(self.image.vector(vec))
+        """Canonical representative of the class of an ambient vector (dense,
+        or its (index, value) pairs) modulo Im delta_3: the block residues at
+        their ambient indices, as an object array of ring elements."""
+        ring = self.base.ring
+        out = np.full(self.ambient_dim, ring.zero, dtype=object)
+        for key, piece in self._pieces(vec).items():
+            idx, image = self.blocks[key]
+            res = image.residue(image.vector(piece))
+            for s in np.flatnonzero(res):
+                out[idx[s]] = ring.normalize(res[s])
+        return out
 
     def classes_equal(self, u, v) -> bool:
         diff = [a - b for a, b in zip(u, v)]
@@ -215,6 +253,35 @@ class TensorSquare:
 
     def is_zero_class(self, u) -> bool:
         return not self.project(u).any()
+
+    def image_rows(self) -> list:
+        """The rows of the block echelons at their ambient indices, as
+        (index, value) pairs in ascending pivot order.  Over a field they
+        span Im delta_3; over the integers they generate its lattice."""
+        rows = [[(idx[s], x) for s, x in col]
+                for idx, image in self.blocks.values()
+                for col in image.basis_matrix().columns()]
+        return sorted(rows, key=lambda row: row[0][0])
+
+    def extend_blocks(self, vectors) -> dict:
+        """key -> a copy of the block's Im delta_3 echelon extended by the
+        vectors that lie in it, for each block the vectors hit; each vector
+        is a list of (index, value) pairs, and zero ones are skipped.  A
+        vector that meets two blocks raises RuntimeError: split across them
+        it would enlarge the span."""
+        out = {}
+        for vec in vectors:
+            pieces = self._pieces(vec)
+            if len(pieces) > 1:
+                raise RuntimeError(
+                    f"a vector added to Im delta_3 meets the blocks {sorted(pieces)}, "
+                    f"not one block of L (x) L"
+                )
+            for key, piece in pieces.items():
+                if key not in out:
+                    out[key] = self.blocks[key][1].copy()
+                out[key].extend([piece])
+        return out
 
     def pair_vector(self, a, b):
         """a (x) b for dense L vectors a, b, as its nonzero (index, value)
@@ -240,21 +307,15 @@ class TensorSquare:
 
     def carrier_generators(self):
         """Ambient vectors whose classes generate the carrier: complement
-        unit vectors, plus (over the integers) pivot units with pivot value
-        above 1."""
+        unit vectors, then (over the integers) the pivot units with pivot
+        value above 1, each in ascending index order."""
         ring = self.base.ring
-        gens = []
-        for c in self.complement:
-            v = [ring.zero] * self.ambient_dim
-            v[c] = ring.one
-            gens.append((c, v))
+        units = list(self.complement)
         if ring.kind == "integers":
-            for p, d in sorted(self.image.pivot_values().items()):
-                if abs(d) > 1:
-                    v = [ring.zero] * self.ambient_dim
-                    v[p] = ring.one
-                    gens.append((p, v))
-        return gens
+            units += sorted(idx[p] for idx, image in self.blocks.values()
+                            for p, d in image.pivot_values().items() if abs(d) > 1)
+        amb = range(self.ambient_dim)
+        return [(c, [ring.one if t == c else ring.zero for t in amb]) for c in units]
 
     def generator_parity(self, ambient_index: int) -> int:
         return self.d2.source.parity[ambient_index]
@@ -368,7 +429,7 @@ class TensorSquare:
         lifts: redraw lifts by adding random image elements."""
         rng = random.Random(seed)
         gens = self.carrier_generators()
-        imat = self.image.basis_matrix()
+        rows = self.image_rows()
         if not gens:
             return True
         for _ in range(trials):
@@ -378,12 +439,11 @@ class TensorSquare:
             b2 = list(b)
             for vec in (a2, b2):
                 for _ in range(2):
-                    j = rng.randrange(imat.cols)
+                    j = rng.randrange(len(rows))
                     c = rng.randint(-3, 3)
                     if c:
-                        col = imat.column_dense(j)
-                        for t in range(len(vec)):
-                            vec[t] = vec[t] + c * col[t]
+                        for t, x in rows[j]:
+                            vec[t] = vec[t] + c * x
             if not self.classes_equal(list(self.bracket(a2, b2)), list(base)):
                 return False
         return True
@@ -400,12 +460,12 @@ class TensorSquare:
         return True
 
     def carrier_is_perfect(self) -> bool:
-        """[carrier, carrier] = carrier: bracket classes plus the image span
-        the full ambient module (full lattice over the integers)."""
+        """[carrier, carrier] = carrier: in every block, the bracket classes
+        in it plus Im delta_3 span the block (generate its lattice over the
+        integers).  A bracket that meets two blocks raises RuntimeError."""
         bd = [self.d2.matrix.apply(g) for _, g in self.carrier_generators()]
-        return self.image.copy().extend(
-            self.pair_vector(a, b) for a in bd for b in bd
-        ).is_full()
+        plus = self.extend_blocks(self.pair_vector(a, b) for a in bd for b in bd)
+        return all(plus.get(key, image).is_full() for key, (_, image) in self.blocks.items())
 
     def boundary_is_surjective(self) -> bool:
         """delta_2 is onto L (onto the lattice over the integers)."""
@@ -421,18 +481,13 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
         raise NotPerfectError(f"{l.name} is not perfect")
     d2, d3, blocks = blocked_complex(l, 2, guard)
     below = Counter(d2.target_keys)
-    image = Echelon(l.ring, l.dim ** 2)
-    for key, idx, ker, block in blocks:
+    for key, idx, ker, _ in blocks:
         if ker.cols != len(idx) - below[key]:
             raise RuntimeError(
                 f"Ker delta_2 block {key} has {ker.cols} generators, not "
                 f"{len(idx) - below[key]}; the blocks of a perfect L sum to dim^2 - dim"
             )
-        image.add_block(block, idx)
-    complement = [i for i in range(l.dim ** 2) if i not in image.row_at]
-    ts = TensorSquare(l, d2, d3, image, complement)
-    ts.blocks.update((key, (idx, block)) for key, idx, _, block in blocks)
-    return ts
+    return TensorSquare(l, d2, d3, {key: (idx, image) for key, idx, _, image in blocks})
 
 
 def hl2(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
@@ -502,8 +557,9 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
     one (weight, parity) block of L (x) L, the one of weight
     e_i - e_j + e_k - e_l, else RuntimeError.  The span in homology is then
     the direct sum, over the blocks the classes hit, of
-    (block image + classes) / block image.  The relation and torsion checks
-    form sparse combinations and test them with ``ts.is_zero_class``.
+    (block image + classes) / block image (``ts.extend_blocks``).  The
+    relation and torsion checks form sparse combinations and test them with
+    ``ts.is_zero_class``.
     """
     from .theorems import expected_w  # local import; theorems drives this module
 
@@ -520,17 +576,7 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
     keys = ts.d2.source_keys
     boundary = ts.d2.matrix.columns()
 
-    def combine(terms):
-        """The nonzero (index, value) pairs of sum coef * vec over the
-        (coef, sparse vec) terms."""
-        acc = {}
-        for coef, vec in terms:
-            for x, c in vec:
-                acc[x] = acc.get(x, 0) + coef * c
-        out = [(x, ring.normalize(c)) for x, c in sorted(acc.items())]
-        return [(x, c) for x, c in out if c != 0]
-
-    def block_of(pat, vec):
+    def check_block(pat, vec):
         weight = [0] * (m + n)
         for t, s in zip(pat, (1, -1, 1, -1)):
             weight[t - 1] += s
@@ -540,33 +586,28 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
                 f"class {pat} lies in the blocks {sorted(hit)}, not in one block "
                 f"of weight {tuple(weight)}"
             )
-        return hit.pop()
 
     pats = admissible_patterns(m, n)
     right = {}   # sl coordinates of E_kl(1)
     vecs = {}    # (pattern, basis index of D) -> sparse class vector
     labels = []
-    by_block = {}
     for pat in pats:
         i, j, k, l = pat
         if (k, l) not in right:
             right[(k, l)] = slalg.coords_of_unit(k, l, list(d.bar_unit))
         for b in range(d.dim):
             vec = ts.pair_vector(slalg.coords_of_unit(i, j, d.basis_vector(b)), right[(k, l)])
-            by_block.setdefault(block_of(pat, vec), []).append(vec)
-            if combine((c, boundary[x]) for x, c in vec):
+            check_block(pat, vec)
+            if combine(ring, ((c, boundary[x]) for x, c in vec)):
                 raise RuntimeError(f"class {pat} is not a cycle")
             vecs[(pat, b)] = vec
             labels.append((pat, d.module.label(b)))
 
     # span of the classes inside the homology, block by block
     parts = [GradedModuleInvariants(ring)]
-    for key, classes in sorted(by_block.items()):
-        idx, image = ts.blocks[key]
-        at = {x: s for s, x in enumerate(idx)}
-        plus = image.copy().extend([(at[x], c) for x, c in vec] for vec in classes)
+    for key, plus in sorted(ts.extend_blocks(vecs.values()).items()):
         parts.append(subquotient_invariants(
-            plus.basis_matrix(), image.basis_matrix(), (key[1],) * len(idx)))
+            plus.basis_matrix(), ts.blocks[key][1].basis_matrix(), (key[1],) * plus.dim))
     span_inv = direct_sum_invariants(parts)
     expected = expected_w(m, n, d)
     matches = (
@@ -585,7 +626,7 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
             others = [((i, l, k, j), -1), ((k, j, i, l), -1), ((k, l, i, j), 1)]
         for b in range(d.dim):
             for opat, sign in others:
-                diff = combine([(1, vecs[(pat, b)]), (-sign, vecs[(opat, b)])])
+                diff = combine(ring, [(1, vecs[(pat, b)]), (-sign, vecs[(opat, b)])])
                 if not ts.is_zero_class(diff):
                     relations = False
 
@@ -601,11 +642,11 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
     for pat in pats:
         mod = pattern_modulus(m, n, pat)
         for b in range(d.dim):
-            if not ts.is_zero_class(combine([(mod, vecs[(pat, b)])])):
+            if not ts.is_zero_class(combine(ring, [(mod, vecs[(pat, b)])])):
                 torsion_ok = False
         for br in brackets:
             terms = [(c, vecs[(pat, b)]) for b, c in enumerate(br) if c != 0]
-            if not ts.is_zero_class(combine(terms)):
+            if not ts.is_zero_class(combine(ring, terms)):
                 torsion_ok = False
 
     return WCycleReport(case, labels, span_inv, expected, matches,

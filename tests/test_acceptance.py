@@ -185,8 +185,7 @@ def test_criterion_3_leibniz_identity_constructed_algebras():
     bad = []
     for case, _, _ in QUANTITATIVE:
         rep, _ = _report(case)
-        alg = sl(case.m, case.n, builtin_dialgebra(case.dialgebra),
-                 cross_check=False).algebra
+        alg = sl(case.m, case.n, builtin_dialgebra(case.dialgebra)).algebra
         assert alg.dim <= 40
         if alg.leibniz_violations():
             bad.append(case.describe())
@@ -198,8 +197,7 @@ def test_criterion_3_leibniz_identity_constructed_algebras():
 def test_criterion_3_boundary_squares_to_zero():
     bad = []
     for case, _, _ in QUANTITATIVE:
-        alg = sl(case.m, case.n, builtin_dialgebra(case.dialgebra),
-                 cross_check=False).algebra
+        alg = sl(case.m, case.n, builtin_dialgebra(case.dialgebra)).algebra
         d2, d3 = delta(alg, 2), delta(alg, 3)
         if not (d2.matrix @ d3.matrix).is_zero():
             bad.append(case.describe())
@@ -217,8 +215,7 @@ def test_criterion_3_boundary_squares_to_zero():
 def test_criterion_3_lift_independence_100():
     bad = []
     for m, n, name in [(2, 2, "rationals"), (4, 0, "integers"), (3, 0, "f3")]:
-        ts = tensor_square(sl(m, n, builtin_dialgebra(name),
-                              cross_check=False).algebra)
+        ts = tensor_square(sl(m, n, builtin_dialgebra(name)).algebra)
         if not ts.bracket_lift_independence(trials=100, seed=11):
             bad.append(f"({m},{n},{name})")
     _line("criterion 3: tensor-square bracket is independent of "
@@ -228,8 +225,7 @@ def test_criterion_3_lift_independence_100():
 def test_criterion_3_centrality_and_perfectness():
     bad = []
     for case, _, _ in QUANTITATIVE:
-        rep = uce(sl(case.m, case.n, builtin_dialgebra(case.dialgebra),
-                     cross_check=False).algebra)
+        rep = uce(sl(case.m, case.n, builtin_dialgebra(case.dialgebra)).algebra)
         if not (rep.kernel_central and rep.carrier_perfect
                 and rep.projection_surjective):
             bad.append(case.describe())

@@ -48,7 +48,7 @@ def test_delta1_is_zero_map_to_zero_module():
 def test_delta3_matches_displayed_formula(m, n, name):
     """delta_3(x (x) y (x) z) = -[x,y] (x) z + x (x) [y,z]
     + (-1)^{|y||z|} [x,z] (x) y on all basis triples."""
-    l = sl(m, n, builtin_dialgebra(name), cross_check=False).algebra
+    l = sl(m, n, builtin_dialgebra(name)).algebra
     d3 = delta(l, 3)
     dim = l.dim
     ring = l.ring
@@ -83,7 +83,7 @@ def test_complex_property_from_dialgebra(name):
     (2, 2, "rationals"), (3, 0, "f2"), (2, 1, "bar_duplex_q"),
 ])
 def test_complex_property_matrix_algebras(m, n, name):
-    l = sl(m, n, builtin_dialgebra(name), cross_check=False).algebra
+    l = sl(m, n, builtin_dialgebra(name)).algebra
     d2, d3 = delta(l, 2), delta(l, 3)
     assert (d2.matrix @ d3.matrix).is_zero()
 
@@ -92,7 +92,7 @@ def test_complex_property_matrix_algebras(m, n, name):
     (2, 1, "rationals"), (1, 1, "grassmann_q"), (2, 2, "f3"),
 ])
 def test_delta_is_parity_even(m, n, name):
-    l = sl(m, n, builtin_dialgebra(name), cross_check=False).algebra
+    l = sl(m, n, builtin_dialgebra(name)).algebra
     for deg in (2, 3):
         assert delta(l, deg).parity_even_violations() == []
 
@@ -170,7 +170,7 @@ def test_weight_blocks_do_not_change_homology(kind, m, n, name, degree):
 
 
 def test_a_wrong_weight_leaks_out_of_its_block():
-    l = sl(2, 0, builtin_dialgebra("rationals"), cross_check=False).algebra
+    l = sl(2, 0, builtin_dialgebra("rationals")).algebra
     weight = list(l.weight)
     weight[0] = tuple(2 * x + 1 for x in weight[0])
     wrong = replace(l, weight=tuple(weight))
@@ -181,14 +181,14 @@ def test_a_wrong_weight_leaks_out_of_its_block():
 
 
 def test_weight_needs_one_entry_per_basis_vector():
-    l = sl(2, 0, builtin_dialgebra("rationals"), cross_check=False).algebra
+    l = sl(2, 0, builtin_dialgebra("rationals")).algebra
     with pytest.raises(ValueError):
         replace(l, weight=l.weight[1:])
 
 
 @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.describe())
 def test_sl_weights_are_homogeneous(case):
-    s = sl(case.m, case.n, builtin_dialgebra(case.dialgebra), cross_check=False)
+    s = sl(case.m, case.n, builtin_dialgebra(case.dialgebra))
     l, g = s.algebra, s.gl
     size = case.m + case.n
     for j, col in enumerate(s.inclusion.columns()):
@@ -288,7 +288,7 @@ def _algebra(kind, m, n, name):
     """Built once for all degrees; delta leaves the algebra as it is."""
     path = DATA / f"{name}.json"
     d = load_dialgebra_file(path) if path.exists() else builtin_dialgebra(name)
-    return (gl(m, n, d) if kind == "gl" else sl(m, n, d, cross_check=False)).algebra
+    return (gl(m, n, d) if kind == "gl" else sl(m, n, d)).algebra
 
 
 @pytest.mark.parametrize("kind,m,n,name,degree", list(_reference_cases()))

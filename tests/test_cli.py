@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 
 from uce_lab import cli
 from uce_lab.cli import main
-from uce_lab.superdialg import builtin_dialgebra, dump_dialgebra
+from uce_lab.superdialg import builtin_dialgebra, dump_dialgebra, load_dialgebra_file
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (the benchmark's cases and golden outputs)
 
 
 def run(capsys, *argv):
@@ -310,12 +313,35 @@ def test_text_verify_prints_stage_times_and_blocks(capsys):
     assert detail.endswith("L(x)L: 55 blocks, largest 21 of 225")
 
 
-def test_json_verify_matches_the_golden_bytes(capsys):
-    golden = ROOT / "perfbench" / "golden" / "verify_q" / "sl_3_0_rationals.json"
-    code, out, _ = run(capsys, "verify", "--m", "3", "--n", "0",
-                       "--builtin", "rationals", "--format", "json")
+def _golden_cases(kind):
+    cases = [(w.name, c) for w in workloads.WORKLOADS.values() for c in w.cases
+             if c.kind == kind]
+    return pytest.mark.parametrize(
+        "workload,case", cases, ids=[f"{w}-{c.golden_name[:-5]}" for w, c in cases])
+
+
+def _golden(workload, case):
+    return (workloads.GOLDEN_DIR / workload / case.golden_name).read_bytes()
+
+
+@_golden_cases("verify")
+def test_json_verify_matches_the_golden_bytes(capsys, workload, case):
+    argv = workloads.Prepared(case, None, None).argv()
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out.encode() == golden.read_bytes()
+    assert out.encode() == _golden(workload, case)
+
+
+@_golden_cases("splitting")
+def test_splitting_report_matches_the_golden_bytes(workload, case):
+    # serialised as the benchmark serialises it
+    if case.source in workloads.FILE_SOURCES:
+        dlg = load_dialgebra_file(workloads.DATA_DIR / f"{case.source}.json")
+    else:
+        dlg = builtin_dialgebra(case.source)
+    out, verdict = workloads.case_output(workloads.Prepared(case, dlg, None))
+    assert verdict
+    assert out == _golden(workload, case)
 
 
 @pytest.mark.parametrize("command", ["hl2", "verify"])

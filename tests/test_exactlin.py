@@ -334,7 +334,7 @@ def test_copy_is_independent():
         dup = ech.copy()
         dup.insert(dup.vector([0, 1, 1]))
         assert (ech.rank, dup.rank) == (1, 2)
-        assert ech.pivots == [0] and list(ech.row_at) == [0]
+        assert list(ech.row_at) == [0]
         assert list(ech.residue_of([0, 1, 1])) != [0, 0, 0]
         assert not dup.residue_of([0, 1, 1]).any()
         assert dup.mode == ech.mode and dup._obj == ech._obj
@@ -377,36 +377,6 @@ def test_residue_and_pivots_do_not_depend_on_insertion_order(ring):
         assert len(seen) == 1
 
 
-@pytest.mark.parametrize("ring,fractional", [
-    (ZZ, None), (QQ, None), (GF(3), None), (QQ, 0), (QQ, 1),
-])
-def test_echelon_of_blocks_matches_one_echelon(ring, fractional):
-    """Echelons of two disjoint coordinate blocks, put side by side with
-    add_block, have the pivots and residues of one echelon of all the rows;
-    a block with a fractional entry (fracfield) may come first or second."""
-    rng = random.Random(13)
-    blocks = ([0, 2, 5, 6], [1, 3, 4, 7])
-    for _ in range(10):
-        whole = Echelon(ring, 8)
-        joined = Echelon(ring, 8)
-        for b, idx in enumerate(blocks):
-            part = Echelon(ring, len(idx))
-            for _ in range(3):
-                local = [ring.normalize(rng.randint(-4, 4)) for _ in idx]
-                if b == fractional:
-                    local[rng.randrange(len(idx))] = Fraction(1, 2)
-                part.insert(part.vector(local))
-                whole.insert(whole.vector([(i, x) for i, x in zip(idx, local)]))
-            joined.add_block(part, idx)
-        assert sorted(joined.row_at) == sorted(whole.row_at)
-        assert (joined.mode == "fracfield") == (fractional is not None)
-        if ring == ZZ:
-            assert joined.pivot_values() == whole.pivot_values()
-        for _ in range(4):
-            probe = [ring.normalize(rng.randint(-9, 9)) for _ in range(8)]
-            assert list(joined.residue_of(probe)) == list(whole.residue_of(probe))
-
-
 def _plain_sort_residue(ech, v):
     """The loop the kept pivot order replaced: sort the pivots on every call,
     then one ascending sweep (exact Fractions; floor quotients over Z)."""
@@ -420,30 +390,21 @@ def _plain_sort_residue(ech, v):
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)])
 def test_pivot_order_follows_insert_add_block_and_copy(ring):
-    """Random interleavings of insert, add_block and copy, with residue and
-    contains on every echelon after each step: every residue equals the
-    plain-sort sweep, and the kept order is sorted(row_at), also in copies
-    and in originals that grow after being copied."""
+    """Random interleavings of insert and copy, with residue and contains on
+    every echelon after each step: every residue equals the plain-sort
+    sweep, and the kept order is sorted(row_at), also in copies and in
+    originals that grow after being copied."""
     rng = random.Random(17)
     for _ in range(12):
-        # add_block needs coordinates no row touches yet: inserts stay on
-        # the free coordinates plus those of the blocks already added
-        states = [[Echelon(ring, 12), [[0, 5], [1, 7, 10], [2, 8], [4]], [3, 6, 9, 11]]]
+        states = [Echelon(ring, 12)]
         for _ in range(14):
-            ech, blocks, free = rng.choice(states)
-            op = rng.choice(["insert", "insert", "block", "copy"])
-            if op == "insert":
-                idx = rng.sample(free, min(len(free), rng.randint(1, 3)))
+            ech = rng.choice(states)
+            if rng.choice(["insert", "insert", "copy"]) == "insert":
+                idx = rng.sample(range(12), rng.randint(1, 3))
                 ech.insert(ech.vector([(i, _random_entry(ring, rng, 1, 4)) for i in sorted(idx)]))
-            elif op == "block" and blocks:
-                idx = blocks.pop(rng.randrange(len(blocks)))
-                part = Echelon(ring, len(idx))
-                part.insert(part.vector([_random_entry(ring, rng, 1, 4) for _ in idx]))
-                ech.add_block(part, idx)
-                free.extend(idx)
-            elif op == "copy":
-                states.append([ech.copy(), list(blocks), list(free)])
-            for e, _, _ in states:
+            else:
+                states.append(ech.copy())
+            for e in states:
                 assert e.sorted_pivots == sorted(e.row_at)
                 probe = [ring.normalize(rng.randint(-9, 9)) for _ in range(12)]
                 want = _plain_sort_residue(e, probe)
@@ -496,7 +457,7 @@ def _span_case(draw):
 
 
 def _state(ech, probes):
-    return (ech.mode, list(ech.pivots), [list(r) for r in ech.rows],
+    return (ech.mode, list(ech.row_at), [list(r) for r in ech.rows],
             [list(ech.residue_of(p)) for p in probes])
 
 

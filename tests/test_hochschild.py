@@ -232,12 +232,27 @@ def test_str2_check_on_image_rows_equals_check_on_all_columns(monkeypatch, m, n,
 @pytest.mark.parametrize("m,n,name", [(3, 0, "f3"), (2, 1, "rationals"), (4, 0, "integers")])
 def test_d2_kernel_blocks_span_the_kernel(m, n, name):
     ts = tensor_square(sl(m, n, builtin_dialgebra(name)).algebra)
-    gens = hochschild._d2_kernel_by_block(ts)
+    gens = [[(idx[i], v) for i, v in col]
+            for _, idx, ker, _ in chain.blocked_complex(ts.base, 2)[2]
+            for col in ker.columns()]
     assert len(gens) == ts.ambient_dim - ts.base.dim
     ring, amb = ts.base.ring, ts.ambient_dim
     blocks = Echelon(ring, amb).extend(gens)
     dense = Echelon(ring, amb).extend(kernel_basis(ts.d2.matrix).columns())
     assert blocks.same_span(dense)  # over Z: the same lattice
+
+
+def test_splitting_image_meeting_two_blocks_raises(monkeypatch):
+    # (f) extends each block by the images of the map that lie in it; an
+    # image split across two blocks would enlarge the span
+    real = hochschild._Mu.of_pattern
+
+    def leaky(self, rep, items):
+        return [(0, 1)] + [(t, v) for t, v in real(self, rep, items) if t != 0]
+
+    monkeypatch.setattr(hochschild._Mu, "of_pattern", leaky)
+    with pytest.raises(RuntimeError, match="not one block of L \\(x\\) L"):
+        splitting_check(3, 1, builtin_dialgebra("f2"))
 
 
 def test_d2_kernel_blocks_check_their_count(monkeypatch):

@@ -178,7 +178,7 @@ def test_sl_dimensions():
 ])
 def test_sl_supertrace_characterization_cross_check(m, n, name):
     # construction raises when [gl, gl] differs from the supertrace condition
-    sl(m, n, builtin_dialgebra(name), cross_check=True)
+    sl(m, n, builtin_dialgebra(name))
 
 
 @pytest.mark.parametrize("m,n,name", [
@@ -188,7 +188,7 @@ def test_sl_bracket_on_generators_matches_formula(m, n, name):
     # the bracket computed through sl coordinates agrees with
     # d_jk E_il(a <| b) - sign d_il E_kj(b |> a) for off-diagonal units
     d = builtin_dialgebra(name)
-    s = sl(m, n, d, cross_check=False)
+    s = sl(m, n, d)
     g = s.gl
     ring = d.ring
     size = m + n
@@ -281,6 +281,6 @@ def test_leibniz_identity_matrix_algebras(m, n, name):
     # exhaustive on all basis triples up to dimension 40, sampled above
     g = gl(m, n, builtin_dialgebra(name))
     assert g.algebra.leibniz_violations() == []
-    s = sl(m, n, builtin_dialgebra(name), cross_check=False)
+    s = sl(m, n, builtin_dialgebra(name))
     assert s.algebra.leibniz_violations() == []
     assert s.algebra.parity_violations() == []

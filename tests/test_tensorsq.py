@@ -13,6 +13,7 @@ from uce_lab import chain, cli, tensorsq
 from uce_lab.chain import blocked_complex, hl
 from uce_lab.exactlin import (
     QQ,
+    Echelon,
     GradedModuleInvariants,
     SparseMat,
     kernel_basis,
@@ -42,7 +43,23 @@ DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def _sl(m, n, name):
-    return sl(m, n, builtin_dialgebra(name), cross_check=False)
+    return sl(m, n, builtin_dialgebra(name))
+
+
+def ambient_image(ts):
+    """The one Im delta_3 echelon of all of L (x) L that ``TensorSquare`` no
+    longer holds, as the reference: every block row inserted at its ambient
+    indices.  The blocks have disjoint coordinates, so each row goes in as
+    it is."""
+    ech = Echelon(ts.base.ring, ts.ambient_dim)
+    for idx, image in ts.blocks.values():
+        for col in image.basis_matrix().columns():
+            ech.insert(ech.vector([(idx[s], x) for s, x in col]))
+    return ech
+
+
+def reference_project(ref, vec):
+    return [ref.ring.normalize(x) for x in ref.residue(ref.vector(vec))]
 
 
 def test_requires_perfect():
@@ -91,14 +108,15 @@ def _split_halfx():
 ])
 def test_image_blocks_do_not_change_pivots_or_residues(m, n, name):
     d = _split_halfx() if name == "split_halfx" else builtin_dialgebra(name)
-    l = sl(m, n, d, cross_check=False).algebra
+    l = sl(m, n, d).algebra
     blocked = tensor_square(l)
     single = tensor_square(replace(l, weight=None))
     assert len(blocked.block_sizes()) > len(single.block_sizes())
-    assert sorted(blocked.image.row_at) == sorted(single.image.row_at)
+    ref, single_ref = ambient_image(blocked), ambient_image(single)
+    assert sorted(ref.row_at) == sorted(single_ref.row_at)
     assert blocked.complement == single.complement
     if l.ring.kind == "integers":
-        assert blocked.image.pivot_values() == single.image.pivot_values()
+        assert ref.pivot_values() == single_ref.pivot_values()
     rng = random.Random(5)
     for _ in range(20):
         v = [l.ring.normalize(rng.randint(-5, 5)) for _ in range(l.dim ** 2)]
@@ -111,7 +129,7 @@ def test_image_blocks_do_not_change_pivots_or_residues(m, n, name):
 def test_shared_complex_gives_what_fresh_builds_give(m, n, name):
     def build():
         d = _split_halfx() if name == "split_halfx" else builtin_dialgebra(name)
-        return sl(m, n, d, cross_check=False).algebra
+        return sl(m, n, d).algebra
 
     l = build()
     chain_inv = hl(l, 2)
@@ -120,14 +138,69 @@ def test_shared_complex_gives_what_fresh_builds_give(m, n, name):
     alone = tensor_square(build())
     assert chain_inv == hl(build(), 2)
     assert ts.kernel_invariants() == alone.kernel_invariants()
-    assert sorted(ts.image.row_at) == sorted(alone.image.row_at)
+    ref, alone_ref = ambient_image(ts), ambient_image(alone)
+    assert sorted(ref.row_at) == sorted(alone_ref.row_at)
     assert ts.complement == alone.complement
     if l.ring.kind == "integers":
-        assert ts.image.pivot_values() == alone.image.pivot_values()
+        assert ref.pivot_values() == alone_ref.pivot_values()
     rng = random.Random(11)
     for _ in range(20):
         v = [l.ring.normalize(rng.randint(-5, 5)) for _ in range(l.dim ** 2)]
         assert list(ts.project(v)) == list(alone.project(v))
+
+
+@pytest.mark.parametrize("m,n,name", [
+    (2, 0, "split_halfx"), (2, 1, "split_halfx"), (2, 2, "rationals"), (3, 0, "f3"),
+    (4, 0, "integers"), (2, 1, "dual_z"), (3, 0, "dual_z"),
+])
+def test_block_queries_match_one_ambient_echelon(m, n, name):
+    """project, is_zero_class, complement, image_rows, carrier_generators
+    and the integer pivot values, read from the block echelons, are what one
+    echelon of all of Im delta_3 gives; split_halfx has a fracfield block."""
+    _, ts = _built(m, n, name)
+    ring, amb = ts.base.ring, ts.ambient_dim
+    ref = ambient_image(ts)
+    assert ts.complement == [i for i in range(amb) if i not in ref.row_at]
+    units = list(ts.complement)
+    if ring.kind == "integers":
+        units += sorted(p for p, d in ref.pivot_values().items() if abs(d) > 1)
+    gens = ts.carrier_generators()
+    assert [c for c, _ in gens] == units
+    assert all(g == [ring.one if t == c else ring.zero for t in range(amb)] for c, g in gens)
+    rows = ts.image_rows()
+    assert [row[0][0] for row in rows] == sorted(ref.row_at)
+    assert all(ts.is_zero_class(row) for row in rows)
+    rng = random.Random(23)
+    for _ in range(20):
+        if ring == QQ:
+            v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(amb)]
+        else:
+            v = [ring.normalize(rng.randint(-5, 5)) for _ in range(amb)]
+        want = reference_project(ref, v)
+        assert list(ts.project(v)) == want
+        assert list(ts.project([(i, x) for i, x in enumerate(v) if x])) == want
+        assert ts.is_zero_class(v) == (not any(want))
+        # adding an element of Im delta_3 leaves the class where it was
+        c = rng.randint(1, 3)
+        moved = list(v)
+        for t, x in rng.choice(rows):
+            moved[t] = ring.normalize(moved[t] + c * x)
+        assert ts.classes_equal(moved, v)
+        assert list(ts.project(moved)) == want
+
+
+def test_bracket_class_meeting_two_blocks_raises(monkeypatch):
+    ts = tensor_square(_sl(2, 1, "rationals").algebra)
+    assert ts.carrier_is_perfect()
+    real = TensorSquare.pair_vector
+
+    def leaky(self, a, b):
+        # one more entry at e_0 (x) e_0, outside the block of most brackets
+        return [(0, 1)] + [(x, c) for x, c in real(self, a, b) if x != 0]
+
+    monkeypatch.setattr(TensorSquare, "pair_vector", leaky)
+    with pytest.raises(RuntimeError, match="not one block of L \\(x\\) L"):
+        ts.carrier_is_perfect()
 
 
 def test_tensor_square_checks_each_kernel_block(monkeypatch):
@@ -300,7 +373,7 @@ def reference_carrier_block(ts, par):
     parity = ts.d2.source.parity
     amb = ts.ambient_dim
     idx = [i for i in range(amb) if parity[i] == par]
-    imat = ts.image.basis_matrix()   # rows of one (weight, parity) block each
+    imat = ambient_image(ts).basis_matrix()   # rows of one (weight, parity) block each
     block = imat.submatrix(idx, [j for j, col in enumerate(imat.columns())
                                  if col and parity[col[0][0]] == par])
     diag, _, uinv = snf_with_transforms(block)
@@ -347,15 +420,17 @@ def reference_w_span(slalg, ts):
 
     vecs = [class_vec(pat, d.basis_vector(b))
             for pat in admissible_patterns(slalg.gl.m, slalg.gl.n) for b in range(d.dim)]
-    span_plus = ts.image.copy().extend(vecs)
+    image = ambient_image(ts)
+    span_plus = image.copy().extend(vecs)
     return subquotient_invariants(
-        span_plus.basis_matrix(), ts.image.basis_matrix(), ts.d2.source.parity
+        span_plus.basis_matrix(), image.basis_matrix(), ts.d2.source.parity
     )
 
 
 def _built(m, n, name):
-    d = load_dialgebra_file(DATA / f"{name}.json") if name == "dual_z" else builtin_dialgebra(name)
-    slalg = sl(m, n, d, cross_check=False)
+    path = DATA / f"{name}.json"
+    d = load_dialgebra_file(path) if path.is_file() else builtin_dialgebra(name)
+    slalg = sl(m, n, d)
     return slalg, tensor_square(slalg.algebra)
 
 
@@ -389,9 +464,10 @@ def test_blockwise_carrier_smith_matches_the_whole_parity(m, n, name):
     # the generators lie in Ker delta_2 and give the invariants back over Im
     gens = ts.kernel_class_generators()
     assert all(not any(ts.d2.matrix.apply(g)) for g in gens)
-    plus = ts.image.copy().extend(gens)
+    image = ambient_image(ts)
+    plus = image.copy().extend(gens)
     assert subquotient_invariants(
-        plus.basis_matrix(), ts.image.basis_matrix(), ts.d2.source.parity
+        plus.basis_matrix(), image.basis_matrix(), ts.d2.source.parity
     ) == ts.kernel_invariants()
 
 
