@@ -193,10 +193,13 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     exactly; blocks lists, per block of L^(x)n in sorted key order, (key,
     indices, kernel basis of the delta_n block, echelon of the image of the
     delta_{n+1} block) in the block's own coordinates.  The chain property
-    licenses stopping each image reduction over a field at the block's kernel
-    dimension.  Memoised on l per n after the guard check; ``hl``,
-    ``tensor_square`` and the splitting check share it, so no caller may
-    change a span in it (a query may switch an echelon's number type)."""
+    puts each image inside the block's kernel, which licenses stopping the
+    image reduction once it provably equals the kernel: at the kernel
+    dimension over a field, and over the integers once the pivot values
+    match the kernel's too (``column_span_echelon``).  Memoised on l per n
+    after the guard check; ``hl``, ``tensor_square`` and the splitting check
+    share it, so no caller may change a span in it (a query may switch an
+    echelon's number type)."""
     if n < 1:
         raise ValueError("homology is computed for n >= 1")
     dim = l.dim
@@ -216,7 +219,7 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     for key, idx in sorted(_indices_by_key(dn.source_keys).items()):
         ker = kernel_basis(dn.matrix.submatrix(below.get(key, []), idx))
         up = dn1.matrix.submatrix(idx, above.get(key, []))
-        blocks.append((key, idx, ker, column_span_echelon(up, stop_rank=ker.cols)))
+        blocks.append((key, idx, ker, column_span_echelon(up, within=ker)))
     l._complexes[n] = (dn, dn1, tuple(blocks))
     return l._complexes[n]
 

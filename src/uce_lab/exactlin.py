@@ -725,27 +725,57 @@ def _ring_values(ring: RingSpec, xs) -> list:
     return [int(x) for x in xs]
 
 
-def column_span_echelon(m: SparseMat, stop_rank: int | None = None) -> Echelon:
+def _leading_entries(m: SparseMat) -> dict:
+    """Leading row -> leading value of each column of m; ValueError unless
+    the columns are nonzero with distinct leading rows (triangular)."""
+    lead = {}
+    for col in m.columns():
+        if not col or col[0][0] in lead:
+            raise ValueError("within needs nonzero columns with distinct leading rows")
+        lead[col[0][0]] = col[0][1]
+    return lead
+
+
+def column_span_echelon(m: SparseMat, within: SparseMat | None = None) -> Echelon:
     """Echelon of the column span (field) / column lattice (integers).
 
-    Columns are inserted sparsest-first.  ``stop_rank`` lets field callers
-    stop once a proven upper bound on the rank is reached: when the columns
-    are known to lie in a subspace of that dimension (callers verify the
-    inclusion exactly beforehand), hitting the bound means the span IS that
-    subspace and the remaining columns are dependent.  The bound is ignored
-    over the integers, where lattice membership is not implied by rank
-    saturation.
+    Columns are inserted sparsest-first.  ``within`` holds triangular
+    columns (distinct leading rows, as ``kernel_basis`` gives) of a module
+    that callers have proven, exactly and beforehand, to contain every
+    column of m; the reduction stops once the span provably equals it.
+
+    Over a field that is the rank of ``within``.  Over the integers, for a
+    lattice with a triangular basis the leading values at p of its vectors
+    that start at p form the ideal d_p Z, d_p the pivot value of row p.  Im
+    inside W gives d_p(W) | d_p(Im) at every pivot, and at equal rank
+    [W : Im] = prod |d_p(Im)| / prod |d_p(W)|.  So Im = W once the rank is
+    reached and |d_p(Im)| = |d_p(W)| at every pivot; every later column
+    then reduces to zero.  A matched pivot stays matched, so only the open
+    ones are compared after each insert.  A lattice with torsion over its
+    image never matches and reads every column.
+
+    Equal spans have equal pivot sets, so a pivot that is not a leading
+    row of ``within`` means a column outside it: RuntimeError.
     """
     ech = Echelon(m.ring, m.rows)
     cols = m.columns()
     order = sorted(range(m.cols), key=lambda j: (len(cols[j]), j))
-    allow_stop = stop_rank is not None and m.ring.is_field
+    lead = None if within is None else _leading_entries(within)
+    unmatched = None  # open pivots, once the rank of within is reached
     for j in order:
-        if not cols[j]:
-            continue
-        if allow_stop and ech.rank >= stop_rank:
-            break
-        ech.insert(ech.vector(cols[j]))
+        if lead is not None and ech.rank == len(lead):
+            if unmatched is None:
+                if ech.row_at.keys() != lead.keys():
+                    break   # raised below
+                unmatched = list(lead) if ech.mode == "lattice" else []
+            unmatched = [p for p in unmatched
+                         if abs(int(ech.rows[ech.row_at[p]][p])) != abs(lead[p])]
+            if not unmatched:
+                break
+        if cols[j]:
+            ech.insert(ech.vector(cols[j]))
+    if lead is not None and not ech.row_at.keys() <= lead.keys():
+        raise RuntimeError("a column lies outside the span it was proven to lie in")
     return ech
 
 
@@ -788,7 +818,9 @@ def kernel_basis(m: SparseMat) -> SparseMat:
     Over fields this is a basis; over the integers it is a basis of the
     (automatically saturated) kernel lattice.  Built by reducing the columns
     of m augmented with companion unit vectors; a column whose matrix part
-    dies leaves its companion as a kernel generator.
+    dies leaves its companion as a kernel generator.  These are the
+    augmented rows with leading index >= m.rows, so the columns are
+    triangular: distinct leading rows, in ascending order.
     """
     n = m.rows
     ech = _augmented_echelon(m)

@@ -453,9 +453,10 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
 
     # (a) the second supertrace kills the tensor-square relations.  Str2 is
     # linear, so it kills Im delta_3 iff it kills a generating set, such as the
-    # rows of the block echelons: over a field they span Im delta_3 (a block
-    # stops early only at the proven rank), over the integers they generate
-    # its lattice.
+    # rows of the block echelons: each block stops early only where its
+    # span provably equals Ker delta_2 of the block (at the rank over a
+    # field, at equal pivot values too over the integers), so over a field
+    # they span Im delta_3 and over the integers they generate its lattice.
     str2_ok = all(str2_is_zero(row) for row in ts.image_rows())
 
     # (c) the embedding kills the Hochschild relations and quotient ideals

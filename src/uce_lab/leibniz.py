@@ -286,11 +286,17 @@ def sl(m: int, n: int, d: SuperDialgebra) -> SpecialLinear:
 
     solver = SpanSolver(incl)
     table = {}
-    embedded = [incl.column_dense(j) for j in range(incl.cols)]
-    for a in range(incl.cols):
-        for b in range(incl.cols):
-            v = g.algebra.bracket(embedded[a], embedded[b])
-            if all(x == 0 for x in v):
+    ring, gl_table = g.algebra.ring, g.algebra.table
+    for a, col_a in enumerate(cols):
+        for b, col_b in enumerate(cols):
+            # [x_a, x_b] from the nonzero inclusion entries and the gl table
+            acc = {}
+            for i, x in col_a:
+                for j, y in col_b:
+                    for k, c in gl_table.get((i, j), ()):
+                        acc[k] = acc.get(k, 0) + x * y * c
+            v = [(k, s) for k, x in acc.items() if (s := ring.normalize(x)) != 0]
+            if not v:
                 continue
             coords = solver.solve(v)
             if coords is None:

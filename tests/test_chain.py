@@ -12,7 +12,11 @@ import pytest
 from uce_lab.chain import (DEFAULT_SIZE_GUARD, ChainMap, SizeGuardExceededError,
                            _graded, blocked_complex, delta, guard_check, hl,
                            tensor_index, tensor_power_keys, tensor_power_module)
-from uce_lab.exactlin import QQ, GradedFreeModule, RingSpec, SparseMat
+from uce_lab import chain
+from uce_lab.cli import main
+from uce_lab.exactlin import (QQ, Echelon, GradedFreeModule, GradedModuleInvariants,
+                              RingSpec, SparseMat, direct_sum_invariants,
+                              subquotient_invariants)
 from uce_lab.leibniz import LeibnizSuperalgebra, from_dialgebra, gl, sl
 from uce_lab.superdialg import (builtin_dialgebra, catalog_names, from_algebra,
                                 load_dialgebra_file)
@@ -341,3 +345,59 @@ def test_delta_shapes_in_degrees_one_and_two():
     assert _typed(d2.matrix) == {(1, 1): (Fraction, Fraction(1, 2)), (1, 2): (Fraction, Fraction(-1))}
     for degree in (1, 2):
         assert_same_delta(delta(l, degree), reference_delta(l, degree))
+
+
+def reference_image_echelon(up):
+    """The image reduction ``blocked_complex`` used over the integers before
+    the certified stop, kept as the reference: every column, sparsest
+    first."""
+    ech = Echelon(up.ring, up.rows)
+    cols = up.columns()
+    for j in sorted(range(up.cols), key=lambda j: (len(cols[j]), j)):
+        if cols[j]:
+            ech.insert(ech.vector(cols[j]))
+    return ech
+
+
+INTEGER_CASES = sorted(
+    {(c.m, c.n, c.dialgebra) for c in default_cases() if c.dialgebra == "integers"}
+    | {(3, 0, "integers"), (3, 2, "integers"), (5, 0, "integers"),
+       (2, 1, "dual_z"), (3, 0, "dual_z"), (2, 2, "dual_z")}
+)
+
+
+@pytest.mark.parametrize("m,n,name", INTEGER_CASES)
+def test_integer_block_echelons_equal_inserting_every_column(m, n, name):
+    """Each block echelon that stopped at equal pivot values generates the
+    lattice, with the pivot values, that inserting every column gives; HL_2
+    from the reference echelons is the same."""
+    l = _algebra("sl", m, n, name)
+    _, d3, blocks = blocked_complex(l, 2)
+    above = {}
+    for i, key in enumerate(d3.source_keys):
+        above.setdefault(key, []).append(i)
+    parts = [GradedModuleInvariants(l.ring)]
+    for key, idx, ker, image in blocks:
+        ref = reference_image_echelon(d3.matrix.submatrix(idx, above.get(key, [])))
+        assert image.same_span(ref)
+        assert image.pivot_values() == ref.pivot_values()
+        if ker.cols:
+            parts.append(subquotient_invariants(ker, ref.basis_matrix(), (key[1],) * len(idx)))
+    assert hl(l, 2) == direct_sum_invariants(parts)
+
+
+def test_image_outside_the_kernel_pivots_exits_5(capsys, monkeypatch):
+    """A kernel basis whose leading rows differ from the image pivots at the
+    stop is an internal invariant breach."""
+    real = chain.kernel_basis
+
+    def shifted(m):
+        # as many unit columns as the kernel has, at the last rows
+        k, n = real(m).cols, m.cols
+        return SparseMat.identity(m.ring, n).submatrix(range(n), range(n - k, n))
+
+    monkeypatch.setattr(chain, "kernel_basis", shifted)
+    code = main(["hl2", "--m", "3", "--n", "0", "--builtin", "integers"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.strip().count("\n") == 0 and "outside the span" in err

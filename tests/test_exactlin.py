@@ -196,13 +196,75 @@ def test_rank_matches_sympy():
         assert rank(SparseMat.from_dense(QQ, dense)) == Matrix(dense).rank()
 
 
-def test_column_span_stop_rank_halts_at_bound():
+def _counting_inserts(monkeypatch):
+    calls = []
+    real = Echelon.insert
+
+    def counted(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    return calls
+
+
+def test_column_span_within_stops_at_equal_span(monkeypatch):
     m = SparseMat.identity(QQ, 3)
-    assert column_span_echelon(m, stop_rank=2).rank == 2
+    assert column_span_echelon(m, within=SparseMat.identity(QQ, 3).submatrix(range(3), [0, 1])).rank == 2
     assert column_span_echelon(m).rank == 3
-    # the bound is ignored over the integers: lattices must see every column
+    # over the integers the rank alone would stop with pivot value 2 at row 1
     z = SparseMat.from_dense(ZZ, [[1, 0, 1], [0, 2, 1]])
-    assert column_span_echelon(z, stop_rank=1).rank == 2
+    assert column_span_echelon(z, within=SparseMat.identity(ZZ, 2)).is_full()
+    # equal pivot values: the third column is never read
+    calls = _counting_inserts(monkeypatch)
+    ech = column_span_echelon(SparseMat.from_dense(ZZ, [[1, 0, 1], [0, 2, 1]]),
+                              within=SparseMat.from_dense(ZZ, [[1, 0], [0, 2]]))
+    assert len(calls) == 2 and ech.pivot_values() == {0: 1, 1: 2}
+    # a lattice with torsion over its image reads every column
+    calls.clear()
+    ech = column_span_echelon(SparseMat.from_dense(ZZ, [[2, 0, 2], [0, 2, 2]]),
+                              within=SparseMat.identity(ZZ, 2))
+    assert len(calls) == 3 and ech.pivot_values() == {0: 2, 1: 2}
+
+
+def test_column_span_within_checks_its_pivots():
+    z = SparseMat.from_dense(ZZ, [[1, 0], [0, 1], [0, 0]])
+    with pytest.raises(RuntimeError, match="outside"):
+        column_span_echelon(z, within=SparseMat.from_dense(ZZ, [[1, 0], [0, 0], [0, 1]]))
+    # the first column read already leaves the span of within
+    with pytest.raises(RuntimeError, match="outside"):
+        column_span_echelon(SparseMat.from_dense(GF(3), [[0], [1], [0]]),
+                            within=SparseMat.from_dense(GF(3), [[1], [0], [0]]))
+    with pytest.raises(ValueError, match="distinct leading rows"):
+        column_span_echelon(z, within=SparseMat.from_dense(ZZ, [[1, 1], [0, 1], [0, 0]]))
+    with pytest.raises(ValueError, match="distinct leading rows"):
+        column_span_echelon(z, within=SparseMat.from_dense(ZZ, [[1, 0], [0, 0], [0, 0]]))
+
+
+@st.composite
+def _within_case(draw):
+    """within = kernel_basis(C) for a random C, and random integer
+    combinations of its columns."""
+    ring = draw(st.sampled_from([ZZ, GF(3)]))
+    rows, dim = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    c = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=rows, max_size=rows))
+    within = kernel_basis(SparseMat.from_dense(ring, c))
+    gens = [within.column_dense(k) for k in range(within.cols)]
+    coeffs = draw(st.lists(st.lists(entry, min_size=within.cols, max_size=within.cols),
+                           max_size=6))
+    cols = [[sum(x * g[i] for x, g in zip(cf, gens)) for i in range(dim)] for cf in coeffs]
+    return ring, dim, within, cols
+
+
+@given(_within_case())
+def test_column_span_within_equals_inserting_every_column(case):
+    ring, dim, within, cols = case
+    stopped = column_span_echelon(SparseMat.from_columns(ring, dim, cols), within=within)
+    full = Echelon(ring, dim).extend(cols)
+    assert stopped.same_span(full)
+    if ring == ZZ:
+        assert stopped.pivot_values() == full.pivot_values()
 
 
 def test_solve_linear_and_span_solver():

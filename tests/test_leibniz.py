@@ -1,10 +1,13 @@
 """Leibniz superalgebras from dialgebras; gl/sl, supertrace, centre,
 perfectness, and the bracket-formula and identity property suites."""
 
+from pathlib import Path
+
 import pytest
 
 from uce_lab.leibniz import centre, from_dialgebra, gl, is_perfect, sl
-from uce_lab.superdialg import builtin_dialgebra, catalog_names, matrix_dialgebra
+from uce_lab.superdialg import (builtin_dialgebra, catalog_names, load_dialgebra_file,
+                                matrix_dialgebra)
 
 UNITAL = [n for n in catalog_names() if builtin_dialgebra(n).is_unital]
 
@@ -218,6 +221,38 @@ def test_sl_bracket_on_generators_matches_formula(m, n, name):
                                     if c != 0:
                                         expect[g.unit_index(k, j, t)] -= sgn * c
                             assert got == [ring.normalize(v) for v in expect]
+
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def _dense_sl_table(s):
+    """The construction sl replaced, kept as the reference: every structure
+    constant from one dense gl bracket of two embedded sl basis vectors."""
+    incl, g = s.inclusion, s.gl.algebra
+    embedded = [incl.column_dense(j) for j in range(incl.cols)]
+    table = {}
+    for a in range(incl.cols):
+        for b in range(incl.cols):
+            v = g.bracket(embedded[a], embedded[b])
+            if all(x == 0 for x in v):
+                continue
+            coords = s.solver.solve(v)
+            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
+            if terms:
+                table[(a, b)] = terms
+    return table
+
+
+@pytest.mark.parametrize("m,n,name",
+                         [(m, n, nm) for m, n in [(2, 1), (3, 0), (2, 2)] for nm in UNITAL]
+                         + [(m, n, nm) for m, n in [(2, 1), (2, 2)] for nm in ("split_halfx", "dual_z")])
+def test_sl_table_matches_the_dense_brackets(m, n, name):
+    path = DATA / f"{name}.json"
+    d = load_dialgebra_file(path) if path.exists() else builtin_dialgebra(name)
+    s = sl(m, n, d)
+    # repr: the same pairs, terms, order and value types (Fraction vs int)
+    assert repr(s.algebra.table) == repr(_dense_sl_table(s))
 
 
 def test_sl_off_diagonal_units_are_members():

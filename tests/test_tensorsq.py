@@ -206,11 +206,24 @@ def test_bracket_class_meeting_two_blocks_raises(monkeypatch):
 def test_tensor_square_checks_each_kernel_block(monkeypatch):
     real = chain.kernel_basis
 
-    def one_short(m):
-        k = real(m)
+    def drop_last(k):
         return k.submatrix(list(range(k.rows)), list(range(max(k.cols - 1, 0))))
 
+    def one_short(m):
+        return drop_last(real(m))
+
     monkeypatch.setattr(chain, "kernel_basis", one_short)
+    # the image reduction reads a column outside the short kernel first
+    with pytest.raises(RuntimeError, match="outside the span"):
+        tensor_square(_sl(2, 1, "rationals").algebra)
+    monkeypatch.undo()
+    real_complex = tensorsq.blocked_complex
+
+    def short_blocks(l, n, guard):
+        d2, d3, blocks = real_complex(l, n, guard)
+        return d2, d3, tuple((key, idx, drop_last(ker), im) for key, idx, ker, im in blocks)
+
+    monkeypatch.setattr(tensorsq, "blocked_complex", short_blocks)
     with pytest.raises(RuntimeError, match="Ker delta_2 block .* generators"):
         tensor_square(_sl(2, 1, "rationals").algebra)
 
