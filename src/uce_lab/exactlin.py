@@ -736,33 +736,74 @@ def _leading_entries(m: SparseMat) -> dict:
     return lead
 
 
+def _insert_order(cols, lead, lattice: bool):
+    """Yields the indices of the nonzero columns in the order
+    ``column_span_echelon`` inserts them: the representatives, then the
+    columns touching an open row, then the rest (see there).  Lazily, so a
+    stop after the representatives sorts nothing else."""
+    best = {}   # leading row -> (|leading value|, nnz, index) of its representative
+    for j, col in enumerate(cols):
+        if col:
+            p, x = col[0]
+            key = (abs(x), len(col), j)
+            if p not in best or key < best[p]:
+                best[p] = key
+    reps = sorted(key[2] for key in best.values())
+    yield from reps
+    open_rows = {p for p, d in (lead or {}).items()
+                 if p not in best or (lattice and best[p][0] != abs(d))}
+    chosen = set(reps)
+    rest = []
+    for j in sorted((j for j, col in enumerate(cols) if col and j not in chosen),
+                    key=lambda j: (len(cols[j]), j)):
+        if open_rows and any(i in open_rows for i, _ in cols[j]):
+            yield j
+        else:
+            rest.append(j)
+    yield from rest
+
+
 def column_span_echelon(m: SparseMat, within: SparseMat | None = None) -> Echelon:
     """Echelon of the column span (field) / column lattice (integers).
 
-    Columns are inserted sparsest-first.  ``within`` holds triangular
-    columns (distinct leading rows, as ``kernel_basis`` gives) of a module
-    that callers have proven, exactly and beforehand, to contain every
-    column of m; the reduction stops once the span provably equals it.
+    ``within`` holds triangular columns (distinct leading rows, as
+    ``kernel_basis`` gives) of a module that callers have proven, exactly
+    and beforehand, to contain every column of m; the reduction stops once
+    the span provably equals it.  Over a field that is the rank of
+    ``within``.  Over the integers, for a lattice with a triangular basis
+    the leading values at p of its vectors that start at p form the ideal
+    d_p Z, d_p the pivot value of row p.  Im inside W gives d_p(W) | d_p(Im)
+    at every pivot, and at equal rank [W : Im] = prod |d_p(Im)| /
+    prod |d_p(W)|.  So Im = W once the rank is reached and
+    |d_p(Im)| = |d_p(W)| at every pivot; every later column then reduces to
+    zero.  A matched pivot stays matched, so only the open ones are
+    compared after each insert.  A lattice with torsion over its image
+    never matches and reads every column.
 
-    Over a field that is the rank of ``within``.  Over the integers, for a
-    lattice with a triangular basis the leading values at p of its vectors
-    that start at p form the ideal d_p Z, d_p the pivot value of row p.  Im
-    inside W gives d_p(W) | d_p(Im) at every pivot, and at equal rank
-    [W : Im] = prod |d_p(Im)| / prod |d_p(W)|.  So Im = W once the rank is
-    reached and |d_p(Im)| = |d_p(W)| at every pivot; every later column
-    then reduces to zero.  A matched pivot stays matched, so only the open
-    ones are compared after each insert.  A lattice with torsion over its
-    image never matches and reads every column.
+    The columns are inserted in three phases, an order fixed by the
+    columns and ``within`` alone.  (1) One representative per distinct leading row: the smallest
+    |leading value|, then the fewest nonzeros, then the lowest index.  They
+    are triangular, so each raises the rank with no reduction step.  The
+    leading row of any vector of a span is one of its pivots, so when the
+    representatives cover the leading rows of ``within`` (over the integers
+    with equal |values|), the stop fires after exactly rank inserts.
+    (2) Sparsest-first, the other columns with a nonzero entry at an open
+    row: a leading row of ``within`` that no representative covers (its
+    pivot can only come from cancellation) or, over the integers, whose
+    representative's |value| differs from |d_p(W)|.  (3) Sparsest-first,
+    the rest.  The order decides which columns are read and which rows are
+    stored, but not the output: either every column is read, or the stop
+    certifies the span of ``within``.  So the span, the pivot set and the
+    integer pivot values are those of all the columns, in any order.
 
     Equal spans have equal pivot sets, so a pivot that is not a leading
     row of ``within`` means a column outside it: RuntimeError.
     """
     ech = Echelon(m.ring, m.rows)
     cols = m.columns()
-    order = sorted(range(m.cols), key=lambda j: (len(cols[j]), j))
     lead = None if within is None else _leading_entries(within)
     unmatched = None  # open pivots, once the rank of within is reached
-    for j in order:
+    for j in _insert_order(cols, lead, ech.mode == "lattice"):
         if lead is not None and ech.rank == len(lead):
             if unmatched is None:
                 if ech.row_at.keys() != lead.keys():
@@ -772,8 +813,7 @@ def column_span_echelon(m: SparseMat, within: SparseMat | None = None) -> Echelo
                          if abs(int(ech.rows[ech.row_at[p]][p])) != abs(lead[p])]
             if not unmatched:
                 break
-        if cols[j]:
-            ech.insert(ech.vector(cols[j]))
+        ech.insert(ech.vector(cols[j]))
     if lead is not None and not ech.row_at.keys() <= lead.keys():
         raise RuntimeError("a column lies outside the span it was proven to lie in")
     return ech

@@ -18,6 +18,7 @@ from .exactlin import (
     SparseMat,
     SpanSolver,
     bilinear,
+    column_span_echelon,
     kernel_basis,
 )
 from .superdialg import (
@@ -349,5 +350,9 @@ def centre(l: LeibnizSuperalgebra) -> SparseMat:
 
 
 def is_perfect(l: LeibnizSuperalgebra) -> bool:
-    """True iff [L, L] = L (over the integers: the brackets generate L)."""
-    return _bracket_span_echelon(l).is_full()
+    """True iff [L, L] = L (over the integers: the brackets generate L).
+    The nonzero brackets are read only until they provably span L."""
+    brackets = SparseMat(l.ring, l.dim, len(l.table),
+                         {(k, j): c for j, terms in enumerate(l.table.values())
+                          for k, c in terms})
+    return column_span_echelon(brackets, within=SparseMat.identity(l.ring, l.dim)).is_full()

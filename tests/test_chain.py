@@ -348,15 +348,34 @@ def test_delta_shapes_in_degrees_one_and_two():
 
 
 def reference_image_echelon(up):
-    """The image reduction ``blocked_complex`` used over the integers before
-    the certified stop, kept as the reference: every column, sparsest
-    first."""
+    """Every column, sparsest first: the image reduction ``blocked_complex``
+    used before the certified stop and the leading-row-first column order,
+    kept as the reference."""
     ech = Echelon(up.ring, up.rows)
     cols = up.columns()
     for j in sorted(range(up.cols), key=lambda j: (len(cols[j]), j)):
         if cols[j]:
             ech.insert(ech.vector(cols[j]))
     return ech
+
+
+def assert_blocks_equal_reference(l):
+    """Each block echelon spans what inserting every column spans (over the
+    integers: generates the lattice, with the same pivot values); HL_2 from
+    the reference echelons is the same."""
+    _, d3, blocks = blocked_complex(l, 2)
+    above = {}
+    for i, key in enumerate(d3.source_keys):
+        above.setdefault(key, []).append(i)
+    parts = [GradedModuleInvariants(l.ring)]
+    for key, idx, ker, image in blocks:
+        ref = reference_image_echelon(d3.matrix.submatrix(idx, above.get(key, [])))
+        assert image.same_span(ref)
+        if l.ring.kind == "integers":
+            assert image.pivot_values() == ref.pivot_values()
+        if ker.cols:
+            parts.append(subquotient_invariants(ker, ref.basis_matrix(), (key[1],) * len(idx)))
+    assert hl(l, 2) == direct_sum_invariants(parts)
 
 
 INTEGER_CASES = sorted(
@@ -368,22 +387,15 @@ INTEGER_CASES = sorted(
 
 @pytest.mark.parametrize("m,n,name", INTEGER_CASES)
 def test_integer_block_echelons_equal_inserting_every_column(m, n, name):
-    """Each block echelon that stopped at equal pivot values generates the
-    lattice, with the pivot values, that inserting every column gives; HL_2
-    from the reference echelons is the same."""
-    l = _algebra("sl", m, n, name)
-    _, d3, blocks = blocked_complex(l, 2)
-    above = {}
-    for i, key in enumerate(d3.source_keys):
-        above.setdefault(key, []).append(i)
-    parts = [GradedModuleInvariants(l.ring)]
-    for key, idx, ker, image in blocks:
-        ref = reference_image_echelon(d3.matrix.submatrix(idx, above.get(key, [])))
-        assert image.same_span(ref)
-        assert image.pivot_values() == ref.pivot_values()
-        if ker.cols:
-            parts.append(subquotient_invariants(ker, ref.basis_matrix(), (key[1],) * len(idx)))
-    assert hl(l, 2) == direct_sum_invariants(parts)
+    assert_blocks_equal_reference(_algebra("sl", m, n, name))
+
+
+@pytest.mark.parametrize("m,n,name", [
+    (3, 2, "f3"), (4, 1, "f2"), (2, 2, "grass_f3"), (3, 0, "dual_numbers_q"),
+    (2, 1, "split_halfx"),   # fractional constants: fracfield blocks
+])
+def test_field_block_echelons_equal_inserting_every_column(m, n, name):
+    assert_blocks_equal_reference(_algebra("sl", m, n, name))
 
 
 def test_image_outside_the_kernel_pivots_exits_5(capsys, monkeypatch):

@@ -227,6 +227,26 @@ def test_column_span_within_stops_at_equal_span(monkeypatch):
     assert len(calls) == 3 and ech.pivot_values() == {0: 2, 1: 2}
 
 
+def test_column_span_reads_representatives_first(monkeypatch):
+    # the representatives (1,1,0), (0,1,1), (0,0,1) cover the leading rows of
+    # within with equal |values|: rank inserts, however sparse the decoys are
+    cols = [[2, 0, 0], [0, 2, 0], [4, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    calls = _counting_inserts(monkeypatch)
+    ech = column_span_echelon(SparseMat.from_columns(ZZ, 3, cols), within=SparseMat.identity(ZZ, 3))
+    assert len(calls) == 3 and ech.is_full()
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)])
+def test_column_span_reads_a_column_at_an_open_row_before_decoys(monkeypatch, ring):
+    # no column leads at row 1, so its pivot comes from cancellation; the
+    # column touching it is read before the decoys (2,0,0) and (3,0,0), which
+    # sparsest-first reads first (4 inserts)
+    m = SparseMat.from_columns(ring, 3, [[1, 0, 0], [2, 0, 0], [3, 0, 0], [1, 1, 0]])
+    calls = _counting_inserts(monkeypatch)
+    ech = column_span_echelon(m, within=SparseMat.identity(ring, 3).submatrix(range(3), [0, 1]))
+    assert len(calls) == 2 and sorted(ech.row_at) == [0, 1]
+
+
 def test_column_span_within_checks_its_pivots():
     z = SparseMat.from_dense(ZZ, [[1, 0], [0, 1], [0, 0]])
     with pytest.raises(RuntimeError, match="outside"):
@@ -245,7 +265,7 @@ def test_column_span_within_checks_its_pivots():
 def _within_case(draw):
     """within = kernel_basis(C) for a random C, and random integer
     combinations of its columns."""
-    ring = draw(st.sampled_from([ZZ, GF(3)]))
+    ring = draw(st.sampled_from([ZZ, QQ, GF(3)]))
     rows, dim = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     entry = st.integers(-3, 3)
     c = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=rows, max_size=rows))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from uce_lab.leibniz import centre, from_dialgebra, gl, is_perfect, sl
+from uce_lab.leibniz import _bracket_span_echelon, centre, from_dialgebra, gl, is_perfect, sl
 from uce_lab.superdialg import (builtin_dialgebra, catalog_names, load_dialgebra_file,
                                 matrix_dialgebra)
 
@@ -293,6 +293,16 @@ def test_perfectness():
     assert not is_perfect(sl(2, 0, builtin_dialgebra("integers")).algebra)
     assert is_perfect(sl(2, 0, builtin_dialgebra("rationals")).algebra)
     assert is_perfect(sl(3, 0, builtin_dialgebra("integers")).algebra)
+
+
+@pytest.mark.parametrize("kind,m,n,name", [
+    ("sl", 2, 0, "integers"), ("sl", 3, 0, "integers"), ("sl", 2, 1, "dual_numbers_q"),
+    ("sl", 2, 2, "f2"), ("gl", 2, 0, "integers"), ("gl", 1, 1, "grassmann_q"),
+    ("gl", 2, 1, "f3"),
+])
+def test_perfectness_agrees_with_reading_every_bracket(kind, m, n, name):
+    alg = (sl if kind == "sl" else gl)(m, n, builtin_dialgebra(name)).algebra
+    assert is_perfect(alg) == _bracket_span_echelon(alg).is_full()
 
 
 # ---------------------------------------------------------------------------
