@@ -16,8 +16,9 @@ weights and is even, so delta_n maps each block into the block of the same
 key; ``delta`` checks this for every nonzero entry and raises RuntimeError on
 a leak.  ``blocked_complex`` then computes the kernel and the image echelon
 one block at a time, in sorted key order, once per algebra and degree: ``hl``
-takes the subquotient of each block and direct-sums the invariants, and the
-tensor square and the splitting check read the same blocks.
+takes the subquotient of each block (over the integers, of each block whose
+image is not certified equal to its kernel) and direct-sums the invariants,
+and the tensor square and the splitting check read the same blocks.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .exactlin import (
     column_span_echelon,
     direct_sum_invariants,
     kernel_basis,
+    spans_within,
     subquotient_invariants,
 )
 from .leibniz import LeibnizSuperalgebra
@@ -226,9 +228,13 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
 
 def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
     """HL_n(L) = Ker delta_n / Im delta_{n+1} as a graded module: the direct
-    sum of the subquotients of the blocks of ``blocked_complex``."""
+    sum of the subquotients of the blocks of ``blocked_complex``.  Over the
+    integers a block whose image echelon certifiably equals its kernel
+    lattice (``spans_within``) adds nothing, so only the other blocks take
+    coordinates and a Smith form (``subquotient_invariants``)."""
+    lattice = l.ring.kind == "integers"
     parts = [GradedModuleInvariants(l.ring)]
     for (_, par), idx, ker, image in blocked_complex(l, n, guard)[2]:
-        if ker.cols:
+        if ker.cols and not (lattice and spans_within(image, ker)):
             parts.append(subquotient_invariants(ker, image.basis_matrix(), (par,) * len(idx)))
     return direct_sum_invariants(parts)

@@ -45,6 +45,7 @@ __all__ = [
     "kernel_basis",
     "column_span_echelon",
     "rank",
+    "spans_within",
     "subquotient_invariants",
     "module_iso_check",
     "parity_shift",
@@ -671,14 +672,19 @@ class Echelon:
                     return False
         return True
 
+    def has_unit_pivots(self) -> bool:
+        """True when every pivot value is a unit (always over a field).  The
+        rows and the unit vectors at the other indices are then triangular
+        with unit diagonal, so the classes of those unit vectors are a basis
+        of the quotient by the span."""
+        return self.mode != "lattice" or all(abs(d) == 1 for d in self.pivot_values().values())
+
     def is_full(self) -> bool:
         """True when the rows span the whole module.  Over the integers they
         must also generate the whole lattice: the rows are triangular, so the
         lattice index is the absolute value of the product of the pivot
         values, which must all be 1 or -1."""
-        if self.rank != self.dim:
-            return False
-        return self.mode != "lattice" or all(abs(d) == 1 for d in self.pivot_values().values())
+        return self.rank == self.dim and self.has_unit_pivots()
 
     def basis_matrix(self) -> SparseMat:
         """Rows as columns of a SparseMat, ordered by pivot index."""
@@ -736,6 +742,25 @@ def _leading_entries(m: SparseMat) -> dict:
     return lead
 
 
+def _open_pivots(ech: Echelon, lead: dict, pivots) -> list:
+    """The pivots p among ``pivots`` where a lattice echelon's |d_p| differs
+    from |lead[p]|; none over a field, where every pivot value is a unit."""
+    if ech.mode != "lattice":
+        return []
+    return [p for p in pivots if abs(int(ech.rows[ech.row_at[p]][p])) != abs(lead[p])]
+
+
+def spans_within(ech: Echelon, within: SparseMat) -> bool:
+    """True when an echelon of vectors known to lie in the module of
+    ``within`` (triangular columns) spans all of it, so that the quotient is
+    zero: the same pivot set as the leading rows of ``within`` and, over the
+    integers, the same |pivot value| at each.  This is the certificate on
+    which ``column_span_echelon`` stops; an echelon that reads every column
+    (its last column closing the last pivot) satisfies it too."""
+    lead = _leading_entries(within)
+    return ech.row_at.keys() == lead.keys() and not _open_pivots(ech, lead, lead)
+
+
 def _insert_order(cols, lead, lattice: bool):
     """Yields the indices of the nonzero columns in the order
     ``column_span_echelon`` inserts them: the representatives, then the
@@ -778,7 +803,8 @@ def column_span_echelon(m: SparseMat, within: SparseMat | None = None) -> Echelo
     |d_p(Im)| = |d_p(W)| at every pivot; every later column then reduces to
     zero.  A matched pivot stays matched, so only the open ones are
     compared after each insert.  A lattice with torsion over its image
-    never matches and reads every column.
+    never matches and reads every column.  ``spans_within`` tests the same
+    certificate on a finished echelon.
 
     The columns are inserted in three phases, an order fixed by the
     columns and ``within`` alone.  (1) One representative per distinct leading row: the smallest
@@ -808,9 +834,8 @@ def column_span_echelon(m: SparseMat, within: SparseMat | None = None) -> Echelo
             if unmatched is None:
                 if ech.row_at.keys() != lead.keys():
                     break   # raised below
-                unmatched = list(lead) if ech.mode == "lattice" else []
-            unmatched = [p for p in unmatched
-                         if abs(int(ech.rows[ech.row_at[p]][p])) != abs(lead[p])]
+                unmatched = list(lead)
+            unmatched = _open_pivots(ech, lead, unmatched)
             if not unmatched:
                 break
         ech.insert(ech.vector(cols[j]))

@@ -6,16 +6,15 @@ is a central extension of L whose kernel is the degree-2 homology.  The
 w-cycle machinery tracks the explicit kernel classes E_ij(a) (x) E_kl(1) that
 realise the low-rank extra summands.
 
-delta_2, delta_3 and the Im delta_3 echelon of each (weight, parity) block of
-L (x) L come from ``chain.blocked_complex``, shared with ``chain.hl``.  These
-block echelons (``TensorSquare.blocks``) are the only copy of Im delta_3: a
-query splits an ambient vector into its blocks and works in block
-coordinates, and a span grows one block at a time, each added vector lying
-in one block.  Over the integers each block's Smith form gives its free and
-cyclic coordinates, the columns of ``torsion_lift`` generate the cyclic
-summands of the blocks, and the torsion is the merged invariant factor chain
-of their orders.  The W classes lie in single blocks, so ``w_cycles`` takes
-their span only on the blocks they hit.  What stays independent of the chain
+delta_2 and the Im delta_3 echelon of each (weight, parity) block of L (x) L
+come from ``chain.blocked_complex``, shared with ``chain.hl``.  These block
+echelons (``TensorSquare.blocks``) are the only copy of Im delta_3: a query
+splits an ambient vector into its blocks and works in block coordinates, and
+a span grows one block at a time, each added vector lying in one block.
+Only an integer block with a pivot value other than 1 or -1 takes a Smith
+form, for its free and cyclic coordinates; the torsion is the merged
+invariant factor chain of the cyclic orders.  The W classes lie in single
+blocks, so ``w_cycles`` takes their span only on the blocks they hit.  What stays independent of the chain
 path is Ker delta_2 on the carrier, taken on a whole parity.
 """
 
@@ -197,7 +196,6 @@ class TensorSquare:
 
     base: LeibnizSuperalgebra
     d2: ChainMap
-    d3: ChainMap
     # (weight, parity) key -> (ambient indices, Im delta_3 echelon in the
     # block's own coordinates), in sorted key order
     blocks: dict
@@ -326,53 +324,49 @@ class TensorSquare:
         """(lift, kernel, torsion_lift, torsion) of one parity of the carrier.
 
         The columns of lift are ambient vectors whose classes form a basis of
-        the free part: complement unit vectors over a field; over the
-        integers, the free Smith coordinates of each (weight, parity) block
-        of Im delta_3 of this parity, each block reduced on its own.  kernel
-        is a basis of Ker(delta_2 @ lift), taken on the whole parity.
-        Torsion lies entirely in the kernel (the boundary lands in a free
-        module): the columns of torsion_lift generate the cyclic summands of
-        the blocks, one per Smith diagonal entry above 1, and torsion is the
-        merged invariant factor chain of those entries.  A block whose Smith
-        diagonal is not as long as its echelon's rank raises RuntimeError.
+        the free part, one (weight, parity) block of this parity at a time:
+        the non-pivot unit vectors of a block with unit pivot values
+        (``Echelon.has_unit_pivots``; every block over a field), else the
+        free Smith coordinates of the block.  kernel is a basis of
+        Ker(delta_2 @ lift), taken on the whole parity.  Torsion lies
+        entirely in the kernel (the boundary lands in a free module): the
+        columns of torsion_lift generate the cyclic summands of the blocks,
+        one per Smith diagonal entry above 1, and torsion is the merged
+        invariant factor chain of those entries.  A Smith diagonal not as
+        long as its echelon's rank raises RuntimeError.
         """
         if par in self._carrier_cache:
             return self._carrier_cache[par]
         ring = self.base.ring
         amb = self.ambient_dim
-        if ring.kind != "integers":
-            parity = self.d2.source.parity
-            comp = [c for c in self.complement if parity[c] == par]
-            lift = SparseMat(ring, amb, len(comp),
-                             {(c, t): ring.one for t, c in enumerate(comp)})
-            torsion_lift, torsion = SparseMat.zeros(ring, amb, 0), ()
-        else:
-            free, cyclic, orders = [], [], []
-            for key, (idx, image) in self.blocks.items():
-                if key[1] != par:
-                    continue
-                diag, _, uinv = snf_with_transforms(image.basis_matrix())
-                if len(diag) != image.rank:
-                    raise RuntimeError(
-                        f"Smith diagonal of block {key} has {len(diag)} entries, "
-                        f"not the rank {image.rank} of its echelon"
-                    )
-                # column t of uinv in ambient coordinates
-                cols = [[(idx[s], int(uinv[s, t])) for s in np.flatnonzero(uinv[:, t])]
-                        for t in range(len(idx))]
-                free.extend(cols[len(diag):])
-                cyclic.extend(cols[t] for t, d in enumerate(diag) if d > 1)
-                orders.append([d for d in diag if d > 1])
+        free, cyclic, orders = [], [], []
+        for key, (idx, image) in self.blocks.items():
+            if key[1] != par:
+                continue
+            if image.has_unit_pivots():
+                free.extend([(i, ring.one)] for s, i in enumerate(idx) if s not in image.row_at)
+                continue
+            diag, _, uinv = snf_with_transforms(image.basis_matrix())
+            if len(diag) != image.rank:
+                raise RuntimeError(
+                    f"Smith diagonal of block {key} has {len(diag)} entries, "
+                    f"not the rank {image.rank} of its echelon"
+                )
+            # column t of uinv in ambient coordinates
+            cols = [[(idx[s], int(uinv[s, t])) for s in np.flatnonzero(uinv[:, t])]
+                    for t in range(len(idx))]
+            free.extend(cols[len(diag):])
+            cyclic.extend(cols[t] for t, d in enumerate(diag) if d > 1)
+            orders.append([d for d in diag if d > 1])
 
-            def matrix(columns):
-                return SparseMat(ring, amb, len(columns),
-                                 {(s, k): x for k, col in enumerate(columns) for s, x in col})
+        def matrix(columns):
+            return SparseMat(ring, amb, len(columns),
+                             {(s, k): x for k, col in enumerate(columns) for s, x in col})
 
-            lift, torsion_lift = matrix(free), matrix(cyclic)
-            torsion = merge_torsion(orders)
-            if not (self.d2.matrix @ torsion_lift).is_zero():
-                raise RuntimeError("torsion coordinate not killed by the boundary")
-        out = (lift, kernel_basis(self.d2.matrix @ lift), torsion_lift, torsion)
+        lift, torsion_lift = matrix(free), matrix(cyclic)
+        if not (self.d2.matrix @ torsion_lift).is_zero():
+            raise RuntimeError("torsion coordinate not killed by the boundary")
+        out = (lift, kernel_basis(self.d2.matrix @ lift), torsion_lift, merge_torsion(orders))
         self._carrier_cache[par] = out
         return out
 
@@ -479,7 +473,7 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
     generators raises RuntimeError."""
     if not is_perfect(l):
         raise NotPerfectError(f"{l.name} is not perfect")
-    d2, d3, blocks = blocked_complex(l, 2, guard)
+    d2, _, blocks = blocked_complex(l, 2, guard)
     below = Counter(d2.target_keys)
     for key, idx, ker, _ in blocks:
         if ker.cols != len(idx) - below[key]:
@@ -487,7 +481,7 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
                 f"Ker delta_2 block {key} has {ker.cols} generators, not "
                 f"{len(idx) - below[key]}; the blocks of a perfect L sum to dim^2 - dim"
             )
-    return TensorSquare(l, d2, d3, {key: (idx, image) for key, idx, _, image in blocks})
+    return TensorSquare(l, d2, {key: (idx, image) for key, idx, _, image in blocks})
 
 
 def hl2(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:

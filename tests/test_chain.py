@@ -398,6 +398,32 @@ def test_field_block_echelons_equal_inserting_every_column(m, n, name):
     assert_blocks_equal_reference(_algebra("sl", m, n, name))
 
 
+@pytest.mark.parametrize("m,n,name,degree", [
+    (2, 0, "integers", 1), (2, 0, "integers", 2), (2, 0, "integers", 3),   # not perfect
+    (3, 0, "integers", 1), (3, 0, "integers", 2), (3, 0, "integers", 3),
+    (4, 0, "integers", 2), (3, 2, "integers", 2), (5, 0, "integers", 2),
+    (2, 1, "dual_z", 2), (3, 0, "dual_z", 2), (2, 2, "dual_z", 2),
+])
+def test_integer_hl_equals_the_subquotient_of_every_block(monkeypatch, m, n, name, degree):
+    """The reference takes the subquotient of every block with a kernel;
+    ``hl`` skips the blocks whose image is certified equal to the kernel
+    lattice, and skips at least one."""
+    l = _algebra("sl", m, n, name)
+    blocks = blocked_complex(l, degree)[2]
+    with_kernel = [(key, idx, ker, image) for key, idx, ker, image in blocks if ker.cols]
+    ref = direct_sum_invariants([GradedModuleInvariants(l.ring)] + [
+        subquotient_invariants(ker, image.basis_matrix(), (key[1],) * len(idx))
+        for key, idx, ker, image in with_kernel])
+    calls = []
+    real = chain.subquotient_invariants
+    monkeypatch.setattr(chain, "subquotient_invariants",
+                        lambda *args: calls.append(args) or real(*args))
+    assert hl(l, degree) == ref
+    assert len(calls) < len(with_kernel)
+    if (m, n, name, degree) == (3, 0, "integers", 2):
+        assert ref == GradedModuleInvariants(l.ring, 0, 0, (3,) * 6, ())
+
+
 def test_image_outside_the_kernel_pivots_exits_5(capsys, monkeypatch):
     """A kernel basis whose leading rows differ from the image pivots at the
     stop is an internal invariant breach."""

@@ -38,6 +38,7 @@ from uce_lab.exactlin import (
     snf,
     snf_with_transforms,
     solve_linear,
+    spans_within,
     subquotient_invariants,
 )
 
@@ -259,6 +260,30 @@ def test_column_span_within_checks_its_pivots():
         column_span_echelon(z, within=SparseMat.from_dense(ZZ, [[1, 1], [0, 1], [0, 0]]))
     with pytest.raises(ValueError, match="distinct leading rows"):
         column_span_echelon(z, within=SparseMat.from_dense(ZZ, [[1, 0], [0, 0], [0, 0]]))
+
+
+def test_spans_within_needs_equal_pivot_sets_and_values(monkeypatch):
+    within = SparseMat.identity(ZZ, 2)
+    # equal pivot sets, unequal |values| at row 1: index 2, not equal
+    ech = column_span_echelon(SparseMat.from_columns(ZZ, 2, [[1, 0], [0, 2]]), within=within)
+    assert sorted(ech.row_at) == [0, 1] and not spans_within(ech, within)
+    assert subquotient_invariants(within, ech.basis_matrix(), (0, 0)) == \
+        GradedModuleInvariants(ZZ, 0, 0, (2,), ())
+    # a pivot set other than the leading rows of within
+    assert not spans_within(Echelon(ZZ, 2).extend([[1, 0]]), within)
+    w3 = SparseMat.from_columns(ZZ, 3, [[1, 0, 0], [0, 1, 0]])
+    assert not spans_within(Echelon(ZZ, 3).extend([[1, 0, 0], [0, 0, 1]]), w3)
+    # equal |values|, non-unit and of either sign
+    assert spans_within(Echelon(ZZ, 2).extend([[-1, 0], [0, 2]]),
+                        SparseMat.from_columns(ZZ, 2, [[1, 0], [0, -2]]))
+    # over a field the pivot set decides
+    assert spans_within(Echelon(GF(3), 2).extend([[1, 0], [0, 2]]), SparseMat.identity(GF(3), 2))
+    # the last column closes the last pivot: every column is read, the stop
+    # never fires, and the finished echelon still counts as equal
+    calls = _counting_inserts(monkeypatch)
+    ech = column_span_echelon(SparseMat.from_columns(ZZ, 2, [[1, 0], [0, 2], [0, 3]]),
+                              within=within)
+    assert len(calls) == 3 and spans_within(ech, within)
 
 
 @st.composite

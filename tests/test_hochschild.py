@@ -195,11 +195,10 @@ def _str2_kills_every_d3_column(m, n, dlg) -> bool:
     the echelon rows: Str2 on every nonzero column of delta_3."""
     base = with_bar_unit_first(dlg)
     slalg = sl(m, n, base)
-    ts = tensor_square(slalg.algebra)
     hoch = degree_one_homology(base)
     str2 = hochschild._Str2(slalg)
     quotients = {rep: quotient_Dm(base, pattern_modulus(m, n, rep)) for rep in str2.reps}
-    for col in ts.d3.matrix.columns():
+    for col in delta(slalg.algebra, 3).matrix.columns():
         if not col:
             continue
         dd, w = str2.eval(col)

@@ -17,6 +17,7 @@ from uce_lab.exactlin import (
     GradedModuleInvariants,
     SparseMat,
     kernel_basis,
+    merge_torsion,
     module_iso_check,
     snf_with_transforms,
     subquotient_invariants,
@@ -406,6 +407,40 @@ def reference_carrier_block(ts, par):
     return (lift, kernel_basis(ts.d2.matrix @ lift), torsion_lift, torsion)
 
 
+def reference_blockwise_carrier(ts, par):
+    """The integer step of ``TensorSquare._carrier_block`` before blocks
+    with unit pivot values skipped their Smith form, kept as the reference:
+    one Smith form with transforms on every block of the parity."""
+    ring = ts.base.ring
+    amb = ts.ambient_dim
+    free, cyclic, orders = [], [], []
+    for key, (idx, image) in ts.blocks.items():
+        if key[1] != par:
+            continue
+        diag, _, uinv = snf_with_transforms(image.basis_matrix())
+        assert len(diag) == image.rank
+        cols = [[(idx[s], int(uinv[s, t])) for s in np.flatnonzero(uinv[:, t])]
+                for t in range(len(idx))]
+        free.extend(cols[len(diag):])
+        cyclic.extend(cols[t] for t, d in enumerate(diag) if d > 1)
+        orders.append([d for d in diag if d > 1])
+
+    def matrix(columns):
+        return SparseMat(ring, amb, len(columns),
+                         {(s, k): x for k, col in enumerate(columns) for s, x in col})
+
+    lift, torsion_lift = matrix(free), matrix(cyclic)
+    return (lift, kernel_basis(ts.d2.matrix @ lift), torsion_lift, merge_torsion(orders))
+
+
+def _counting_smith_forms(monkeypatch):
+    calls = []
+    real = tensorsq.snf_with_transforms
+    monkeypatch.setattr(tensorsq, "snf_with_transforms",
+                        lambda m: calls.append(m) or real(m))
+    return calls
+
+
 def reference_w_span(slalg, ts):
     """The whole-ambient W span that ``w_cycles`` replaced, kept verbatim as
     the reference: dense class vectors, one echelon of Im delta_3 plus all
@@ -450,7 +485,7 @@ def _built(m, n, name):
 INTEGER_CASES = sorted(
     {(c.m, c.n, c.dialgebra) for c in default_cases() if c.dialgebra == "integers"}
     | {(2, 1, "dual_z"), (3, 0, "dual_z"), (2, 2, "dual_z"),
-       (3, 2, "integers"), (5, 0, "integers")}
+       (2, 1, "integers"), (3, 0, "integers"), (3, 2, "integers"), (5, 0, "integers")}
 )
 LOW_RANK_CASES = sorted(
     {(c.m, c.n, c.dialgebra) for c in default_cases() if low_rank_case(c.m, c.n) != "stable"}
@@ -482,6 +517,24 @@ def test_blockwise_carrier_smith_matches_the_whole_parity(m, n, name):
     assert subquotient_invariants(
         plus.basis_matrix(), image.basis_matrix(), ts.d2.source.parity
     ) == ts.kernel_invariants()
+
+
+@pytest.mark.parametrize("m,n,name", INTEGER_CASES)
+def test_carrier_takes_smith_forms_only_at_non_unit_pivots(monkeypatch, m, n, name):
+    _, ts = _built(m, n, name)
+    (_, k0, _, t0), (_, k1, _, t1) = (reference_blockwise_carrier(ts, par) for par in (0, 1))
+    calls = _counting_smith_forms(monkeypatch)
+    assert ts.kernel_invariants() == GradedModuleInvariants(ts.base.ring, k0.cols, k1.cols, t0, t1)
+    ts.kernel_class_generators()   # RuntimeError for a generator outside Ker delta_2
+    assert len(calls) == sum(any(abs(d) > 1 for d in image.pivot_values().values())
+                             for _, image in ts.blocks.values())
+
+
+def test_unit_pivot_carrier_takes_no_smith_form(monkeypatch):
+    _, ts = _built(2, 1, "integers")
+    calls = _counting_smith_forms(monkeypatch)
+    assert ts.kernel_invariants().is_zero() and ts.kernel_class_generators() == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("m,n,name", LOW_RANK_CASES)
