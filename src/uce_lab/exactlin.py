@@ -50,6 +50,7 @@ __all__ = [
     "module_iso_check",
     "parity_shift",
     "direct_sum_invariants",
+    "free_invariants",
     "merge_torsion",
     "bilinear",
     "UnsupportedRingError",
@@ -1074,7 +1075,7 @@ def snf(m: SparseMat) -> tuple:
     Over fields: a run of 1s of length rank.
     """
     m.ring.require_pid()
-    if m.ring.is_field and m.ring.kind != "integers":
+    if m.ring.is_field:
         r = rank(m)
         return tuple([m.ring.one] * r)
     worker = _SnfWorker(_dense_int_matrix(m), track=False)
@@ -1125,7 +1126,7 @@ class GradedModuleInvariants:
 
     def __post_init__(self):
         for tl in (self.even_torsion, self.odd_torsion):
-            if self.ring.is_field and self.ring.kind != "integers" and tl:
+            if self.ring.is_field and tl:
                 raise ValueError("torsion is impossible over a field")
             for a, b in zip(tl, tl[1:]):
                 if b % a != 0:
@@ -1179,6 +1180,16 @@ def direct_sum_invariants(parts) -> GradedModuleInvariants:
     for p in parts[1:]:
         out = out.direct_sum(p)
     return out
+
+
+def free_invariants(ring: RingSpec, ranks) -> GradedModuleInvariants:
+    """The free module with r generators of parity p for each (p, r) in
+    ranks, summed into one: over a field, the quotient of nested spans
+    read off their ranks."""
+    free = [0, 0]
+    for par, r in ranks:
+        free[par] += r
+    return GradedModuleInvariants(ring, free[0], free[1])
 
 
 def module_iso_check(a: GradedModuleInvariants, b: GradedModuleInvariants) -> bool:
@@ -1260,7 +1271,7 @@ def subquotient_invariants(ker: SparseMat, im: SparseMat, parity) -> GradedModul
     out = {}
     for par in (0, 1):
         x_mat = SparseMat(ring, counts[par], ncols[par], entries_by_parity[par])
-        if ring.is_field and ring.kind != "integers":
+        if ring.is_field:
             r = rank(x_mat)
             out[par] = (counts[par] - r, ())
         else:

@@ -14,8 +14,10 @@ a span grows one block at a time, each added vector lying in one block.
 Only an integer block with a pivot value other than 1 or -1 takes a Smith
 form, for its free and cyclic coordinates; the torsion is the merged
 invariant factor chain of the cyclic orders.  The W classes lie in single
-blocks, so ``w_cycles`` takes their span only on the blocks they hit.  What stays independent of the chain
-path is Ker delta_2 on the carrier, taken on a whole parity.
+blocks, so ``w_cycles`` takes their span only on the blocks they hit: over
+a field as a rank difference of echelons, over the integers as a
+subquotient.  What stays independent of the chain path is Ker delta_2 on
+the carrier, taken on a whole parity.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exactlin import (
     GradedModuleInvariants,
     SparseMat,
     direct_sum_invariants,
+    free_invariants,
     kernel_basis,
     merge_torsion,
     snf_with_transforms,
@@ -551,7 +554,13 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
     one (weight, parity) block of L (x) L, the one of weight
     e_i - e_j + e_k - e_l, else RuntimeError.  The span in homology is then
     the direct sum, over the blocks the classes hit, of
-    (block image + classes) / block image (``ts.extend_blocks``).  The
+    (block image + classes) / block image (``ts.extend_blocks``).  Over a
+    field (Q or F_p) that quotient is free of rank rank(plus) - rank(image),
+    plus being the block's extended echelon: ``extend_blocks`` extends a
+    copy of the image echelon, so the image lies inside it.  As a cheap exact
+    check the image's pivots must be among those of plus, else
+    RuntimeError.  Over the integers each block takes
+    ``subquotient_invariants`` (coordinates and a Smith form).  The
     relation and torsion checks form sparse combinations and test them with
     ``ts.is_zero_class``.
     """
@@ -598,11 +607,20 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
             labels.append((pat, d.module.label(b)))
 
     # span of the classes inside the homology, block by block
-    parts = [GradedModuleInvariants(ring)]
+    parts, ranks = [], []
     for key, plus in sorted(ts.extend_blocks(vecs.values()).items()):
-        parts.append(subquotient_invariants(
-            plus.basis_matrix(), ts.blocks[key][1].basis_matrix(), (key[1],) * plus.dim))
-    span_inv = direct_sum_invariants(parts)
+        image = ts.blocks[key][1]
+        if ring.is_field:
+            if not image.row_at.keys() <= plus.row_at.keys():
+                raise RuntimeError(
+                    f"the extended echelon of block {key} does not contain the "
+                    f"pivots of its Im delta_3"
+                )
+            ranks.append((key[1], plus.rank - image.rank))
+        else:
+            parts.append(subquotient_invariants(
+                plus.basis_matrix(), image.basis_matrix(), (key[1],) * plus.dim))
+    span_inv = direct_sum_invariants([free_invariants(ring, ranks)] + parts)
     expected = expected_w(m, n, d)
     matches = (
         span_inv.even_free_rank == expected.even_free_rank

@@ -398,17 +398,10 @@ def test_field_block_echelons_equal_inserting_every_column(m, n, name):
     assert_blocks_equal_reference(_algebra("sl", m, n, name))
 
 
-@pytest.mark.parametrize("m,n,name,degree", [
-    (2, 0, "integers", 1), (2, 0, "integers", 2), (2, 0, "integers", 3),   # not perfect
-    (3, 0, "integers", 1), (3, 0, "integers", 2), (3, 0, "integers", 3),
-    (4, 0, "integers", 2), (3, 2, "integers", 2), (5, 0, "integers", 2),
-    (2, 1, "dual_z", 2), (3, 0, "dual_z", 2), (2, 2, "dual_z", 2),
-])
-def test_integer_hl_equals_the_subquotient_of_every_block(monkeypatch, m, n, name, degree):
-    """The reference takes the subquotient of every block with a kernel;
-    ``hl`` skips the blocks whose image is certified equal to the kernel
-    lattice, and skips at least one."""
-    l = _algebra("sl", m, n, name)
+def _hl_and_every_block_subquotient(monkeypatch, l, degree):
+    """(blocks with a kernel, subquotient_invariants calls made by ``hl``):
+    the reference kept here takes the subquotient of every block with a
+    kernel, and ``hl`` must equal it."""
     blocks = blocked_complex(l, degree)[2]
     with_kernel = [(key, idx, ker, image) for key, idx, ker, image in blocks if ker.cols]
     ref = direct_sum_invariants([GradedModuleInvariants(l.ring)] + [
@@ -419,14 +412,45 @@ def test_integer_hl_equals_the_subquotient_of_every_block(monkeypatch, m, n, nam
     monkeypatch.setattr(chain, "subquotient_invariants",
                         lambda *args: calls.append(args) or real(*args))
     assert hl(l, degree) == ref
+    return with_kernel, calls
+
+
+@pytest.mark.parametrize("m,n,name,degree", [
+    (2, 0, "integers", 1), (2, 0, "integers", 2), (2, 0, "integers", 3),   # not perfect
+    (3, 0, "integers", 1), (3, 0, "integers", 2), (3, 0, "integers", 3),
+    (4, 0, "integers", 2), (3, 2, "integers", 2), (5, 0, "integers", 2),
+    (2, 1, "dual_z", 2), (3, 0, "dual_z", 2), (2, 2, "dual_z", 2),
+])
+def test_integer_hl_equals_the_subquotient_of_every_block(monkeypatch, m, n, name, degree):
+    """``hl`` skips the blocks whose image is certified equal to the kernel
+    lattice, and skips at least one."""
+    l = _algebra("sl", m, n, name)
+    with_kernel, calls = _hl_and_every_block_subquotient(monkeypatch, l, degree)
     assert len(calls) < len(with_kernel)
     if (m, n, name, degree) == (3, 0, "integers", 2):
-        assert ref == GradedModuleInvariants(l.ring, 0, 0, (3,) * 6, ())
+        assert hl(l, degree) == GradedModuleInvariants(l.ring, 0, 0, (3,) * 6, ())
 
 
-def test_image_outside_the_kernel_pivots_exits_5(capsys, monkeypatch):
+@pytest.mark.parametrize("m,n,name,degree", [
+    (3, 0, "f3", 1), (3, 0, "f3", 2), (3, 0, "f3", 3),
+    (2, 1, "f3", 1), (2, 1, "f3", 2), (2, 1, "f3", 3),
+    (1, 1, "f2", 1), (1, 1, "f2", 2), (1, 1, "f2", 3),   # not perfect
+    (4, 0, "f2", 2), (3, 1, "f2", 2), (3, 2, "f3", 2), (4, 1, "f2", 2),
+    (3, 0, "bar_duplex_f2", 2), (2, 2, "grass_f3", 2),
+])
+def test_finite_field_hl_is_the_rank_count_of_every_block(monkeypatch, m, n, name, degree):
+    """Over F_p ``hl`` reads dim Ker - rank Im off the block echelons and
+    solves no coordinates."""
+    l = _algebra("sl", m, n, name)
+    with_kernel, calls = _hl_and_every_block_subquotient(monkeypatch, l, degree)
+    assert with_kernel and calls == []
+
+
+@pytest.mark.parametrize("ring", ["integers", "f3", "f2"])
+def test_image_outside_the_kernel_pivots_exits_5(capsys, monkeypatch, ring):
     """A kernel basis whose leading rows differ from the image pivots at the
-    stop is an internal invariant breach."""
+    stop is an internal invariant breach; over F_p it guards the rank count
+    of ``hl``."""
     real = chain.kernel_basis
 
     def shifted(m):
@@ -435,7 +459,7 @@ def test_image_outside_the_kernel_pivots_exits_5(capsys, monkeypatch):
         return SparseMat.identity(m.ring, n).submatrix(range(n), range(n - k, n))
 
     monkeypatch.setattr(chain, "kernel_basis", shifted)
-    code = main(["hl2", "--m", "3", "--n", "0", "--builtin", "integers"])
+    code = main(["hl2", "--m", "3", "--n", "0", "--builtin", ring])
     err = capsys.readouterr().err
     assert code == 5
     assert err.strip().count("\n") == 0 and "outside the span" in err

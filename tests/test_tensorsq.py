@@ -475,10 +475,13 @@ def reference_w_span(slalg, ts):
     )
 
 
-def _built(m, n, name):
+def _dialgebra(name):
     path = DATA / f"{name}.json"
-    d = load_dialgebra_file(path) if path.is_file() else builtin_dialgebra(name)
-    slalg = sl(m, n, d)
+    return load_dialgebra_file(path) if path.is_file() else builtin_dialgebra(name)
+
+
+def _built(m, n, name):
+    slalg = sl(m, n, _dialgebra(name))
     return slalg, tensor_square(slalg.algebra)
 
 
@@ -491,6 +494,7 @@ LOW_RANK_CASES = sorted(
     {(c.m, c.n, c.dialgebra) for c in default_cases() if low_rank_case(c.m, c.n) != "stable"}
     | {(m, n, name) for m, n, name in INTEGER_CASES if low_rank_case(m, n) != "stable"}
 )
+FIELD_LOW_RANK_CASES = [c for c in LOW_RANK_CASES if _dialgebra(c[2]).ring.is_field]
 
 
 @pytest.mark.parametrize("m,n,name", INTEGER_CASES)
@@ -571,3 +575,38 @@ def test_w_class_outside_its_block_exits_5(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 5
     assert err.strip().count("\n") == 0 and "not in one block of weight" in err
+
+
+@pytest.mark.parametrize("m,n,name", FIELD_LOW_RANK_CASES)
+def test_field_w_span_is_a_rank_difference(monkeypatch, m, n, name):
+    """Over a field the span of the W classes comes from echelon ranks;
+    ``test_blockwise_w_span_matches_the_whole_ambient_span`` checks its
+    value."""
+    slalg, ts = _built(m, n, name)
+    calls = []
+    real = tensorsq.subquotient_invariants
+    monkeypatch.setattr(tensorsq, "subquotient_invariants",
+                        lambda *args: calls.append(args) or real(*args))
+    assert w_cycles(slalg, ts).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("ring", ["f2", "f3"])
+def test_extended_echelon_without_the_image_exits_5(capsys, monkeypatch, ring):
+    real = TensorSquare.extend_blocks
+
+    def without_image(self, vectors):
+        # keep only the rows that extend_blocks added to each image echelon
+        out = {}
+        for key, plus in real(self, vectors).items():
+            image = self.blocks[key][1]
+            kept = Echelon(plus.ring, plus.dim)
+            out[key] = kept.extend([col for col in plus.basis_matrix().columns()
+                                    if col[0][0] not in image.row_at])
+        return out
+
+    monkeypatch.setattr(TensorSquare, "extend_blocks", without_image)
+    code = cli.main(["verify", "--m", "3", "--n", "0", "--builtin", ring])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.strip().count("\n") == 0 and "does not contain the pivots" in err
