@@ -16,12 +16,9 @@ weights and is even, so delta_n maps each block into the block of the same
 key; ``delta`` checks this for every nonzero entry and raises RuntimeError on
 a leak.  ``blocked_complex`` then computes the kernel and the image echelon
 one block at a time, in sorted key order, once per algebra and degree, and
-``hl`` direct-sums the homology of the blocks.  Over F_p a block's homology
-is free of rank dim Ker - rank Im, read off the echelons with no coordinate
-solve; over the integers a block whose image is certified equal to its
-kernel adds nothing and the others take a subquotient (coordinates and a
-Smith form); over Q every block takes the subquotient (see ``hl``).  The
-tensor square and the splitting check read the same blocks.
+``hl`` direct-sums the homology of the blocks, each by the one rule of
+``exactlin.quotient_invariants``.  The tensor square and the splitting
+check read the same blocks.
 """
 
 from __future__ import annotations
@@ -36,9 +33,8 @@ from .exactlin import (
     SparseMat,
     column_span_echelon,
     direct_sum_invariants,
-    free_invariants,
     kernel_basis,
-    spans_within,
+    quotient_invariants,
     subquotient_invariants,
 )
 from .leibniz import LeibnizSuperalgebra
@@ -232,29 +228,19 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
 
 def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
     """HL_n(L) = Ker delta_n / Im delta_{n+1} as a graded module: the direct
-    sum of the subquotients of the blocks of ``blocked_complex``.
-
-    Over F_p a block adds dim Ker - rank Im to the free rank of its parity,
-    with no coordinates.  That is exact: ``blocked_complex`` verified
-    delta_n o delta_{n+1} = 0, so Im lies in Ker, and the image echelon
-    either stopped at rank = dim Ker (quotient 0) or read every column (the
-    true rank); a pivot outside the kernel's leading rows raises
-    RuntimeError in ``column_span_echelon``.  Over the integers a block
-    whose image echelon certifiably equals its kernel lattice
-    (``spans_within``) adds nothing, and only the other blocks take
-    coordinates and a Smith form (``subquotient_invariants``).  Over Q every
-    block with a kernel still takes ``subquotient_invariants``: it is the
-    only path to the ``Echelon._to_fracfield`` calls that
+    sum over the blocks of ``blocked_complex`` of their quotients, each taken
+    by ``exactlin.quotient_invariants`` (``blocked_complex`` verified
+    delta_n o delta_{n+1} = 0, so each image lies in its kernel).  Over Q
+    every block with a kernel still takes ``subquotient_invariants``: it is
+    the only path to the ``Echelon._to_fracfield`` calls that
     ``perfbench/test_perfbench.py`` requires, until the benchmark reads
     library spans (ROADMAP item 1)."""
-    ring = l.ring
-    blocks = [b for b in blocked_complex(l, n, guard)[2] if b[2].cols]
-    if ring.kind == "int_mod":
-        return free_invariants(ring, ((par, ker.cols - image.rank)
-                                      for (_, par), _, ker, image in blocks))
-    lattice = ring.kind == "integers"
-    parts = [GradedModuleInvariants(ring)]
-    for (_, par), idx, ker, image in blocks:
-        if not (lattice and spans_within(image, ker)):
+    parts = [GradedModuleInvariants(l.ring)]
+    for (_, par), idx, ker, image in blocked_complex(l, n, guard)[2]:
+        if not ker.cols:
+            continue
+        if l.ring.kind == "rationals":   # benchmark pin, ROADMAP item 1
             parts.append(subquotient_invariants(ker, image.basis_matrix(), (par,) * len(idx)))
+        else:
+            parts.append(quotient_invariants(ker, image, par))
     return direct_sum_invariants(parts)

@@ -50,7 +50,7 @@ __all__ = [
     "module_iso_check",
     "parity_shift",
     "direct_sum_invariants",
-    "free_invariants",
+    "quotient_invariants",
     "merge_torsion",
     "bilinear",
     "UnsupportedRingError",
@@ -1182,16 +1182,6 @@ def direct_sum_invariants(parts) -> GradedModuleInvariants:
     return out
 
 
-def free_invariants(ring: RingSpec, ranks) -> GradedModuleInvariants:
-    """The free module with r generators of parity p for each (p, r) in
-    ranks, summed into one: over a field, the quotient of nested spans
-    read off their ranks."""
-    free = [0, 0]
-    for par, r in ranks:
-        free[par] += r
-    return GradedModuleInvariants(ring, free[0], free[1])
-
-
 def module_iso_check(a: GradedModuleInvariants, b: GradedModuleInvariants) -> bool:
     """Equality of all four invariant components; this is exactly graded-module
     isomorphism for finitely generated modules over the supported rings."""
@@ -1281,3 +1271,33 @@ def subquotient_invariants(ker: SparseMat, im: SparseMat, parity) -> GradedModul
     return GradedModuleInvariants(
         ring, out[0][0], out[1][0], out[0][1], out[1][1]
     )
+
+
+def quotient_invariants(gens: SparseMat, image: Echelon, parity: int) -> GradedModuleInvariants:
+    """span(gens) / span(image) for a block whose generators all have the
+    one parity ``parity``.
+
+    ``gens`` holds triangular columns (distinct leading rows, as
+    ``kernel_basis`` and ``Echelon.basis_matrix`` give), and ``image`` is an
+    echelon of vectors that callers have proven, exactly and beforehand, to
+    lie in their span.  An image pivot that is not a leading row of ``gens``
+    breaches that and raises RuntimeError.  Over a field the quotient is
+    free of rank gens.cols - image.rank.  Over the integers it is zero when
+    the image certifiably spans the lattice (``spans_within``), and
+    otherwise takes coordinates and a Smith form
+    (``subquotient_invariants``).
+    """
+    ring = gens.ring
+    outside = image.row_at.keys() - _leading_entries(gens).keys()
+    if outside:
+        raise RuntimeError(
+            f"the span of the generators does not contain the pivots "
+            f"{sorted(outside)} of the image"
+        )
+    if ring.is_field:
+        free = [0, 0]
+        free[parity] = gens.cols - image.rank
+        return GradedModuleInvariants(ring, *free)
+    if spans_within(image, gens):
+        return GradedModuleInvariants(ring)
+    return subquotient_invariants(gens, image.basis_matrix(), (parity,) * gens.rows)

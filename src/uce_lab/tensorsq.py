@@ -14,10 +14,9 @@ a span grows one block at a time, each added vector lying in one block.
 Only an integer block with a pivot value other than 1 or -1 takes a Smith
 form, for its free and cyclic coordinates; the torsion is the merged
 invariant factor chain of the cyclic orders.  The W classes lie in single
-blocks, so ``w_cycles`` takes their span only on the blocks they hit: over
-a field as a rank difference of echelons, over the integers as a
-subquotient.  What stays independent of the chain path is Ker delta_2 on
-the carrier, taken on a whole parity.
+blocks, so ``w_cycles`` takes their span only on the blocks they hit, by
+the rule of ``exactlin.quotient_invariants``.  What stays independent of
+the chain path is Ker delta_2 on the carrier, taken on a whole parity.
 """
 
 from __future__ import annotations
@@ -34,14 +33,14 @@ from .exactlin import (
     GradedModuleInvariants,
     SparseMat,
     direct_sum_invariants,
-    free_invariants,
     kernel_basis,
     merge_torsion,
+    module_iso_check,
+    quotient_invariants,
     snf_with_transforms,
-    subquotient_invariants,
 )
 from .chain import DEFAULT_SIZE_GUARD, ChainMap, blocked_complex
-from .leibniz import LeibnizSuperalgebra, SpecialLinear, is_perfect
+from .leibniz import LeibnizSuperalgebra, SpecialLinear, from_dialgebra, is_perfect
 
 __all__ = [
     "NotPerfectError",
@@ -230,7 +229,7 @@ class TensorSquare:
         value) pairs."""
         keys, pos = self.d2.source_keys, self._position
         out = {}
-        for i, x in vec if not vec or isinstance(vec[0], tuple) else enumerate(vec):
+        for i, x in vec if not len(vec) or isinstance(vec[0], tuple) else enumerate(vec):
             if x != 0:
                 out.setdefault(keys[i], []).append((pos[i], x))
         return out
@@ -308,13 +307,14 @@ class TensorSquare:
 
     def carrier_generators(self):
         """Ambient vectors whose classes generate the carrier: complement
-        unit vectors, then (over the integers) the pivot units with pivot
-        value above 1, each in ascending index order."""
+        unit vectors, then the pivot units whose pivot value is not a unit
+        (which happens only over the integers), each in ascending index
+        order."""
         ring = self.base.ring
         units = list(self.complement)
-        if ring.kind == "integers":
-            units += sorted(idx[p] for idx, image in self.blocks.values()
-                            for p, d in image.pivot_values().items() if abs(d) > 1)
+        units += sorted(idx[p] for idx, image in self.blocks.values()
+                        if not image.has_unit_pivots()
+                        for p, d in image.pivot_values().items() if abs(d) > 1)
         amb = range(self.ambient_dim)
         return [(c, [ring.one if t == c else ring.zero for t in amb]) for c in units]
 
@@ -412,12 +412,12 @@ class TensorSquare:
             x, y, z = gens[a][1], gens[b][1], gens[c][1]
             py = self.generator_parity(gens[b][0])
             pz = self.generator_parity(gens[c][0])
-            lhs = self.bracket(x, list(self.bracket(y, z)))
-            xy_z = self.bracket(list(self.bracket(x, y)), z)
-            xz_y = self.bracket(list(self.bracket(x, z)), y)
+            lhs = self.bracket(x, self.bracket(y, z))
+            xy_z = self.bracket(self.bracket(x, y), z)
+            xz_y = self.bracket(self.bracket(x, z), y)
             sign = -1 if (py * pz) % 2 else 1
             rhs = [p - sign * q for p, q in zip(xy_z, xz_y)]
-            if not self.classes_equal(list(lhs), rhs):
+            if not self.classes_equal(lhs, rhs):
                 return [(a, b, c)]
         return []
 
@@ -441,7 +441,7 @@ class TensorSquare:
                     if c:
                         for t, x in rows[j]:
                             vec[t] = vec[t] + c * x
-            if not self.classes_equal(list(self.bracket(a2, b2)), list(base)):
+            if not self.classes_equal(self.bracket(a2, b2), base):
                 return False
         return True
 
@@ -450,9 +450,9 @@ class TensorSquare:
         cgens = self.carrier_generators()
         for k in kgens:
             for _, g in cgens:
-                if not self.is_zero_class(list(self.bracket(k, g))):
+                if not self.is_zero_class(self.bracket(k, g)):
                     return False
-                if not self.is_zero_class(list(self.bracket(g, k))):
+                if not self.is_zero_class(self.bracket(g, k)):
                     return False
         return True
 
@@ -554,15 +554,11 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
     one (weight, parity) block of L (x) L, the one of weight
     e_i - e_j + e_k - e_l, else RuntimeError.  The span in homology is then
     the direct sum, over the blocks the classes hit, of
-    (block image + classes) / block image (``ts.extend_blocks``).  Over a
-    field (Q or F_p) that quotient is free of rank rank(plus) - rank(image),
-    plus being the block's extended echelon: ``extend_blocks`` extends a
-    copy of the image echelon, so the image lies inside it.  As a cheap exact
-    check the image's pivots must be among those of plus, else
-    RuntimeError.  Over the integers each block takes
-    ``subquotient_invariants`` (coordinates and a Smith form).  The
-    relation and torsion checks form sparse combinations and test them with
-    ``ts.is_zero_class``.
+    (block image + classes) / block image, taken by
+    ``exactlin.quotient_invariants`` on the block's extended echelon
+    (``ts.extend_blocks`` extends a copy of the image echelon, so the image
+    lies inside it).  The relation and torsion checks form sparse
+    combinations and test them with ``ts.is_zero_class``.
     """
     from .theorems import expected_w  # local import; theorems drives this module
 
@@ -607,27 +603,11 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
             labels.append((pat, d.module.label(b)))
 
     # span of the classes inside the homology, block by block
-    parts, ranks = [], []
-    for key, plus in sorted(ts.extend_blocks(vecs.values()).items()):
-        image = ts.blocks[key][1]
-        if ring.is_field:
-            if not image.row_at.keys() <= plus.row_at.keys():
-                raise RuntimeError(
-                    f"the extended echelon of block {key} does not contain the "
-                    f"pivots of its Im delta_3"
-                )
-            ranks.append((key[1], plus.rank - image.rank))
-        else:
-            parts.append(subquotient_invariants(
-                plus.basis_matrix(), image.basis_matrix(), (key[1],) * plus.dim))
-    span_inv = direct_sum_invariants([free_invariants(ring, ranks)] + parts)
+    span_inv = direct_sum_invariants([GradedModuleInvariants(ring)] + [
+        quotient_invariants(plus.basis_matrix(), ts.blocks[key][1], key[1])
+        for key, plus in sorted(ts.extend_blocks(vecs.values()).items())])
     expected = expected_w(m, n, d)
-    matches = (
-        span_inv.even_free_rank == expected.even_free_rank
-        and span_inv.odd_free_rank == expected.odd_free_rank
-        and tuple(span_inv.even_torsion) == tuple(expected.even_torsion)
-        and tuple(span_inv.odd_torsion) == tuple(expected.odd_torsion)
-    )
+    matches = module_iso_check(span_inv, expected)
 
     relations = True
     for pat in pats:
@@ -642,14 +622,8 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
                 if not ts.is_zero_class(diff):
                     relations = False
 
-    # the D bracket table, once: coefficients in the bracket span die
-    brackets = []
-    for b1 in range(d.dim):
-        for b2 in range(d.dim):
-            br = d.bracket(d.basis_vector(b1), d.parity(b1),
-                           d.basis_vector(b2), d.parity(b2))
-            if any(x != 0 for x in br):
-                brackets.append(br)
+    # coefficients in the span of the D brackets die
+    brackets = from_dialgebra(d).table.values()
     torsion_ok = True
     for pat in pats:
         mod = pattern_modulus(m, n, pat)
@@ -657,7 +631,7 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
             if not ts.is_zero_class(combine(ring, [(mod, vecs[(pat, b)])])):
                 torsion_ok = False
         for br in brackets:
-            terms = [(c, vecs[(pat, b)]) for b, c in enumerate(br) if c != 0]
+            terms = [(c, vecs[(pat, b)]) for b, c in br]
             if not ts.is_zero_class(combine(ring, terms)):
                 torsion_ok = False
 

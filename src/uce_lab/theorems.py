@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .exactlin import (
     GradedModuleInvariants,
+    direct_sum_invariants,
     module_iso_check,
     parity_shift,
 )
@@ -95,10 +96,7 @@ def expected_w(m: int, n: int, d: SuperDialgebra) -> GradedModuleInvariants:
         q2 = quotient_Dm(d, 2).invariants
         q0 = quotient_Dm(d, 0).invariants
         parts = [q2] * 4 + [q0] * 2
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.direct_sum(p)
-    return out
+    return direct_sum_invariants(parts)
 
 
 def expected_hl2(m: int, n: int, d: SuperDialgebra,

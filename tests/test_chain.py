@@ -12,7 +12,7 @@ import pytest
 from uce_lab.chain import (DEFAULT_SIZE_GUARD, ChainMap, SizeGuardExceededError,
                            _graded, blocked_complex, delta, guard_check, hl,
                            tensor_index, tensor_power_keys, tensor_power_module)
-from uce_lab import chain
+from uce_lab import chain, exactlin
 from uce_lab.cli import main
 from uce_lab.exactlin import (QQ, Echelon, GradedFreeModule, GradedModuleInvariants,
                               RingSpec, SparseMat, direct_sum_invariants,
@@ -408,8 +408,8 @@ def _hl_and_every_block_subquotient(monkeypatch, l, degree):
         subquotient_invariants(ker, image.basis_matrix(), (key[1],) * len(idx))
         for key, idx, ker, image in with_kernel])
     calls = []
-    real = chain.subquotient_invariants
-    monkeypatch.setattr(chain, "subquotient_invariants",
+    real = exactlin.subquotient_invariants
+    monkeypatch.setattr(exactlin, "subquotient_invariants",
                         lambda *args: calls.append(args) or real(*args))
     assert hl(l, degree) == ref
     return with_kernel, calls

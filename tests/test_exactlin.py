@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from uce_lab import exactlin
 from uce_lab.superdialg import builtin_dialgebra, catalog_names
 from uce_lab.exactlin import (
     GF,
@@ -34,6 +35,7 @@ from uce_lab.exactlin import (
     merge_torsion,
     module_iso_check,
     parity_shift,
+    quotient_invariants,
     rank,
     snf,
     snf_with_transforms,
@@ -310,6 +312,43 @@ def test_column_span_within_equals_inserting_every_column(case):
     assert stopped.same_span(full)
     if ring == ZZ:
         assert stopped.pivot_values() == full.pivot_values()
+
+
+@given(_within_case(), st.sampled_from([0, 1]), st.booleans())
+def test_quotient_invariants_equals_the_subquotient(case, parity, stopped):
+    """The rule for one block (rank count, certificate or coordinates)
+    against the coordinate reference, on full and on stopped echelons."""
+    ring, dim, gens, cols = case
+    if stopped:
+        image = column_span_echelon(SparseMat.from_columns(ring, dim, cols), within=gens)
+    else:
+        image = Echelon(ring, dim).extend(cols)
+    assert quotient_invariants(gens, image, parity) == \
+        subquotient_invariants(gens, image.basis_matrix(), (parity,) * dim)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)])
+def test_quotient_invariants_rejects_an_image_pivot_outside_the_generators(ring):
+    gens = SparseMat.from_columns(ring, 3, [[1, 0, 0], [0, 0, 1]])
+    image = Echelon(ring, 3).extend([[0, 1, 0]])
+    with pytest.raises(RuntimeError, match=r"does not contain the pivots \[1\]"):
+        quotient_invariants(gens, image, 0)
+
+
+def test_integer_quotient_takes_coordinates_only_without_a_certificate(monkeypatch):
+    calls = []
+    real = exactlin.subquotient_invariants
+    monkeypatch.setattr(exactlin, "subquotient_invariants",
+                        lambda *args: calls.append(args) or real(*args))
+    gens = SparseMat.from_columns(ZZ, 2, [[1, 0], [0, -2]])
+    # equal pivot sets and |pivot values|: certified equal, quotient zero
+    equal = Echelon(ZZ, 2).extend([[-1, 0], [0, 2]])
+    assert quotient_invariants(gens, equal, 1) == GradedModuleInvariants(ZZ)
+    assert calls == []
+    # |4| at row 1 against |-2|: index 2, read off a Smith form
+    assert quotient_invariants(gens, Echelon(ZZ, 2).extend([[1, 0], [0, 4]]), 1) == \
+        GradedModuleInvariants(ZZ, 0, 0, (), (2,))
+    assert len(calls) == 1
 
 
 def test_solve_linear_and_span_solver():
