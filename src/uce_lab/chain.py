@@ -5,29 +5,39 @@ pairs i < j of x_1 (x) .. (x) [x_i, x_j] (x) .. (x) ^x_j (x) .. (x) x_n with sig
 (-1)^{n-j+|x_j|(|x_{i+1}|+...+|x_{j-1}|)}.  delta_1 is the zero map to the zero
 module.  Homology in degree n is Ker delta_n / Im delta_{n+1}.
 
-``delta`` loops per pair i < j, per nonzero bracket [e_a, e_b], per choice of
-the other n - 2 slots, with offsets and Koszul parity once per (pair, choice)
-and normalised signed terms once per bracket; only a key hit twice is summed
-(then normalised, and dropped if zero), so no second normalisation pass runs.
+Every boundary is assembled by one routine, ``_boundary_entries``, as numpy
+arrays (rows, columns, values): per pair i < j of positions, the nonzero
+bracket terms [e_a, e_b] = sum c e_k broadcast against the offsets and the
+Koszul parities of the other n - 2 slots.  Entries hit twice are summed,
+zero sums dropped and F_p values reduced.  Values are int64 only where a
+bound from the largest constant and the number of terms an entry can sum
+proves every sum exact; otherwise exact Python ints (or, for a table with
+fractional rational constants, Fractions) in object arrays.  No floats.
 
 Each basis tuple of L^(x)n has the block key (total weight, Koszul parity),
 the weights coming from ``LeibnizSuperalgebra.weight``.  The bracket adds
 weights and is even, so delta_n maps each block into the block of the same
-key; ``delta`` checks this for every nonzero entry and raises RuntimeError on
-a leak.  ``blocked_complex`` then computes the kernel and the image echelon
-one block at a time, in sorted key order, once per algebra and degree, and
-``hl`` direct-sums the homology of the blocks, each by the one rule of
-``exactlin.quotient_invariants``.  The tensor square and the splitting
-check read the same blocks.
+key; every nonzero entry is checked for this, and a leak raises
+RuntimeError.  ``delta`` wraps the entries as a ``SparseMat`` with their
+keys.  ``blocked_complex`` takes delta_n from ``delta`` but never builds
+delta_{n+1} as a matrix: it places each of its entries in its block, by
+block ids computed from the keys of L^(x)n and L, checks
+delta_n o delta_{n+1} = 0 per block, and computes the kernel and the image
+echelon one block at a time, in sorted key order, once per algebra and
+degree.  ``hl`` direct-sums the homology of the blocks, each by the one
+rule of ``exactlin.quotient_invariants``.  The tensor square and the
+splitting check read the same blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from operator import add
 
+import numpy as np
+
 from .exactlin import (
+    _INT64_SAFE,
     GradedFreeModule,
     GradedModuleInvariants,
     SparseMat,
@@ -127,12 +137,81 @@ def tensor_index(tup, dim: int) -> int:
     return idx
 
 
+def _exact_array(ring, xs, terms: int) -> np.ndarray:
+    """Ring values as an array in which a sum of up to ``terms`` of them, or
+    of their negatives, is exact: int64 when they are integers and
+    terms * max |x| stays below the int64 guard of ``exactlin`` (the rule of
+    ``Echelon._guard``), Python ints in an object array otherwise.  Integral
+    rationals are read as ints; fractional ones stay Fractions."""
+    if ring.kind == "rationals":
+        if any(x.denominator != 1 for x in xs):
+            return np.array(xs, dtype=object)
+        xs = [x.numerator for x in xs]
+    small = max(map(abs, xs), default=0) * terms < _INT64_SAFE
+    return np.array(xs, dtype=np.int64 if small else object)
+
+
+def _summed(ring, rows, cols, vals):
+    """The entries (rows, cols, vals) sorted by column, then row, with the
+    values at one position summed (reduced mod p over F_p) and the zero
+    sums dropped."""
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    at = np.flatnonzero(first)
+    rows, cols = rows[at], cols[at]
+    vals = np.add.reduceat(vals, at) if len(at) else vals
+    if ring.kind == "int_mod":
+        vals = vals % ring.modulus
+    keep = vals != 0
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _boundary_entries(l: LeibnizSuperalgebra, n: int) -> tuple:
+    """Entries of delta_n, n >= 2, as arrays (rows, cols, values) sorted by
+    column, then row: the one assembly of every boundary (module
+    docstring).  Values are ``_exact_array``s for the sums they enter."""
+    dim, ring = l.dim, l.ring
+    terms = [(a, b, k, v) for (a, b), ts in l.table.items()
+             for k, v in ((k, ring.normalize(c)) for k, c in ts) if v != 0]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]   # 0-based positions
+    # one entry sums at most one bracket's terms per pair
+    most = len(pairs) * max(map(len, l.table.values()), default=0)
+    coeff = _exact_array(ring, [t[3] for t in terms], most)
+    a, b, k = (np.array([t[s] for t in terms], dtype=np.int64) for s in range(3))
+    pars = np.array(l.module.parity, dtype=np.int64)
+    others = np.arange(dim ** (n - 2), dtype=np.int64)   # the other n - 2 slots
+    rows, cols, vals = [], [], []
+    for i, j in pairs:
+        # the slots before x_i, between x_i and x_j, and after x_j
+        before, tail = np.divmod(others, dim ** (n - 2 - i))
+        between, after = np.divmod(tail, dim ** (n - 1 - j))
+        koszul = sum((pars[between // dim ** s % dim] for s in range(j - 1 - i)),
+                     np.zeros_like(others))
+        odd = (n - 1 - j + koszul[:, None] * pars[b]) % 2 == 1
+        rows.append((before * dim ** (n - 1 - i) + tail)[:, None] + k * dim ** (n - 2 - i))
+        cols.append((before * dim ** (n - i) + between * dim ** (n - j) + after)[:, None]
+                    + a * dim ** (n - 1 - i) + b * dim ** (n - 1 - j))
+        vals.append(np.where(odd, -coeff, coeff))
+    return _summed(ring, *(np.concatenate([x.ravel() for x in xs])
+                           for xs in (rows, cols, vals)))
+
+
+def _leak(n: int, j, source, target) -> RuntimeError:
+    return RuntimeError(
+        f"delta_{n} maps index {j} of block {source} into block {target}; "
+        "the weights are not additive for the bracket"
+    )
+
+
 def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> ChainMap:
     """Matrix of delta_n; delta_2(x (x) y) = [x, y], delta_1 = 0.
 
-    Assembled bracket by bracket (module docstring).  Every nonzero entry is
-    checked to join two indices of the same block key; a leak (weights that
-    are not additive for the bracket) raises RuntimeError.
+    Assembled by ``_boundary_entries`` (module docstring), with normalised
+    ring values.  Every nonzero entry is checked to join two indices of the
+    same block key; a leak (weights that are not additive for the bracket)
+    raises RuntimeError.
     """
     if n < 1:
         raise ValueError("delta is defined for n >= 1")
@@ -143,43 +222,12 @@ def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Ch
     if n == 1:
         return ChainMap(src, _graded([]), SparseMat.zeros(l.ring, 0, dim), 1, src_keys, [])
     tgt_keys = tensor_power_keys(l, n - 1)
-
-    ring = l.ring
-    pars = l.module.parity
-    norm = ring.normalize
-    brackets = []   # (a, b, |e_b|, + terms, - terms), normalised and nonzero
-    for (a, b), terms in l.table.items():
-        plus = [(k, v) for k, v in ((k, norm(c)) for k, c in terms) if v != 0]
-        if plus:
-            brackets.append((a, b, pars[b], plus, [(k, norm(-v)) for k, v in plus]))
-    entries = {}
-    for jpos in range(1, n):              # 0-based position of x_j, j = jpos+1
-        for ipos in range(jpos):          # 0-based position of x_i
-            # per choice of the other slots: row and column with e_0 in place
-            # of [x_i, x_j], x_i and x_j, and the parity between x_i and x_j
-            slots = [(tensor_index(r[:ipos] + (0,) + r[ipos:], dim),
-                      tensor_index(r[:ipos] + (0,) + r[ipos:jpos - 1] + (0,) + r[jpos - 1:], dim),
-                      sum(pars[t] for t in r[ipos:jpos - 1]))
-                     for r in product(range(dim), repeat=n - 2)]
-            rk, ca, cb = dim ** (n - 2 - ipos), dim ** (n - 1 - ipos), dim ** (n - 1 - jpos)
-            for a, b, pb, plus, minus in brackets:
-                for row, col, koszul in slots:
-                    col += a * ca + b * cb
-                    for k, v in minus if (n - 1 - jpos + pb * koszul) % 2 else plus:
-                        key = (row + k * rk, col)
-                        if key not in entries:
-                            entries[key] = v
-                        elif total := norm(entries[key] + v):   # hit twice
-                            entries[key] = total
-                        else:
-                            del entries[key]
-    mat = SparseMat._trusted(ring, dim ** (n - 1), dim ** n, entries)
-    for i, j in mat.entries:
+    rows, cols, vals = _boundary_entries(l, n)
+    entries = dict(zip(zip(rows.tolist(), cols.tolist()), map(l.ring.normalize, vals.tolist())))
+    for i, j in entries:
         if tgt_keys[i] != src_keys[j]:
-            raise RuntimeError(
-                f"delta_{n} maps index {j} of block {src_keys[j]} into block "
-                f"{tgt_keys[i]}; the weights are not additive for the bracket"
-            )
+            raise _leak(n, j, src_keys[j], tgt_keys[i])
+    mat = SparseMat._trusted(l.ring, dim ** (n - 1), dim ** n, entries)
     return ChainMap(src, _graded(tgt_keys), mat, n, src_keys, tgt_keys)
 
 
@@ -190,18 +238,68 @@ def _indices_by_key(keys) -> dict:
     return out
 
 
+def _positions(block, count: int) -> tuple:
+    """(position of each index among the indices of its block, ascending;
+    the size of each of the count blocks)."""
+    order = np.argsort(block, kind="stable")
+    sizes = np.bincount(block, minlength=count)
+    pos = np.empty_like(block)
+    pos[order] = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return pos, sizes
+
+
+def _composes_to_zero(ring, down, rows, cols, vals) -> bool:
+    """Whether d @ u = 0, for d given by its columns ``down`` = (pointers,
+    rows, values) and u by the entries (rows, cols, vals) that meet them.
+    int64 only when the largest |product| times their count is below the
+    guard, object otherwise."""
+    ptr, d_rows, d_vals = down
+    start = ptr[rows]
+    count = ptr[rows + 1] - start
+    which = np.repeat(np.arange(len(rows)), count)
+    at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(which))
+    x, y = d_vals[at], vals[which]
+    if object not in (x.dtype, y.dtype) and _absmax(x) * _absmax(y) * len(x) >= _INT64_SAFE:
+        x, y = x.astype(object), y.astype(object)
+    return not len(_summed(ring, d_rows[at], cols[which], x * y)[0])
+
+
+def _absmax(arr) -> int:
+    return int(np.abs(arr).max(initial=0))
+
+
+def _block_matrix(ring, nrows: int, ncols: int, rows, cols, vals) -> SparseMat:
+    """The SparseMat of a block from its entries in block coordinates,
+    sorted by column, then row; values as ``_boundary_entries`` gives them
+    (over Q an integral one is an int, which ``Echelon`` reads as it is)."""
+    rows, cols, vals = rows.tolist(), cols.tolist(), vals.tolist()
+    columns = [[] for _ in range(ncols)]
+    for i, j, x in zip(rows, cols, vals):
+        columns[j].append((i, x))
+    return SparseMat._trusted(ring, nrows, ncols, dict(zip(zip(rows, cols), vals)), columns)
+
+
 def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> tuple:
-    """(delta_n, delta_{n+1}, blocks) with delta_n o delta_{n+1} = 0 verified
-    exactly; blocks lists, per block of L^(x)n in sorted key order, (key,
-    indices, kernel basis of the delta_n block, echelon of the image of the
-    delta_{n+1} block) in the block's own coordinates.  The chain property
-    puts each image inside the block's kernel, which licenses stopping the
-    image reduction once it provably equals the kernel: at the kernel
-    dimension over a field, and over the integers once the pivot values
-    match the kernel's too (``column_span_echelon``).  Memoised on l per n
-    after the guard check; ``hl``, ``tensor_square`` and the splitting check
-    share it, so no caller may change a span in it (a query may switch an
-    echelon's number type)."""
+    """(delta_n, blocks); blocks lists, per block of L^(x)n in sorted key
+    order, (key, indices, kernel basis of the delta_n block, echelon of the
+    image of the delta_{n+1} block) in the block's own coordinates.
+
+    delta_{n+1} is never a matrix: ``_boundary_entries`` gives its entries
+    as arrays, and each column and row gets a block id and a position in
+    its block from the key ids of L^(x)n and L.  An entry whose row and
+    column lie in different blocks raises the leak RuntimeError of
+    ``delta``; then delta_n o delta_{n+1} = 0 is verified exactly, block by
+    block, against ``delta_n.matrix``.  Each block's columns come in
+    ascending global index, so the block matrix is the submatrix of the
+    whole delta_{n+1} on the block.
+
+    The chain property puts each image inside the block's kernel, which
+    licenses stopping the image reduction once it provably equals the
+    kernel: at the kernel dimension over a field, and over the integers once
+    the pivot values match the kernel's too (``column_span_echelon``).
+    Memoised on l per n after the guard check; ``hl``, ``tensor_square`` and
+    the splitting check share it, so no caller may change a span in it (a
+    query may switch an echelon's number type)."""
     if n < 1:
         raise ValueError("homology is computed for n >= 1")
     dim = l.dim
@@ -209,20 +307,51 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     if n in l._complexes:
         return l._complexes[n]
     dn = delta(l, n, guard)
-    dn1 = delta(l, n + 1, guard)
-    if n > 1 and not (dn.matrix @ dn1.matrix).is_zero():
-        raise RuntimeError(
-            "delta_n o delta_{n+1} != 0; the bracket does not satisfy the "
-            "Leibniz identity or the boundary signs drifted"
-        )
+    by_key = sorted(_indices_by_key(dn.source_keys).items())
+    names = [key for key, _ in by_key]   # block id -> key
+    ids = {key: b for b, key in enumerate(names)}
+    row_block = np.array([ids[key] for key in dn.source_keys], dtype=np.int64)
+    own = {}   # key of L -> id
+    own_block = [own.setdefault(key, len(own)) for key in tensor_power_keys(l, 1)]
+    joined = np.empty((len(names), len(own)), dtype=np.int64)
+    for b, ((w, p), _) in enumerate(by_key):
+        for (v, q), c in own.items():
+            key = (tuple(map(add, w, v)), (p + q) % 2)
+            if key not in ids:
+                ids[key] = len(names)
+                names.append(key)
+            joined[b, c] = ids[key]
+    col_block = joined[row_block][:, own_block].ravel()   # index x_1..x_n * dim + x_{n+1}
+    row_pos, _ = _positions(row_block, len(names))
+    col_pos, col_sizes = _positions(col_block, len(names))
+
+    rows, cols, vals = _boundary_entries(l, n + 1)
+    block = col_block[cols]
+    leak = np.flatnonzero(block != row_block[rows])
+    if len(leak):
+        i, j = rows[leak[0]], cols[leak[0]]
+        raise _leak(n + 1, j, names[col_block[j]], names[row_block[i]])
+    order = np.argsort(block, kind="stable")   # by block, then column, then row
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    cut = np.searchsorted(block[order], np.arange(len(by_key) + 1))
+    cols_n = dn.matrix.columns()
+    down = (np.cumsum([0] + [len(col) for col in cols_n]),
+            np.array([i for col in cols_n for i, _ in col], dtype=np.int64),
+            _exact_array(l.ring, [v for col in cols_n for _, v in col], 1))
     below = _indices_by_key(dn.target_keys)
-    above = _indices_by_key(dn1.source_keys)
     blocks = []
-    for key, idx in sorted(_indices_by_key(dn.source_keys).items()):
+    for b, (key, idx) in enumerate(by_key):
+        part = slice(cut[b], cut[b + 1])
+        if n > 1 and not _composes_to_zero(l.ring, down, rows[part], cols[part], vals[part]):
+            raise RuntimeError(
+                "delta_n o delta_{n+1} != 0; the bracket does not satisfy the "
+                "Leibniz identity or the boundary signs drifted"
+            )
         ker = kernel_basis(dn.matrix.submatrix(below.get(key, []), idx))
-        up = dn1.matrix.submatrix(idx, above.get(key, []))
+        up = _block_matrix(l.ring, len(idx), int(col_sizes[b]), row_pos[rows[part]],
+                           col_pos[cols[part]], vals[part])
         blocks.append((key, idx, ker, column_span_echelon(up, within=ker)))
-    l._complexes[n] = (dn, dn1, tuple(blocks))
+    l._complexes[n] = (dn, tuple(blocks))
     return l._complexes[n]
 
 
@@ -230,13 +359,14 @@ def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Grade
     """HL_n(L) = Ker delta_n / Im delta_{n+1} as a graded module: the direct
     sum over the blocks of ``blocked_complex`` of their quotients, each taken
     by ``exactlin.quotient_invariants`` (``blocked_complex`` verified
-    delta_n o delta_{n+1} = 0, so each image lies in its kernel).  Over Q
+    delta_n o delta_{n+1} = 0 on every block, so each image lies in its
+    kernel).  Over Q
     every block with a kernel still takes ``subquotient_invariants``: it is
     the only path to the ``Echelon._to_fracfield`` calls that
     ``perfbench/test_perfbench.py`` requires, until the benchmark reads
     library spans (ROADMAP item 1)."""
     parts = [GradedModuleInvariants(l.ring)]
-    for (_, par), idx, ker, image in blocked_complex(l, n, guard)[2]:
+    for (_, par), idx, ker, image in blocked_complex(l, n, guard)[1]:
         if not ker.cols:
             continue
         if l.ring.kind == "rationals":   # benchmark pin, ROADMAP item 1

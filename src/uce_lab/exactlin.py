@@ -221,7 +221,10 @@ class SparseMat:
 
     The constructor normalises values and drops zeros; ``_trusted`` skips that
     pass, for code that itself builds normalised nonzero in-range entries
-    (``submatrix``, ``chain.delta``)."""
+    (``submatrix``, ``chain.delta``).  The block matrices of
+    ``chain.blocked_complex`` go only to ``column_span_echelon``; over Q
+    they hold integral values as ints, which ``Echelon.vector`` reads as
+    it reads Fraction(n, 1)."""
 
     __slots__ = ("ring", "rows", "cols", "entries", "_cols_cache")
 

@@ -528,7 +528,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     # is tested in its own block's coordinates
     plus = ts.extend_blocks(image_cols)
     surjective = True
-    for key, _, ker, image in blocked_complex(ts.base, 2, guard)[2]:
+    for key, _, ker, image in blocked_complex(ts.base, 2, guard)[1]:
         ech = plus.get(key, image)
         surjective = surjective and all(ech.contains(ech.vector(col)) for col in ker.columns())
 

@@ -476,7 +476,7 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
     generators raises RuntimeError."""
     if not is_perfect(l):
         raise NotPerfectError(f"{l.name} is not perfect")
-    d2, _, blocks = blocked_complex(l, 2, guard)
+    d2, blocks = blocked_complex(l, 2, guard)
     below = Counter(d2.target_keys)
     for key, idx, ker, _ in blocks:
         if ker.cols != len(idx) - below[key]:
@@ -588,6 +588,7 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
 
     pats = admissible_patterns(m, n)
     right = {}   # sl coordinates of E_kl(1)
+    left = {}    # sl coordinates of E_ij(e_b)
     vecs = {}    # (pattern, basis index of D) -> sparse class vector
     labels = []
     for pat in pats:
@@ -595,7 +596,9 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
         if (k, l) not in right:
             right[(k, l)] = slalg.coords_of_unit(k, l, list(d.bar_unit))
         for b in range(d.dim):
-            vec = ts.pair_vector(slalg.coords_of_unit(i, j, d.basis_vector(b)), right[(k, l)])
+            if (i, j, b) not in left:
+                left[(i, j, b)] = slalg.coords_of_unit(i, j, d.basis_vector(b))
+            vec = ts.pair_vector(left[(i, j, b)], right[(k, l)])
             check_block(pat, vec)
             if combine(ring, ((c, boundary[x]) for x, c in vec)):
                 raise RuntimeError(f"class {pat} is not a cycle")

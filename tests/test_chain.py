@@ -182,6 +182,26 @@ def test_a_wrong_weight_leaks_out_of_its_block():
         delta(l, n)
         with pytest.raises(RuntimeError, match="not additive"):
             delta(wrong, n)
+    for n in (1, 2):   # delta_{n+1} through the block assembly
+        blocked_complex(l, n)
+        with pytest.raises(RuntimeError, match="not additive"):
+            blocked_complex(wrong, n)
+
+
+def test_a_bracket_that_is_not_leibniz_fails_delta_squared():
+    """One structure constant with its sign flipped: the weights stay
+    additive, so only the per-block check of delta_2 o delta_3 can see it."""
+    l = sl(2, 1, builtin_dialgebra("rationals")).algebra
+    for key in sorted(l.table):
+        table = dict(l.table)
+        table[key] = [(k, -c) for k, c in table[key]]
+        broken = replace(l, table=table)
+        if broken.leibniz_violations():
+            break
+    assert broken.leibniz_violations()
+    hl(broken, 1)   # delta_1 o delta_2 = 0 holds for any bracket
+    with pytest.raises(RuntimeError, match="delta_n o delta_\\{n\\+1\\} != 0"):
+        blocked_complex(broken, 2)
 
 
 def test_weight_needs_one_entry_per_basis_vector():
@@ -363,7 +383,8 @@ def assert_blocks_equal_reference(l):
     """Each block echelon spans what inserting every column spans (over the
     integers: generates the lattice, with the same pivot values); HL_2 from
     the reference echelons is the same."""
-    _, d3, blocks = blocked_complex(l, 2)
+    blocks = blocked_complex(l, 2)[1]
+    d3 = delta(l, 3)
     above = {}
     for i, key in enumerate(d3.source_keys):
         above.setdefault(key, []).append(i)
@@ -398,11 +419,66 @@ def test_field_block_echelons_equal_inserting_every_column(m, n, name):
     assert_blocks_equal_reference(_algebra("sl", m, n, name))
 
 
+def _scaled(l, factor):
+    """The bracket times factor: the Leibniz identity is homogeneous of
+    degree 2 in the bracket, so this is again a Leibniz superalgebra."""
+    return replace(l, table={key: [(k, c * factor) for k, c in terms]
+                             for key, terms in l.table.items()})
+
+
+_BLOCK_CASES = {
+    "Z": lambda: _algebra("sl", 3, 0, "integers"),
+    "F_2": lambda: _algebra("sl", 3, 0, "f2"),
+    "F_3": lambda: _algebra("sl", 2, 1, "f3"),
+    "Q": lambda: _algebra("sl", 1, 1, "grassmann_q"),
+    "split_halfx": lambda: _algebra("sl", 2, 0, "split_halfx"),
+    # past the int64 bound: object arrays of Python ints
+    "GF(2^61-1)": lambda: replace(_algebra("sl", 3, 0, "integers"), ring=RingSpec("int_mod", 2 ** 61 - 1)),
+    "Z times 2^62": lambda: _scaled(_algebra("sl", 3, 0, "integers"), 2 ** 62),
+}
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
+    """Each block matrix ``blocked_complex`` reduces is the submatrix of the
+    whole delta_{n+1} on the block, column for column in ascending global
+    index, and the memo holds no matrix of the size of L^(x)(n+1)."""
+    l = replace(_BLOCK_CASES[case]())   # a fresh memo
+    seen, dtypes = [], []
+    real_echelon, real_entries = chain.column_span_echelon, chain._boundary_entries
+    monkeypatch.setattr(chain, "column_span_echelon",
+                        lambda m, within: seen.append(m) or real_echelon(m, within=within))
+
+    def entries(l, n):
+        out = real_entries(l, n)
+        dtypes.append(out[2].dtype)
+        return out
+
+    monkeypatch.setattr(chain, "_boundary_entries", entries)
+    dn, blocks = blocked_complex(l, degree)
+    ref = reference_delta(l, degree + 1)
+    above = {}
+    for i, key in enumerate(ref.source_keys):
+        above.setdefault(key, []).append(i)
+    assert len(seen) == len(blocks)
+    for m, (key, idx, _, _) in zip(seen, blocks):
+        want = ref.matrix.submatrix(idx, above.get(key, []))
+        assert (m.rows, m.cols) == (want.rows, want.cols)
+        assert m.columns() == want.columns()
+    # Python ints past the int64 bound, Fractions for split_halfx
+    assert (object in dtypes) == (case in ("split_halfx", "GF(2^61-1)", "Z times 2^62"))
+    memo = l._complexes[degree]
+    mats = [dn.matrix] + [ker for _, _, ker, _ in memo[1]]
+    assert memo == (dn, blocks) and all(isinstance(m, SparseMat) for m in mats)
+    assert max(m.cols for m in mats) < l.dim ** (degree + 1)
+
+
 def _hl_and_every_block_subquotient(monkeypatch, l, degree):
     """(blocks with a kernel, subquotient_invariants calls made by ``hl``):
     the reference kept here takes the subquotient of every block with a
     kernel, and ``hl`` must equal it."""
-    blocks = blocked_complex(l, degree)[2]
+    blocks = blocked_complex(l, degree)[1]
     with_kernel = [(key, idx, ker, image) for key, idx, ker, image in blocks if ker.cols]
     ref = direct_sum_invariants([GradedModuleInvariants(l.ring)] + [
         subquotient_invariants(ker, image.basis_matrix(), (key[1],) * len(idx))

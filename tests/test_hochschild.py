@@ -232,7 +232,7 @@ def test_str2_check_on_image_rows_equals_check_on_all_columns(monkeypatch, m, n,
 def test_d2_kernel_blocks_span_the_kernel(m, n, name):
     ts = tensor_square(sl(m, n, builtin_dialgebra(name)).algebra)
     gens = [[(idx[i], v) for i, v in col]
-            for _, idx, ker, _ in chain.blocked_complex(ts.base, 2)[2]
+            for _, idx, ker, _ in chain.blocked_complex(ts.base, 2)[1]
             for col in ker.columns()]
     assert len(gens) == ts.ambient_dim - ts.base.dim
     ring, amb = ts.base.ring, ts.ambient_dim

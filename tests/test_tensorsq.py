@@ -235,8 +235,8 @@ def test_tensor_square_checks_each_kernel_block(monkeypatch):
     real_complex = tensorsq.blocked_complex
 
     def short_blocks(l, n, guard):
-        d2, d3, blocks = real_complex(l, n, guard)
-        return d2, d3, tuple((key, idx, drop_last(ker), im) for key, idx, ker, im in blocks)
+        d2, blocks = real_complex(l, n, guard)
+        return d2, tuple((key, idx, drop_last(ker), im) for key, idx, ker, im in blocks)
 
     monkeypatch.setattr(tensorsq, "blocked_complex", short_blocks)
     with pytest.raises(RuntimeError, match="Ker delta_2 block .* generators"):
