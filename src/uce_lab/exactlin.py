@@ -728,11 +728,9 @@ def _engine_columns(ring: RingSpec, nrows: int, vecs) -> SparseMat:
 
 
 def _ring_values(ring: RingSpec, xs) -> list:
-    """Engine entries as ring elements: Fractions over the rationals, ints
-    otherwise."""
-    if ring.kind == "rationals":
-        return [x if isinstance(x, Fraction) else Fraction(int(x)) for x in xs]
-    return [int(x) for x in xs]
+    """Engine entries as normalized ring elements: Fractions over the
+    rationals, ints otherwise (in [0, p) over F_p)."""
+    return [ring.normalize(x if isinstance(x, Fraction) else int(x)) for x in xs]
 
 
 def _leading_entries(m: SparseMat) -> dict:

@@ -322,32 +322,27 @@ class _Mu:
         self.slalg = slalg
         self.dlg = slalg.gl.dlg
         self.ring = self.dlg.ring
-        dim_d = self.dlg.dim
-        # nonzero sl coordinates of E_12(e_b), E_21(e_b), E_21(1)
-        self.e12 = [self._coords(1, 2, self.dlg.basis_vector(b)) for b in range(dim_d)]
-        self.e21 = [self._coords(2, 1, self.dlg.basis_vector(b)) for b in range(dim_d)]
-        self.e21_unit = self._coords(2, 1, list(self.dlg.bar_unit))
 
-    def _coords(self, i, j, dvec):
-        return _nonzero(self.slalg.coords_of_unit(i, j, dvec))
-
-    def _pair(self, a, b) -> list:
-        """a (x) b for the nonzero sl coordinates a, b."""
+    def _pair(self, i, j, x, k, l, y) -> list:
+        """E_ij(x) (x) E_kl(y) for dense D vectors x, y."""
         dim = self.slalg.algebra.dim
-        return [(i * dim + j, ca * cb) for i, ca in a for j, cb in b]
+        a = _nonzero(self.slalg.coords_of_unit(i, j, x))
+        b = _nonzero(self.slalg.coords_of_unit(k, l, y))
+        return [(s * dim + t, ca * cb) for s, ca in a for t, cb in b]
 
     def _dd_unit(self, t: int) -> list:
-        a, b = divmod(t, self.dlg.dim)
-        ba = self.dlg.rmul(self.dlg.basis_vector(b), self.dlg.basis_vector(a))
-        sgn = -1 if (self.dlg.parity(a) * self.dlg.parity(b)) % 2 else 1
-        second = self._pair(self._coords(1, 2, ba), self.e21_unit)
-        return self._pair(self.e12[a], self.e21[b]) + [(k, -sgn * v) for k, v in second]
+        dlg = self.dlg
+        a, b = divmod(t, dlg.dim)
+        ba = dlg.rmul(dlg.basis_vector(b), dlg.basis_vector(a))
+        sgn = -1 if (dlg.parity(a) * dlg.parity(b)) % 2 else 1
+        second = self._pair(1, 2, ba, 2, 1, dlg.bar_unit)
+        return (self._pair(1, 2, dlg.basis_vector(a), 2, 1, dlg.basis_vector(b))
+                + [(k, -sgn * v) for k, v in second])
 
     def _pattern_unit(self, rep, b: int) -> list:
         i, j, k, l = rep
         s = pattern_coefficient_sign(self.slalg.gl.m, self.slalg.gl.n, rep, self.dlg.parity(b), 0)
-        pair = self._pair(self._coords(i, j, self.dlg.basis_vector(b)),
-                          self._coords(k, l, list(self.dlg.bar_unit)))
+        pair = self._pair(i, j, self.dlg.basis_vector(b), k, l, self.dlg.bar_unit)
         return [(t, s * v) for t, v in pair]
 
     def of_dd(self, items) -> list:

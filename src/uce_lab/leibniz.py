@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 
 from .exactlin import (
     Echelon,
@@ -230,64 +231,74 @@ def gl(m: int, n: int, d: SuperDialgebra) -> GeneralLinear:
 class SpecialLinear:
     """sl(m, n, D) = [gl, gl], with its inclusion into gl.
 
-    The inclusion columns are an echelon basis of the bracket span; the
-    solver converts gl coordinate vectors that lie in sl into sl coordinates.
+    The inclusion columns are an echelon basis of the bracket span in which
+    every unit off the diagonal is a column; sl_index maps the gl index of
+    such a unit to its sl index.
     """
 
     gl: GeneralLinear
     algebra: LeibnizSuperalgebra
     inclusion: SparseMat
-    solver: SpanSolver
+    sl_index: dict
 
     def embed(self, slvec):
         """gl coordinates of an element given in sl coordinates."""
         return self.inclusion.apply(slvec)
 
     def coords_of_unit(self, i: int, j: int, dvec):
-        """sl coordinates of E_ij(x); raises if the element is not in sl."""
-        x = self.solver.solve(self.gl.unit_vector(i, j, dvec))
-        if x is None:
-            raise ValueError(f"E[{i},{j}](...) does not lie in sl")
+        """sl coordinates of E_ij(x) for i != j, read off sl_index."""
+        if i == j:
+            raise ValueError(f"E[{i},{i}](...) is diagonal, not an sl basis vector")
+        ring = self.algebra.ring
+        x = [ring.zero] * self.algebra.dim
+        for b, c in enumerate(dvec):
+            if c != 0:
+                x[self.sl_index[self.gl.unit_index(i, j, b)]] = ring.normalize(c)
         return x
-
-
-def _bracket_span_echelon(l: LeibnizSuperalgebra) -> Echelon:
-    return Echelon(l.ring, l.dim).extend(
-        l.bracket_basis(i, j) for i in range(l.dim) for j in range(l.dim)
-    )
 
 
 def sl(m: int, n: int, d: SuperDialgebra) -> SpecialLinear:
     """Special linear Leibniz superalgebra: the bracket span of gl(m, n, d).
 
-    The span is verified to equal
-    {x : Str(x) in span of dialgebra brackets} as submodules.  Each basis
-    vector takes the weight of the gl matrix units in its inclusion column;
-    a column whose units differ in weight raises RuntimeError.
+    The bracket adds weights, and [E_ij(a), E_jj(e)] = E_ij(a) for the
+    bar-unit e (checked: RuntimeError), so every unit off the diagonal is a
+    basis vector; only weight 0 is eliminated, from the brackets of unit
+    pairs of opposite weights.  The span is verified to equal
+    {x : Str(x) in span of dialgebra brackets} as submodules, and each basis
+    vector to be homogeneous in parity and weight (RuntimeError).  Only the
+    structure constants of weight 0 are solved; the others are read off.
     """
     if m + n < 2:
         raise InvalidInputError("need m + n >= 2")
     g = gl(m, n, d)
-    ech = _bracket_span_echelon(g.algebra)
+    ring, gl_table, gl_weight = g.algebra.ring, g.algebra.table, g.algebra.weight
+    ech = Echelon(ring, g.algebra.dim)
+    for i, j in permutations(range(1, g.size + 1), 2):
+        e_jj = g.unit_vector(j, j, d.bar_unit)
+        for b in range(d.dim):
+            x = g.unit_vector(i, j, d.basis_vector(b))
+            if g.algebra.bracket(x, e_jj) != x:
+                raise RuntimeError(f"[E[{i},{j}](e{b}), E[{j},{j}](e)] is not "
+                                   f"E[{i},{j}](e{b}): e is not a bar-unit")
+            ech.insert(ech.vector(x))
+    # the nonzero brackets of weight 0, of unit pairs of opposite weights
+    ech.extend(terms for terms in gl_table.values() if not any(gl_weight[terms[0][0]]))
     incl = ech.basis_matrix()
     _check_supertrace_characterization(g, ech)
 
-    sub_parity = []
-    sub_weight = []
     cols = incl.columns()
-    for j in range(incl.cols):
-        pars = {g.algebra.parity(i) for i, _ in cols[j]}
-        if len(pars) != 1:
-            raise RuntimeError("bracket span produced a parity-mixed generator")
-        sub_parity.append(pars.pop())
-        weights = {g.algebra.weight[i] for i, _ in cols[j]}
-        if len(weights) != 1:
-            raise RuntimeError("bracket span produced a weight-mixed generator")
-        sub_weight.append(weights.pop())
-
-    solver = SpanSolver(incl)
+    sub_parity, sub_weight = [], []
+    for col in cols:
+        for grade, out, what in ((g.algebra.module.parity, sub_parity, "parity"),
+                                 (gl_weight, sub_weight, "weight")):
+            seen = {grade[i] for i, _ in col}
+            if len(seen) != 1:
+                raise RuntimeError(f"bracket span produced a {what}-mixed generator")
+            out.append(seen.pop())
+    sl_index = {col[0][0]: a for a, col in enumerate(cols) if any(sub_weight[a])}
+    at_zero = [a for a, w in enumerate(sub_weight) if not any(w)]
+    solver = SpanSolver(incl.submatrix(range(incl.rows), at_zero))
     table = {}
-    ring, gl_table = g.algebra.ring, g.algebra.table
     for a, col_a in enumerate(cols):
         for b, col_b in enumerate(cols):
             # [x_a, x_b] from the nonzero inclusion entries and the gl table
@@ -296,20 +307,19 @@ def sl(m: int, n: int, d: SuperDialgebra) -> SpecialLinear:
                 for j, y in col_b:
                     for k, c in gl_table.get((i, j), ()):
                         acc[k] = acc.get(k, 0) + x * y * c
-            v = [(k, s) for k, x in acc.items() if (s := ring.normalize(x)) != 0]
-            if not v:
-                continue
-            coords = solver.solve(v)
-            if coords is None:
-                raise RuntimeError("sl is not closed under the bracket")
-            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
-            if terms:
-                table[(a, b)] = terms
+            v = [(k, s) for k, x in sorted(acc.items()) if (s := ring.normalize(x)) != 0]
+            if v and any(x + y for x, y in zip(sub_weight[a], sub_weight[b])):
+                table[(a, b)] = [(sl_index[k], c) for k, c in v]   # units off the diagonal
+            elif v:
+                coords = solver.solve(v)
+                if coords is None:
+                    raise RuntimeError("sl is not closed under the bracket")
+                if terms := [(at_zero[t], c) for t, c in enumerate(coords) if c != 0]:
+                    table[(a, b)] = terms
     mod = GradedFreeModule(incl.cols, tuple(sub_parity))
-    alg = LeibnizSuperalgebra(g.algebra.ring, mod, table,
-                              name=f"sl({m},{n},{d.name})",
+    alg = LeibnizSuperalgebra(ring, mod, table, name=f"sl({m},{n},{d.name})",
                               weight=tuple(sub_weight))
-    return SpecialLinear(g, alg, incl, solver)
+    return SpecialLinear(g, alg, incl, sl_index)
 
 
 def _check_supertrace_characterization(g: GeneralLinear, span_ech: Echelon):

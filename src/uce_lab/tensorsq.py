@@ -587,18 +587,13 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
             )
 
     pats = admissible_patterns(m, n)
-    right = {}   # sl coordinates of E_kl(1)
-    left = {}    # sl coordinates of E_ij(e_b)
     vecs = {}    # (pattern, basis index of D) -> sparse class vector
     labels = []
     for pat in pats:
         i, j, k, l = pat
-        if (k, l) not in right:
-            right[(k, l)] = slalg.coords_of_unit(k, l, list(d.bar_unit))
         for b in range(d.dim):
-            if (i, j, b) not in left:
-                left[(i, j, b)] = slalg.coords_of_unit(i, j, d.basis_vector(b))
-            vec = ts.pair_vector(left[(i, j, b)], right[(k, l)])
+            vec = ts.pair_vector(slalg.coords_of_unit(i, j, d.basis_vector(b)),
+                                 slalg.coords_of_unit(k, l, d.bar_unit))
             check_block(pat, vec)
             if combine(ring, ((c, boundary[x]) for x, c in vec)):
                 raise RuntimeError(f"class {pat} is not a cycle")

@@ -47,3 +47,41 @@ def _unused_imports(path) -> list:
 def test_module_level_imports_are_used(name):
     path = Path(uce_lab.__file__).parent / f"{name}.py"
     assert _unused_imports(path) == []
+
+
+def _unreferenced_private_names() -> list:
+    """Private module-level functions, classes and constants of the package
+    that nothing in it reads outside their own definition."""
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(Path(uce_lab.__file__).parent.glob("*.py"))}
+    readers = {}   # name -> ids of the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            readers.setdefault(name, set()).add(id(node))
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            out += [f"{mod}.{name}" for name in names
+                    if name.startswith("_") and not name.startswith("__")
+                    and not readers.get(name, set()) - own]
+    return out
+
+
+def test_private_module_level_names_are_used():
+    assert _unreferenced_private_names() == []

@@ -150,6 +150,16 @@ def test_non_unital_builtin_exits_2(capsys):
     assert code == 2 and "unital" in err
 
 
+def test_bar_unit_breaking_the_bar_unit_law_exits_2(capsys, tmp_path):
+    # rejected on loading, before sl could raise its RuntimeError for it
+    blob = dump_dialgebra(builtin_dialgebra("dual_numbers_q"))
+    blob["bar_unit"] = ["0", "1"]
+    p = tmp_path / "nilpotent_unit.json"
+    p.write_text(json.dumps(blob))
+    code, _, err = run(capsys, "verify", "--m", "2", "--n", "1", "--dialgebra", str(p))
+    assert code == 2 and "bar-unit" in err
+
+
 def _f2_with_modulus(tmp_path, modulus):
     blob = dump_dialgebra(builtin_dialgebra("f2"))
     blob["ring"] = {"kind": "int_mod", "modulus": modulus}

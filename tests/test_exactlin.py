@@ -361,6 +361,18 @@ def test_solve_linear_and_span_solver():
         SpanSolver(SparseMat.from_dense(ZZ, [[1, 2], [1, 2]]))  # dependent
 
 
+@pytest.mark.parametrize("p", [3, 2**61 - 1])
+def test_solved_coordinates_over_f_p_lie_in_0_to_p(p):
+    ring = GF(p)
+    rng = random.Random(p)
+    m = SparseMat.from_dense(ring, [[rng.randrange(p) for _ in range(3)] for _ in range(4)])
+    solver = SpanSolver(column_span_echelon(m).basis_matrix())
+    for _ in range(20):
+        c = [rng.randrange(p) for _ in range(3)]
+        for x in (solver.solve(m.apply(c)), solve_linear(m, m.apply(c))):
+            assert x is not None and all(type(v) is int and 0 <= v < p for v in x)
+
+
 def test_kernel_with_huge_entries_stays_exact():
     # forces the engine off the int64 fast path mid-computation
     m = SparseMat.from_dense(ZZ, [[2 ** 40, 2 ** 40 + 1, 3], [5, 7, 2 ** 45]])

@@ -1,15 +1,38 @@
 """Leibniz superalgebras from dialgebras; gl/sl, supertrace, centre,
 perfectness, and the bracket-formula and identity property suites."""
 
+from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from uce_lab.leibniz import _bracket_span_echelon, centre, from_dialgebra, gl, is_perfect, sl
+from uce_lab import exactlin, theorems
+from uce_lab.exactlin import Echelon, SpanSolver
+from uce_lab.leibniz import centre, from_dialgebra, gl, is_perfect, sl
 from uce_lab.superdialg import (builtin_dialgebra, catalog_names, load_dialgebra_file,
                                 matrix_dialgebra)
+from uce_lab.tensorsq import w_cycles
+from uce_lab.theorems import default_cases
 
 UNITAL = [n for n in catalog_names() if builtin_dialgebra(n).is_unital]
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+# every unital catalog dialgebra and the benchmark's file sources, on the
+# small shapes
+SL_CASES = ([(m, n, nm) for m, n in [(2, 1), (3, 0), (2, 2)] for nm in UNITAL]
+            + [(m, n, nm) for m, n in [(2, 1), (2, 2)] for nm in ("split_halfx", "dual_z")])
+
+
+def _dialgebra(name):
+    path = DATA / f"{name}.json"
+    return load_dialgebra_file(path) if path.exists() else builtin_dialgebra(name)
+
+
+def _bracket_span_echelon(l):
+    """The echelon (over Z: the lattice) of every basis bracket of l."""
+    return Echelon(l.ring, l.dim).extend(
+        l.bracket_basis(i, j) for i in range(l.dim) for j in range(l.dim)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +246,11 @@ def test_sl_bracket_on_generators_matches_formula(m, n, name):
                             assert got == [ring.normalize(v) for v in expect]
 
 
-DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
-
-
 def _dense_sl_table(s):
     """The construction sl replaced, kept as the reference: every structure
     constant from one dense gl bracket of two embedded sl basis vectors."""
     incl, g = s.inclusion, s.gl.algebra
+    solver = SpanSolver(incl)
     embedded = [incl.column_dense(j) for j in range(incl.cols)]
     table = {}
     for a in range(incl.cols):
@@ -237,22 +258,33 @@ def _dense_sl_table(s):
             v = g.bracket(embedded[a], embedded[b])
             if all(x == 0 for x in v):
                 continue
-            coords = s.solver.solve(v)
+            coords = solver.solve(v)
             terms = [(k, c) for k, c in enumerate(coords) if c != 0]
             if terms:
                 table[(a, b)] = terms
     return table
 
 
-@pytest.mark.parametrize("m,n,name",
-                         [(m, n, nm) for m, n in [(2, 1), (3, 0), (2, 2)] for nm in UNITAL]
-                         + [(m, n, nm) for m, n in [(2, 1), (2, 2)] for nm in ("split_halfx", "dual_z")])
+@pytest.mark.parametrize("m,n,name", SL_CASES)
 def test_sl_table_matches_the_dense_brackets(m, n, name):
-    path = DATA / f"{name}.json"
-    d = load_dialgebra_file(path) if path.exists() else builtin_dialgebra(name)
-    s = sl(m, n, d)
+    s = sl(m, n, _dialgebra(name))
     # repr: the same pairs, terms, order and value types (Fraction vs int)
     assert repr(s.algebra.table) == repr(_dense_sl_table(s))
+    ring = s.algebra.ring
+    assert all(c == ring.normalize(c) for terms in s.algebra.table.values() for _, c in terms)
+
+
+@pytest.mark.parametrize("m,n,name", sorted(
+    set(SL_CASES) | {(c.m, c.n, c.dialgebra) for c in default_cases()}))
+def test_sl_spans_every_gl_bracket_and_every_unit_off_the_diagonal(m, n, name):
+    s = sl(m, n, _dialgebra(name))
+    g, incl = s.gl, s.inclusion
+    ech = Echelon(incl.ring, incl.rows).extend(incl.columns())
+    # over Z: the same lattice
+    assert ech.same_span(_bracket_span_echelon(g.algebra))
+    off_diagonal = [[(g.unit_index(i, j, b), 1)] for i, j in permutations(range(1, g.size + 1), 2)
+                    for b in range(g.dlg.dim)]
+    assert all(unit in incl.columns() for unit in off_diagonal)
 
 
 def test_sl_off_diagonal_units_are_members():
@@ -261,6 +293,37 @@ def test_sl_off_diagonal_units_are_members():
     assert any(c != 0 for c in coords)
     back = s.embed(coords)
     assert back == s.gl.unit_vector(1, 3, [0, 1])
+    with pytest.raises(ValueError, match="diagonal"):
+        s.coords_of_unit(1, 1, [1, 0])
+
+
+def test_sl_rejects_a_bar_unit_that_breaks_the_bar_unit_law():
+    # (0, 1) is the nilpotent generator; validate() would reject it, so only
+    # a directly built structure reaches sl
+    d = replace(builtin_dialgebra("dual_numbers_q"), bar_unit=(0, 1))
+    with pytest.raises(RuntimeError, match="not a bar-unit"):
+        sl(2, 1, d)
+
+
+@pytest.mark.parametrize("m,n,name", [(3, 0, "f3"), (2, 2, "f3")])
+def test_sl_solves_only_at_weight_0_and_units_need_no_solve(monkeypatch, m, n, name):
+    d = builtin_dialgebra(name)
+    # the expected W comes from a quotient of D, whose invariants take
+    # coordinates in D; pinned, so that only the sl side is counted
+    expected = theorems.expected_w(m, n, d)
+    monkeypatch.setattr(theorems, "expected_w", lambda *args: expected)
+    calls = []
+    solve = SpanSolver.solve
+    monkeypatch.setattr(exactlin.SpanSolver, "solve",
+                        lambda self, vec: calls.append(1) or solve(self, vec))
+    s = sl(m, n, d)
+    w = s.algebra.weight
+    weight_0_pairs = sum(1 for a in w for b in w if not any(x + y for x, y in zip(a, b)))
+    assert 0 < len(calls) <= weight_0_pairs
+    calls.clear()
+    s.coords_of_unit(1, 2, [1])
+    assert w_cycles(s).ok
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
