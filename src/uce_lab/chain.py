@@ -140,9 +140,10 @@ def tensor_index(tup, dim: int) -> int:
 def _exact_array(ring, xs, terms: int) -> np.ndarray:
     """Ring values as an array in which a sum of up to ``terms`` of them, or
     of their negatives, is exact: int64 when they are integers and
-    terms * max |x| stays below the int64 guard of ``exactlin`` (the rule of
-    ``Echelon._guard``), Python ints in an object array otherwise.  Integral
-    rationals are read as ints; fractional ones stay Fractions."""
+    terms * max |x| stays below 2^61 (``exactlin._INT64_SAFE``, which
+    leaves headroom under the int64 limit 2^63), Python ints in an object
+    array otherwise.  Integral rationals are read as ints; fractional ones
+    stay Fractions."""
     if ring.kind == "rationals":
         if any(x.denominator != 1 for x in xs):
             return np.array(xs, dtype=object)

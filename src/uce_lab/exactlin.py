@@ -9,13 +9,17 @@ span of a sequence of vectors (zero vectors skipped, insertion order kept),
 compares two echelons and ``is_full`` says whether the rows span the whole
 module (over the integers: generate the whole lattice).
 
-Everything is exact: integers, rationals and prime fields.  numpy is used
-only as a fast container for exact integer arithmetic (int64 with a strict
-pre-op overflow guard, escalating to object-dtype Python ints when bounds are
-exceeded).  Over the rationals, echelon rows are integer vectors, and
-residues and solution coordinates are computed fraction-free, as an integer
-vector over one positive denominator; ``fractions.Fraction`` values are built
-only where results leave the module (``Echelon.residue``, ``SpanSolver.solve``,
+Everything is exact: integers, rationals and prime fields.  An echelon row
+is sparse, a dict {index: value} of its nonzero entries as Python ints (in
+[0, p) over F_p) or, in Fraction mode, Fractions; Python ints never
+overflow, so elimination needs no overflow guard and touches only the
+nonzero entries.  numpy serves the Smith normal form, where dense int64
+arrays escalate to object-dtype Python ints past a strict pre-op overflow
+guard, and the dense residues that ``Echelon.residue`` hands out.  Over the
+rationals, echelon rows are integer vectors, and residues and solution
+coordinates are computed fraction-free, as an integer vector over one
+positive denominator; ``fractions.Fraction`` values are built only where
+results leave the module (``Echelon.residue``, ``SpanSolver.solve``,
 ``basis_matrix``), and only for nonzero entries.  Input with fractional
 entries switches an echelon to Fraction rows.
 """
@@ -390,8 +394,27 @@ def _ext_gcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _content(arr) -> int:
-    return int(np.gcd.reduce(arr))
+def _content(v: dict) -> int:
+    """gcd of the values of a sparse vector (0 when it is empty)."""
+    return math.gcd(*v.values())
+
+
+def _axpy(w: dict, b, r: dict, mod=None):
+    """w += b * r in place, for sparse vectors w and r, dropping the entries
+    that become zero; reduced mod ``mod`` when given (w already is)."""
+    for k, x in r.items():
+        y = w.get(k, 0) + b * x
+        if mod is not None:
+            y %= mod
+        if y:
+            w[k] = y
+        else:
+            w.pop(k, None)
+
+
+def _scaled(a, r: dict) -> dict:
+    """a * r as a new sparse vector."""
+    return {k: a * x for k, x in r.items()} if a else {}
 
 
 class Echelon:
@@ -402,6 +425,10 @@ class Echelon:
     rows plus incoming vector, so the generated lattice is preserved exactly.
     Canonical residues (unique coset representatives) come from a single
     ascending sweep over the pivots.
+
+    Engine vectors and rows are sparse: dicts {index: value} of the nonzero
+    entries, Python ints (in [0, p) over F_p) or, in fracfield mode,
+    Fractions.  The leading index of a vector is its smallest key.
     """
 
     def __init__(self, ring: RingSpec, dim: int):
@@ -417,32 +444,18 @@ class Echelon:
         self.rows: list = []
         self.row_at: dict = {}        # leading index -> row position
         self.sorted_pivots: list = []  # the pivots in ascending order
-        # mod-p products stay below p^2, so int64 is safe only for small p
-        self._obj = ring.kind == "int_mod" and ring.modulus >= 1 << 31
 
     # -- vector plumbing ----------------------------------------------------
 
-    def _blank(self):
-        if self.mode == "fracfield":
-            v = np.empty(self.dim, dtype=object)
-            v[:] = Fraction(0)
-            return v
-        dt = object if self._obj else np.int64
-        return np.zeros(self.dim, dtype=dt)
-
-    def vector(self, items):
-        """Dense engine vector from list[(index, value)] or a full list."""
-        v = self._blank()
+    def vector(self, items) -> dict:
+        """Sparse engine vector from list[(index, value)] or a full list."""
         if isinstance(items, (list, tuple)) and items and not isinstance(items[0], tuple):
-            seq = [(i, x) for i, x in enumerate(items) if x != 0]
-        else:
-            seq = items
+            items = [(i, x) for i, x in enumerate(items) if x != 0]
         if self.mode == "fracfield":
-            for i, x in seq:
-                v[i] = Fraction(x)
-            return v
+            return {i: Fraction(x) for i, x in items if x != 0}
         p = self.ring.modulus
-        for i, x in seq:
+        v = {}
+        for i, x in items:
             if isinstance(x, Fraction):
                 if x.denominator != 1:
                     if self.mode == "intfield":
@@ -453,16 +466,15 @@ class Echelon:
             x = int(x)
             if p is not None:
                 x %= p
-            if not self._obj and abs(x) >= _INT64_SAFE:
-                self._escalate()
-                return self.vector(items)
-            v[i] = x
+            if x:
+                v[i] = x
         return v
 
     def _escalate(self):
-        if not self._obj:
-            self._obj = True
-            self.rows = [r.astype(object) for r in self.rows]
+        """Does nothing and is never called: rows hold Python numbers, which
+        cannot overflow.  Kept as the entry point that
+        ``perfbench/layertrace.py`` patches for its ``object_escalations``
+        metric, until the benchmark reads library spans (ROADMAP item 1)."""
 
     def _to_fracfield(self):
         if self.mode == "fracfield":
@@ -471,26 +483,9 @@ class Echelon:
         self.mode = "fracfield"
         new_rows = []
         for r in self.rows:
-            fr = np.empty(self.dim, dtype=object)
-            fr[:] = [Fraction(int(x)) for x in r]
-            piv = int(np.flatnonzero(fr != 0)[0]) if fr.any() else None
-            fr = fr / fr[piv]
-            new_rows.append(fr)
+            d = r[min(r)]
+            new_rows.append({k: Fraction(x, d) for k, x in r.items()})
         self.rows = new_rows
-        self._obj = True
-
-    @staticmethod
-    def _leading(v):
-        nz = np.flatnonzero(v != 0)
-        return int(nz[0]) if len(nz) else None
-
-    def _guard(self, a: int, va, b: int, vb):
-        """Escalate to object dtype if a*va + b*vb could leave int64 range."""
-        if self._obj or self.mode in ("modp", "fracfield"):
-            return
-        bound = abs(a) * int(np.abs(va).max(initial=0)) + abs(b) * int(np.abs(vb).max(initial=0))
-        if bound >= _INT64_SAFE:
-            self._escalate()
 
     # -- core operations ----------------------------------------------------
 
@@ -504,14 +499,10 @@ class Echelon:
         Returns True when the rank grew.  v is an engine vector and is
         consumed.
         """
-        if self._obj and v.dtype != object:
-            v = v.astype(object)
         mode = self.mode
         p_mod = self.ring.modulus
-        while True:
-            p = self._leading(v)
-            if p is None:
-                return False
+        while v:
+            p = min(v)
             at = self.row_at.get(p)
             if at is None:
                 v = self._normalize_new_row(v, p)
@@ -520,42 +511,29 @@ class Echelon:
                 self.rows.append(v)
                 return True
             r = self.rows[at]
-            if self._obj and r.dtype != object:
-                r = r.astype(object)
-                self.rows[at] = r
-            c = int(v[p])
+            c = v[p]
             if mode == "modp":
-                v = (v - c * r) % p_mod
+                _axpy(v, -c, r, p_mod)
             elif mode == "fracfield":
-                v = v - v[p] * r
+                _axpy(v, -c, r)
             elif mode == "intfield":
-                d = int(r[p])
-                self._guard(d, v, c, r)
-                if self._obj:
-                    r = self.rows[at]
-                    v = v.astype(object)
-                v = d * v - c * r
+                v = _scaled(r[p], v)
+                _axpy(v, -c, r)
                 g = _content(v)
                 if g > 1:
-                    v = v // g
+                    v = {k: x // g for k, x in v.items()}
             else:  # lattice
-                d = int(r[p])
+                d = r[p]
                 if c % d == 0:
-                    q = c // d
-                    self._guard(1, v, q, r)
-                    if self._obj:
-                        r = self.rows[at]
-                        v = v.astype(object)
-                    v = v - q * r
+                    _axpy(v, -(c // d), r)
                 else:
                     g, x, y = _ext_gcd(d, c)
-                    self._guard(abs(x) + abs(d // g), r, abs(y) + abs(c // g), v)
-                    if self._obj:
-                        r = self.rows[at]
-                        v = v.astype(object)
-                    new_r = x * r + y * v
-                    v = (d // g) * v - (c // g) * r
+                    new_r = _scaled(x, r)
+                    _axpy(new_r, y, v)
+                    v = _scaled(d // g, v)
+                    _axpy(v, -(c // g), r)
                     self.rows[at] = new_r
+        return False
 
     def extend(self, vectors) -> "Echelon":
         """Insert each nonzero vector, in order; each is a dense coordinate
@@ -563,107 +541,95 @@ class Echelon:
         then span the old span plus the vectors (lattice: generate)."""
         for items in vectors:
             v = self.vector(items)
-            if v.any():
+            if v:
                 self.insert(v)
         return self
 
     def _normalize_new_row(self, v, p):
         if self.mode == "modp":
-            inv = pow(int(v[p]), self.ring.modulus - 2, self.ring.modulus)
-            return (v * inv) % self.ring.modulus
+            m = self.ring.modulus
+            inv = pow(v[p], m - 2, m)
+            return {k: x * inv % m for k, x in v.items()}
         if self.mode == "fracfield":
-            return v / v[p]
+            d = v[p]
+            return {k: x / d for k, x in v.items()}
         if self.mode == "intfield":
             # scaling is free over a field; keep the integers small
             g = _content(v)
             if g > 1:
-                v = v // g
+                v = {k: x // g for k, x in v.items()}
         # over the integers only sign-flips are unimodular on a single row
         if v[p] < 0:
-            v = -v
+            v = _scaled(-1, v)
         return v
 
     def copy(self) -> "Echelon":
         """An independent echelon with the same rows, pivots and mode."""
         new = copy.copy(self)
-        new.rows = [r.copy() for r in self.rows]
+        new.rows = [dict(r) for r in self.rows]
         new.row_at = dict(self.row_at)
         new.sorted_pivots = list(self.sorted_pivots)
         return new
 
-    def _fraction_free_residue(self, v):
-        """(w, den) with w / den the canonical residue of v, for an intfield
-        echelon with at least one row: w is an integer vector and den > 0.
+    def _reduce(self, v):
+        """(w, den) with w / den the canonical residue of the engine vector
+        v, which is left as it is: w is sparse, den > 0, and den is 1
+        outside intfield mode.
 
-        One ascending sweep over the pivots, in integers with one running
-        denominator (w <- d*w - c*r, den <- d*den, both divided by their
-        common content), so no Fraction is built.  The result is checked to
-        vanish at every pivot; a breach raises RuntimeError.
-        """
-        if self._obj and v.dtype != object:
-            v = v.astype(object)
-        w, den = v, 1
-        for p in self.sorted_pivots:
-            c = int(w[p])
-            if c == 0:
-                continue
-            at = self.row_at[p]
-            r = self.rows[at]
-            d = int(r[p])
-            self._guard(d, w, c, r)
-            if self._obj:
-                r = self.rows[at]
-                w = w.astype(object)
-            w = d * w - c * r
-            den *= d
-            if den > 1:
-                g = math.gcd(_content(w), den)
-                if g > 1:
-                    w = w // g
-                    den //= g
-        if den <= 0 or w[self.sorted_pivots].any():
-            raise RuntimeError("fraction-free residue is not reduced at the pivots")
-        return w, den
-
-    def residue(self, v):
-        """Canonical representative of v modulo the row span / lattice.
-
-        Fields: zeros at every pivot (complement coordinates).  Integers:
-        pivot coordinates reduced into [0, pivot value).  Over the rationals,
-        once there is a row, the result is a Fraction vector.
+        One ascending sweep over the pivots.  In intfield mode it runs in
+        integers with one running denominator (w <- d*w - c*r, den <- d*den,
+        both divided by their common content), so no Fraction is built.
+        The result is checked to be reduced at every pivot (zero over a
+        field, in [0, pivot value) over the integers); a breach raises
+        RuntimeError.
         """
         mode = self.mode
-        if mode == "intfield" and self.rows:
-            return _fractions(*self._fraction_free_residue(v))
-        if self._obj and v.dtype != object:
-            v = v.astype(object)
+        p_mod = self.ring.modulus
+        w, den = dict(v), 1
         for p in self.sorted_pivots:
-            if v[p] == 0:
+            c = w.get(p)
+            if c is None:
                 continue
             r = self.rows[self.row_at[p]]
             if mode == "modp":
-                v = (v - int(v[p]) * r) % self.ring.modulus
+                _axpy(w, -c, r, p_mod)
             elif mode == "fracfield":
-                v = v - v[p] * r
-            else:
-                q = int(v[p]) // int(r[p])
+                _axpy(w, -c, r)
+            elif mode == "lattice":
+                q = c // r[p]
                 if q:
-                    self._guard(1, v, q, r)
-                    if self._obj:
-                        r = self.rows[self.row_at[p]]
-                        v = v.astype(object)
-                    v = v - q * r
-        return v
+                    _axpy(w, -q, r)
+            else:
+                d = r[p]
+                w = _scaled(d, w)
+                _axpy(w, -c, r)
+                den *= d
+                if den > 1:
+                    g = math.gcd(_content(w), den)
+                    if g > 1:
+                        w = {k: x // g for k, x in w.items()}
+                        den //= g
+        if den <= 0 or any(mode != "lattice" or not 0 <= w[p] < self.rows[self.row_at[p]][p]
+                           for p in self.row_at.keys() & w.keys()):
+            raise RuntimeError("echelon residue is not reduced at the pivots")
+        return w, den
+
+    def residue(self, v):
+        """Canonical representative of v modulo the row span / lattice, as a
+        dense object array of ring elements.
+
+        Fields: zeros at every pivot (complement coordinates).  Integers:
+        pivot coordinates reduced into [0, pivot value).  Over the rationals
+        the entries are Fractions.
+        """
+        return _dense(self.ring, self.dim, _ring_values(self.ring, *self._reduce(v)))
 
     def residue_of(self, dense):
         """residue of a dense coordinate sequence (list or numpy array)."""
         return self.residue(self.vector([(i, x) for i, x in enumerate(dense) if x != 0]))
 
     def contains(self, v) -> bool:
-        if self.mode == "intfield" and self.rows:
-            return not self._fraction_free_residue(v)[0].any()
-        res = self.residue(v.copy() if hasattr(v, "copy") else v)
-        return not res.any()
+        return not self._reduce(v)[0]
 
     def same_span(self, other: "Echelon") -> bool:
         """Equal rank and mutual containment: the two echelons have the same
@@ -705,32 +671,30 @@ class Echelon:
         """
         if self.mode != "lattice":
             raise ValueError(f"pivot values depend on insertion order in {self.mode} mode")
-        return {p: int(self.rows[at][p]) for p, at in self.row_at.items()}
+        return {p: self.rows[at][p] for p, at in self.row_at.items()}
 
 
-def _fractions(w, den):
-    """The Fraction object array w / den, one shared zero at the zero entries."""
-    out = np.full(len(w), Fraction(0), dtype=object)
-    for i in np.flatnonzero(w):
-        out[i] = Fraction(int(w[i]), den)
+def _ring_values(ring: RingSpec, w: dict, den: int) -> dict:
+    """The entries of the sparse vector w / den as normalized ring elements:
+    Fractions over the rationals, the ints of w otherwise (den is 1 there)."""
+    if ring.kind != "rationals":
+        return w
+    return {k: Fraction(x, den) for k, x in w.items()}
+
+
+def _dense(ring: RingSpec, dim: int, w: dict):
+    """The sparse vector w of ring elements as a dense object array, one
+    shared ring zero at the zero entries."""
+    out = np.full(dim, ring.zero, dtype=object)
+    for k, x in w.items():
+        out[k] = x
     return out
 
 
 def _engine_columns(ring: RingSpec, nrows: int, vecs) -> SparseMat:
-    """SparseMat with the engine vectors vecs as its columns, read at their
-    nonzero entries only."""
-    ent = {}
-    for j, v in enumerate(vecs):
-        for i in np.flatnonzero(v):
-            x = v[i]
-            ent[(int(i), j)] = x if isinstance(x, Fraction) else int(x)
+    """SparseMat with the engine vectors vecs as its columns."""
+    ent = {(i, j): v[i] for j, v in enumerate(vecs) for i in sorted(v)}
     return SparseMat(ring, nrows, len(vecs), ent)
-
-
-def _ring_values(ring: RingSpec, xs) -> list:
-    """Engine entries as normalized ring elements: Fractions over the
-    rationals, ints otherwise (in [0, p) over F_p)."""
-    return [ring.normalize(x if isinstance(x, Fraction) else int(x)) for x in xs]
 
 
 def _leading_entries(m: SparseMat) -> dict:
@@ -866,17 +830,14 @@ def _coordinates(ech: Echelon, n: int, vec):
     """x with m @ x = vec from the augmented echelon of an n-row m, or None
     when vec is outside the column span (lattice).  vec is a dense list or
     its nonzero (index, value) pairs."""
-    v = ech.vector(vec)
-    # vector() may have switched the echelon to fracfield: dispatch after it
-    if ech.mode == "intfield" and ech.rows:
-        w, den = ech._fraction_free_residue(v)
-        if w[:n].any():
-            return None
-        return _fractions(-w[n:], den).tolist()
-    res = ech.residue(v)
-    if res[:n].any():
+    w, den = ech._reduce(ech.vector(vec))
+    if w and min(w) < n:
         return None
-    return _ring_values(ech.ring, [-x for x in res[n:]])
+    ring = ech.ring
+    out = [ring.zero] * (ech.dim - n)
+    for k, x in _ring_values(ring, w, den).items():
+        out[k - n] = ring.normalize(-x)
+    return out
 
 
 def kernel_basis(m: SparseMat) -> SparseMat:
@@ -891,7 +852,8 @@ def kernel_basis(m: SparseMat) -> SparseMat:
     """
     n = m.rows
     ech = _augmented_echelon(m)
-    out = [ech.rows[ech.row_at[p]][n:] for p in ech.sorted_pivots if p >= n]
+    out = [{i - n: x for i, x in ech.rows[ech.row_at[p]].items()}
+           for p in ech.sorted_pivots if p >= n]
     return _engine_columns(m.ring, m.cols, out)
 
 

@@ -169,7 +169,11 @@ def verify_case(case: CaseLabel, guard: int = DEFAULT_SIZE_GUARD) -> Verificatio
 
 def verify_dialgebra(case: CaseLabel, d: SuperDialgebra,
                      guard: int = DEFAULT_SIZE_GUARD) -> VerificationReport:
-    """verify_case for an explicitly supplied dialgebra (file-loaded ones)."""
+    """verify_case for an explicitly supplied dialgebra (file-loaded ones).
+    W(m, n, D) is computed once, for both the expected HL_2 and the
+    Steinberg summand."""
+    from .hochschild import hhs1
+
     if not d.is_unital:
         raise InvalidInputError(f"{case.dialgebra} is not unital")
     times = {}
@@ -188,7 +192,8 @@ def verify_dialgebra(case: CaseLabel, d: SuperDialgebra,
     times["tensor_path"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
-    expected = expected_hl2(case.m, case.n, d, guard)
+    w = expected_w(case.m, case.n, d)
+    expected = hhs1(d, guard).direct_sum(w)
     times["expected"] = (time.perf_counter() - t0) * 1000
 
     agree = module_iso_check(chain_inv, tensor_inv)
@@ -205,7 +210,7 @@ def verify_dialgebra(case: CaseLabel, d: SuperDialgebra,
 
     return VerificationReport(
         case, chain_inv, tensor_inv, expected, passed, agree, times,
-        certificates, wrep, expected_w(case.m, case.n, d),
+        certificates, wrep, w,
         square_blocks=tuple(ts.block_sizes()),
     )
 

@@ -1,5 +1,5 @@
-"""Every name a module exports resolves, and every name it imports is
-used."""
+"""Every name a module exports resolves, every name it imports is used,
+and the echelon engine holds no numpy."""
 
 import ast
 import importlib
@@ -85,3 +85,12 @@ def _unreferenced_private_names() -> list:
 
 def test_private_module_level_names_are_used():
     assert _unreferenced_private_names() == []
+
+
+def test_echelon_holds_no_numpy():
+    """Echelon rows are sparse dicts of Python numbers; a numpy reference in
+    the class body would be a dense path beside them."""
+    tree = ast.parse((Path(uce_lab.__file__).parent / "exactlin.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Echelon")
+    used = {n.id for n in ast.walk(cls) if isinstance(n, ast.Name)}
+    assert used & {"np", "numpy"} == set()

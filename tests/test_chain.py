@@ -419,6 +419,19 @@ def test_field_block_echelons_equal_inserting_every_column(m, n, name):
     assert_blocks_equal_reference(_algebra("sl", m, n, name))
 
 
+@pytest.mark.parametrize("m,n,name,types", [
+    (2, 2, "dual_z", {int}), (2, 2, "grass_f3", {int}),
+    (2, 1, "split_halfx", {int, Fraction}),   # fracfield blocks hold Fractions
+])
+def test_block_echelon_rows_hold_python_numbers(m, n, name, types):
+    """Echelon rows have no overflow guard, so a numpy integer in one would
+    wrap silently: every stored value is exactly a Python int (or, over Q,
+    a Fraction)."""
+    blocks = blocked_complex(_algebra("sl", m, n, name), 2)[1]
+    seen = {type(x) for *_, image in blocks for row in image.rows for x in row.values()}
+    assert seen and seen <= types
+
+
 def _scaled(l, factor):
     """The bracket times factor: the Leibniz identity is homogeneous of
     degree 2 in the bracket, so this is again a Leibniz superalgebra."""

@@ -374,7 +374,7 @@ def test_solved_coordinates_over_f_p_lie_in_0_to_p(p):
 
 
 def test_kernel_with_huge_entries_stays_exact():
-    # forces the engine off the int64 fast path mid-computation
+    # products past the int64 range arise mid-computation
     m = SparseMat.from_dense(ZZ, [[2 ** 40, 2 ** 40 + 1, 3], [5, 7, 2 ** 45]])
     k = kernel_basis(m)
     assert k.cols == 1
@@ -467,35 +467,67 @@ def test_qq_solutions_are_exact(case, coeffs):
     assert solver.solve(basis.apply(c)) == c
 
 
-def test_residue_escalates_to_object_dtype_exactly():
-    ech = Echelon(QQ, 3)
-    ech.insert(ech.vector([3, 1, 0]))
-    assert not ech._obj
-    v = [2**60 + 1, 0, 7]
-    assert list(ech.residue_of(v)) == _reference_residue([[3, 1, 0]], v)
-    assert ech._obj
+def _in_ring(ring, x):
+    """A Fraction as an element of ring (its denominator a unit there)."""
+    x = Fraction(x)
+    if ring.kind == "int_mod":
+        return x.numerator * pow(x.denominator, -1, ring.modulus) % ring.modulus
+    return ring.normalize(x)
+
+
+def test_huge_entries_stay_exact():
+    """Rows hold Python numbers, so entries of 2^62 and +-2^100 neither
+    overflow nor lose precision in insert, residue_of and contains."""
+    for ring in (ZZ, QQ, GF(2**61 - 1)):
+        lead = 1 if ring == ZZ else 3   # unit pivots: the lattice residue is the field one
+        a = [lead, 2**62, -(2**100), 0, 2**100]
+        b = [0, 0, lead, 2**100, 2**62]
+        ech = Echelon(ring, 5)
+        assert ech.insert(ech.vector([x + 2**100 * y for x, y in zip(a, b)]))
+        assert ech.insert(ech.vector(b))
+        assert not ech.insert(ech.vector(a))
+        inside = [2**100 * x - 2**62 * y for x, y in zip(a, b)]
+        probes = [[2**100, -(2**100), 2**62, 1, 0], [2**62] * 5,
+                  inside, [x + y for x, y in zip(inside, [0, 1, 0, 0, -(2**100)])]]
+        for v in probes:
+            want = [_in_ring(ring, x) for x in _reference_residue([a, b], v)]
+            assert [ring.normalize(x) for x in ech.residue_of(v)] == want
+            assert ech.contains(ech.vector(v)) == (not any(want))
+        assert ech.contains(ech.vector(inside))
 
 
 def test_fraction_free_residue_checks_its_pivots():
-    ech = Echelon(QQ, 3)
-    ech.insert(ech.vector([2, 1, 0]))
-    ech.insert(ech.vector([0, 3, 1]))
-    ech.rows[1][0] = 5  # corrupt: the row at pivot 1 reaches back to pivot 0
-    with pytest.raises(RuntimeError, match="pivot"):
-        ech.residue_of([1, 1, 1])
+    """Every residue sweep ends by checking that it is reduced at the pivots
+    (zero over a field, in [0, pivot value) over the integers)."""
+    for ring in (QQ, ZZ, GF(3)):
+        ech = Echelon(ring, 3)
+        ech.insert(ech.vector([2, 1, 0]))
+        ech.insert(ech.vector([0, 3, 1]))
+        ech.rows[1][0] = 5  # corrupt: the second row reaches back to pivot 0
+        for check in (ech.residue_of, lambda v: ech.contains(ech.vector(v))):
+            with pytest.raises(RuntimeError, match="pivot"):
+                check([1, 4, 1])
+
+
+def _dense_rows(ech):
+    """The full content of every row, in row order."""
+    return [[r.get(i, 0) for i in range(ech.dim)] for r in ech.rows]
 
 
 def test_copy_is_independent():
     for ring in (ZZ, QQ, GF(3)):
         ech = Echelon(ring, 3)
         ech.insert(ech.vector([2, 1, 0]))
+        before = _dense_rows(ech)
         dup = ech.copy()
         dup.insert(dup.vector([0, 1, 1]))
         assert (ech.rank, dup.rank) == (1, 2)
         assert list(ech.row_at) == [0]
         assert list(ech.residue_of([0, 1, 1])) != [0, 0, 0]
         assert not dup.residue_of([0, 1, 1]).any()
-        assert dup.mode == ech.mode and dup._obj == ech._obj
+        assert dup.mode == ech.mode and _dense_rows(dup)[:1] == before
+        dup.rows[0][2] = 1
+        assert _dense_rows(ech) == before
 
 
 def test_pivot_values_are_lattice_only():
@@ -540,7 +572,7 @@ def _plain_sort_residue(ech, v):
     then one ascending sweep (exact Fractions; floor quotients over Z)."""
     out = [Fraction(x) for x in v]
     for p in sorted(ech.row_at):
-        r = [Fraction(x) for x in ech.rows[ech.row_at[p]]]
+        r = [Fraction(x) for x in _dense_rows(ech)[ech.row_at[p]]]
         q = out[p] // r[p] if ech.ring == ZZ else out[p] / r[p]
         out = [a - q * b for a, b in zip(out, r)]
     return [ech.ring.normalize(x) for x in out]
@@ -615,7 +647,7 @@ def _span_case(draw):
 
 
 def _state(ech, probes):
-    return (ech.mode, list(ech.row_at), [list(r) for r in ech.rows],
+    return (ech.mode, list(ech.row_at), _dense_rows(ech),
             [list(ech.residue_of(p)) for p in probes])
 
 

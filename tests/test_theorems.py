@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from uce_lab import chain
+from uce_lab import chain, theorems
 from uce_lab.exactlin import module_iso_check, parity_shift
 from uce_lab.superdialg import builtin_dialgebra
 from uce_lab.theorems import (
@@ -115,6 +115,23 @@ def test_verify_builds_each_boundary_once(monkeypatch, case):
     monkeypatch.setattr(chain, "_boundary_entries", counted)
     assert verify_case(case).passed
     assert sorted(calls) == [2, 3]
+
+
+def test_verify_computes_w_once_besides_the_w_cycles(monkeypatch):
+    # verify_dialgebra takes W once for the expected HL_2 and the Steinberg
+    # summand; w_cycles takes its own.  Each W of a (2,2) case is D_2 and D_0.
+    calls = {"expected_w": 0, "quotient_Dm": 0}
+    for name in calls:
+        real = getattr(theorems, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(theorems, name, counted)
+    rep = verify_case(CaseLabel(2, 2, "f3"))
+    assert calls == {"expected_w": 2, "quotient_Dm": 4}
+    assert rep.passed and rep.steinberg_h2 == expected_w(2, 2, builtin_dialgebra("f3"))
 
 
 def test_verify_report_json_shape():
