@@ -20,17 +20,19 @@ weights and is even, so delta_n maps each block into the block of the same
 key; every nonzero entry is checked for this, and a leak raises
 RuntimeError.  ``delta`` wraps the entries as a ``SparseMat`` with their
 keys.  ``blocked_complex`` takes delta_n from ``delta`` but never builds
-delta_{n+1} as a matrix: it places each of its entries in its block, by
-block ids computed from the keys of L^(x)n and L, checks
-delta_n o delta_{n+1} = 0 per block, and computes the kernel and the image
-echelon one block at a time, in sorted key order, once per algebra and
-degree.  ``hl`` direct-sums the homology of the blocks, each by the one
-rule of ``exactlin.quotient_invariants``.  The tensor square and the
-splitting check read the same blocks.
+delta_{n+1} as a matrix, whole or per block: it places each of its entries
+in its block, by block ids computed from the keys of L^(x)n and L, checks
+delta_n o delta_{n+1} = 0 once over all entries, picks the first columns
+of every image echelon with one array pass over all blocks, and computes
+the kernel and the image echelon one block at a time, in sorted key
+order, once per algebra and degree.  ``hl`` direct-sums the homology of
+the blocks, each by the one rule of ``exactlin.quotient_invariants``.  The
+tensor square and the splitting check read the same blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import add
 
@@ -251,9 +253,9 @@ def _positions(block, count: int) -> tuple:
 
 def _composes_to_zero(ring, down, rows, cols, vals) -> bool:
     """Whether d @ u = 0, for d given by its columns ``down`` = (pointers,
-    rows, values) and u by the entries (rows, cols, vals) that meet them.
-    int64 only when the largest |product| times their count is below the
-    guard, object otherwise."""
+    rows, values) and u by its entries (rows, cols, vals).  int64 only when
+    the largest |product| times their count is below the guard, object
+    otherwise."""
     ptr, d_rows, d_vals = down
     start = ptr[rows]
     count = ptr[rows + 1] - start
@@ -269,15 +271,91 @@ def _absmax(arr) -> int:
     return int(np.abs(arr).max(initial=0))
 
 
-def _block_matrix(ring, nrows: int, ncols: int, rows, cols, vals) -> SparseMat:
-    """The SparseMat of a block from its entries in block coordinates,
-    sorted by column, then row; values as ``_boundary_entries`` gives them
-    (over Q an integral one is an int, which ``Echelon`` reads as it is)."""
-    rows, cols, vals = rows.tolist(), cols.tolist(), vals.tolist()
-    columns = [[] for _ in range(ncols)]
-    for i, j, x in zip(rows, cols, vals):
-        columns[j].append((i, x))
-    return SparseMat._trusted(ring, nrows, ncols, dict(zip(zip(rows, cols), vals)), columns)
+class _ImageBlock:
+    """The columns of one delta_{n+1} block in block coordinates, as
+    ``column_span_echelon`` reads them (``exactlin._MatrixColumns`` gives
+    a SparseMat the same interface): ``best``, the representative of each
+    leading row as leading row -> (|leading value|, nnz, index);
+    ``others()``, the other nonzero columns sparsest first, then by index,
+    sorted only when asked for; and each column's rows and entries, sliced
+    from the block's entry lists.  A column becomes a list of pairs only
+    when it is inserted.  Values are as ``_boundary_entries`` gives them:
+    over Q an integral one is an int, which ``Echelon.vector`` reads as it
+    reads Fraction(n, 1)."""
+
+    __slots__ = ("ring", "rows", "cols", "best", "_rows", "_vals", "_ptr", "_free")
+
+    def __init__(self, ring, rows: int, best: dict, entries, free):
+        """entries: the block's (rows, values, column pointers) as arrays;
+        free: (index, nnz, is representative) of each nonzero column."""
+        self.ring, self.rows, self.best, self._free = ring, rows, best, free
+        self._rows, self._vals, self._ptr = (a.tolist() for a in entries)
+        self.cols = len(self._ptr) - 1
+
+    def others(self) -> list:
+        pos, nnz, rep = self._free
+        pos, nnz = pos[~rep], nnz[~rep]
+        return pos[np.lexsort((pos, nnz))].tolist()
+
+    def rows_of(self, j) -> list:
+        return self._rows[self._ptr[j]:self._ptr[j + 1]]
+
+    def column(self, j) -> list:
+        s, e = self._ptr[j], self._ptr[j + 1]
+        return list(zip(self._rows[s:e], self._vals[s:e]))
+
+    def columns(self) -> list:
+        return [self.column(j) for j in range(self.cols)]
+
+
+def _representatives(block, pos, lead, mag, nnz) -> np.ndarray:
+    """Which of the nonzero columns, given by their block, position in it,
+    leading row, |leading value| and nnz and sorted by block and position,
+    represent their leading row: per block and leading row, the smallest
+    |leading value|, then the fewest nonzeros, then the lowest position.
+    One lexsort over all blocks; Python ints past int64 and Fractions
+    (object arrays) enter it as the ranks of the integers they become over
+    their common denominator."""
+    if mag.dtype == object:
+        xs = mag.tolist()
+        den = math.lcm(*(x.denominator for x in xs))
+        mag = np.array([x.numerator * (den // x.denominator) for x in xs], dtype=object)
+        mag = np.unique(mag, return_inverse=True)[1]
+    order = np.lexsort((pos, nnz, mag, lead, block))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(block[order]) != 0) | (np.diff(lead[order]) != 0)
+    rep = np.zeros(len(order), dtype=bool)
+    rep[order[first]] = True
+    return rep
+
+
+def _image_blocks(ring, sizes, block, rows, cols, vals, col_sizes):
+    """One ``_ImageBlock`` per block of L^(x)n (``sizes`` rows each), in
+    block id order, from the entries of delta_{n+1} in block coordinates,
+    sorted by block, then column, then row; ``col_sizes`` counts the
+    columns of every block id.  One array pass over all blocks finds each
+    nonzero column's leading row, |leading value| and nnz, and one lexsort
+    its representative (``_representatives``); a block's entries become
+    Python lists as its ``_ImageBlock`` is made."""
+    first = np.cumsum(col_sizes) - col_sizes   # each block's first column
+    slot = first[block] + cols
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(slot, minlength=col_sizes.sum()))))
+    start = np.flatnonzero(np.diff(slot, prepend=-1))   # of each nonzero column
+    nnz = np.diff(start, append=len(slot))
+    nz_block, nz_pos, nz_lead, nz_mag = block[start], cols[start], rows[start], np.abs(vals[start])
+    rep = _representatives(nz_block, nz_pos, nz_lead, nz_mag, nnz)
+    at = np.flatnonzero(rep)
+    best = list(zip(nz_lead[at].tolist(),
+                    zip(nz_mag[at].tolist(), nnz[at].tolist(), nz_pos[at].tolist())))
+    ids = np.arange(len(sizes) + 1)
+    rep_cut = np.searchsorted(nz_block[at], ids).tolist()
+    nz_cut = np.searchsorted(nz_block, ids).tolist()
+    for b, size in enumerate(sizes):
+        cut = ptr[first[b]:first[b] + col_sizes[b] + 1]
+        part, nz = slice(cut[0], cut[-1]), slice(nz_cut[b], nz_cut[b + 1])
+        yield _ImageBlock(ring, size, dict(best[rep_cut[b]:rep_cut[b + 1]]),
+                          (rows[part], vals[part], cut - cut[0]),
+                          (nz_pos[nz], nnz[nz], rep[nz]))
 
 
 def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> tuple:
@@ -289,10 +367,15 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     as arrays, and each column and row gets a block id and a position in
     its block from the key ids of L^(x)n and L.  An entry whose row and
     column lie in different blocks raises the leak RuntimeError of
-    ``delta``; then delta_n o delta_{n+1} = 0 is verified exactly, block by
-    block, against ``delta_n.matrix``.  Each block's columns come in
-    ascending global index, so the block matrix is the submatrix of the
-    whole delta_{n+1} on the block.
+    ``delta``; then delta_n o delta_{n+1} = 0 is verified exactly, once
+    over all entries, against ``delta_n.matrix`` (the blocks partition the
+    columns, so this is the check of every block).  Each block's columns
+    come in ascending global index, so each image echelon reads the
+    submatrix of the whole delta_{n+1} on the block.  No block becomes a
+    SparseMat: ``_image_blocks`` picks the representatives that
+    ``column_span_echelon`` inserts first by one array pass over all
+    blocks, and an ``_ImageBlock`` makes a Python column only when it is
+    inserted.
 
     The chain property puts each image inside the block's kernel, which
     licenses stopping the image reduction once it provably equals the
@@ -332,25 +415,24 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     if len(leak):
         i, j = rows[leak[0]], cols[leak[0]]
         raise _leak(n + 1, j, names[col_block[j]], names[row_block[i]])
-    order = np.argsort(block, kind="stable")   # by block, then column, then row
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    cut = np.searchsorted(block[order], np.arange(len(by_key) + 1))
-    cols_n = dn.matrix.columns()
-    down = (np.cumsum([0] + [len(col) for col in cols_n]),
-            np.array([i for col in cols_n for i, _ in col], dtype=np.int64),
-            _exact_array(l.ring, [v for col in cols_n for _, v in col], 1))
-    below = _indices_by_key(dn.target_keys)
-    blocks = []
-    for b, (key, idx) in enumerate(by_key):
-        part = slice(cut[b], cut[b + 1])
-        if n > 1 and not _composes_to_zero(l.ring, down, rows[part], cols[part], vals[part]):
+    if n > 1:
+        cols_n = dn.matrix.columns()
+        down = (np.cumsum([0] + [len(col) for col in cols_n]),
+                np.array([i for col in cols_n for i, _ in col], dtype=np.int64),
+                _exact_array(l.ring, [v for col in cols_n for _, v in col], 1))
+        if not _composes_to_zero(l.ring, down, rows, cols, vals):
             raise RuntimeError(
                 "delta_n o delta_{n+1} != 0; the bracket does not satisfy the "
                 "Leibniz identity or the boundary signs drifted"
             )
+    order = np.argsort(block, kind="stable")   # by block, then column, then row
+    block, rows, cols, vals = block[order], row_pos[rows[order]], col_pos[cols[order]], vals[order]
+    images = _image_blocks(l.ring, [len(idx) for _, idx in by_key],
+                           block, rows, cols, vals, col_sizes)
+    below = _indices_by_key(dn.target_keys)
+    blocks = []
+    for (key, idx), up in zip(by_key, images):
         ker = kernel_basis(dn.matrix.submatrix(below.get(key, []), idx))
-        up = _block_matrix(l.ring, len(idx), int(col_sizes[b]), row_pos[rows[part]],
-                           col_pos[cols[part]], vals[part])
         blocks.append((key, idx, ker, column_span_echelon(up, within=ker)))
     l._complexes[n] = (dn, tuple(blocks))
     return l._complexes[n]

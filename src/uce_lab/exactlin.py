@@ -225,10 +225,9 @@ class SparseMat:
 
     The constructor normalises values and drops zeros; ``_trusted`` skips that
     pass, for code that itself builds normalised nonzero in-range entries
-    (``submatrix``, ``chain.delta``).  The block matrices of
-    ``chain.blocked_complex`` go only to ``column_span_echelon``; over Q
-    they hold integral values as ints, which ``Echelon.vector`` reads as
-    it reads Fraction(n, 1)."""
+    (``submatrix``, ``chain.delta``).  ``chain.blocked_complex`` builds
+    no SparseMat for its image blocks: ``column_span_echelon`` reads them
+    from arrays."""
 
     __slots__ = ("ring", "rows", "cols", "entries", "_cols_cache")
 
@@ -727,35 +726,60 @@ def spans_within(ech: Echelon, within: SparseMat) -> bool:
     return ech.row_at.keys() == lead.keys() and not _open_pivots(ech, lead, lead)
 
 
-def _insert_order(cols, lead, lattice: bool):
-    """Yields the indices of the nonzero columns in the order
+class _MatrixColumns:
+    """The columns of a SparseMat as ``column_span_echelon`` reads them: the
+    representative of each leading row, ``best`` (leading row ->
+    (|leading value|, nnz, index)), the other nonzero columns sparsest
+    first, then by index (``others``), and each column's rows and entries.
+    Computed in Python from ``columns()``; ``chain.blocked_complex`` gives
+    its blocks the same interface from numpy arrays."""
+
+    def __init__(self, m: SparseMat):
+        self.ring, self.rows = m.ring, m.rows
+        self._cols = cols = m.columns()
+        best = {}
+        for j, col in enumerate(cols):
+            if col:
+                p, x = col[0]
+                key = (abs(x), len(col), j)
+                if p not in best or key < best[p]:
+                    best[p] = key
+        self.best = best
+
+    def others(self) -> list:
+        cols, chosen = self._cols, {key[2] for key in self.best.values()}
+        return sorted((j for j, col in enumerate(cols) if col and j not in chosen),
+                      key=lambda j: (len(cols[j]), j))
+
+    def rows_of(self, j) -> list:
+        return [i for i, _ in self._cols[j]]
+
+    def column(self, j) -> list:
+        return self._cols[j]
+
+
+def _insert_order(src, lead, lattice: bool):
+    """Yields the indices of the nonzero columns of ``src`` (a
+    ``_MatrixColumns`` or a block of ``chain.blocked_complex``) in the order
     ``column_span_echelon`` inserts them: the representatives, then the
     columns touching an open row, then the rest (see there).  Lazily, so a
-    stop after the representatives sorts nothing else."""
-    best = {}   # leading row -> (|leading value|, nnz, index) of its representative
-    for j, col in enumerate(cols):
-        if col:
-            p, x = col[0]
-            key = (abs(x), len(col), j)
-            if p not in best or key < best[p]:
-                best[p] = key
-    reps = sorted(key[2] for key in best.values())
-    yield from reps
+    stop after the representatives never asks ``src.others()``."""
+    yield from sorted(key[2] for key in src.best.values())
     open_rows = {p for p, d in (lead or {}).items()
-                 if p not in best or (lattice and best[p][0] != abs(d))}
-    chosen = set(reps)
+                 if p not in src.best or (lattice and src.best[p][0] != abs(d))}
     rest = []
-    for j in sorted((j for j, col in enumerate(cols) if col and j not in chosen),
-                    key=lambda j: (len(cols[j]), j)):
-        if open_rows and any(i in open_rows for i, _ in cols[j]):
+    for j in src.others():
+        if open_rows and not open_rows.isdisjoint(src.rows_of(j)):
             yield j
         else:
             rest.append(j)
     yield from rest
 
 
-def column_span_echelon(m: SparseMat, within: SparseMat | None = None) -> Echelon:
-    """Echelon of the column span (field) / column lattice (integers).
+def column_span_echelon(m, within: SparseMat | None = None) -> Echelon:
+    """Echelon of the column span (field) / column lattice (integers) of m,
+    a SparseMat or a block of ``chain.blocked_complex``, which reads its
+    columns from arrays and builds a Python column only when it inserts it.
 
     ``within`` holds triangular columns (distinct leading rows, as
     ``kernel_basis`` gives) of a module that callers have proven, exactly
@@ -773,12 +797,14 @@ def column_span_echelon(m: SparseMat, within: SparseMat | None = None) -> Echelo
     certificate on a finished echelon.
 
     The columns are inserted in three phases, an order fixed by the
-    columns and ``within`` alone.  (1) One representative per distinct leading row: the smallest
+    columns and ``within`` alone (``_insert_order``).  (1) One
+    representative per distinct leading row: the smallest
     |leading value|, then the fewest nonzeros, then the lowest index.  They
     are triangular, so each raises the rank with no reduction step.  The
     leading row of any vector of a span is one of its pivots, so when the
     representatives cover the leading rows of ``within`` (over the integers
-    with equal |values|), the stop fires after exactly rank inserts.
+    with equal |values|), the stop fires after exactly rank inserts, and
+    the other columns are never sorted.
     (2) Sparsest-first, the other columns with a nonzero entry at an open
     row: a leading row of ``within`` that no representative covers (its
     pivot can only come from cancellation) or, over the integers, whose
@@ -791,11 +817,12 @@ def column_span_echelon(m: SparseMat, within: SparseMat | None = None) -> Echelo
     Equal spans have equal pivot sets, so a pivot that is not a leading
     row of ``within`` means a column outside it: RuntimeError.
     """
-    ech = Echelon(m.ring, m.rows)
-    cols = m.columns()
+    src = _MatrixColumns(m) if isinstance(m, SparseMat) else m
+    ech = Echelon(src.ring, src.rows)
     lead = None if within is None else _leading_entries(within)
+    order = _insert_order(src, lead, ech.mode == "lattice")
     unmatched = None  # open pivots, once the rank of within is reached
-    for j in _insert_order(cols, lead, ech.mode == "lattice"):
+    while True:
         if lead is not None and ech.rank == len(lead):
             if unmatched is None:
                 if ech.row_at.keys() != lead.keys():
@@ -804,7 +831,10 @@ def column_span_echelon(m: SparseMat, within: SparseMat | None = None) -> Echelo
             unmatched = _open_pivots(ech, lead, unmatched)
             if not unmatched:
                 break
-        ech.insert(ech.vector(cols[j]))
+        j = next(order, None)
+        if j is None:
+            break
+        ech.insert(ech.vector(src.column(j)))
     if lead is not None and not ech.row_at.keys() <= lead.keys():
         raise RuntimeError("a column lies outside the span it was proven to lie in")
     return ech

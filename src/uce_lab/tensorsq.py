@@ -309,14 +309,19 @@ class TensorSquare:
         """Ambient vectors whose classes generate the carrier: complement
         unit vectors, then the pivot units whose pivot value is not a unit
         (which happens only over the integers), each in ascending index
-        order."""
+        order.  The dense vectors share one ring zero and one ring one."""
         ring = self.base.ring
         units = list(self.complement)
         units += sorted(idx[p] for idx, image in self.blocks.values()
                         if not image.has_unit_pivots()
                         for p, d in image.pivot_values().items() if abs(d) > 1)
-        amb = range(self.ambient_dim)
-        return [(c, [ring.one if t == c else ring.zero for t in amb]) for c in units]
+        zero, one = ring.zero, ring.one
+        gens = []
+        for c in units:
+            vec = [zero] * self.ambient_dim
+            vec[c] = one
+            gens.append((c, vec))
+        return gens
 
     def generator_parity(self, ambient_index: int) -> int:
         return self.d2.source.parity[ambient_index]

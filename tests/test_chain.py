@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -454,9 +455,10 @@ _BLOCK_CASES = {
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
 def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
-    """Each block matrix ``blocked_complex`` reduces is the submatrix of the
-    whole delta_{n+1} on the block, column for column in ascending global
-    index, and the memo holds no matrix of the size of L^(x)(n+1)."""
+    """The columns of each block ``blocked_complex`` reduces are the
+    submatrix of the whole delta_{n+1} on the block, column for column in
+    ascending global index, and the memo holds no matrix of the size of
+    L^(x)(n+1)."""
     l = replace(_BLOCK_CASES[case]())   # a fresh memo
     seen, dtypes = [], []
     real_echelon, real_entries = chain.column_span_echelon, chain._boundary_entries
@@ -485,6 +487,89 @@ def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
     mats = [dn.matrix] + [ker for _, _, ker, _ in memo[1]]
     assert memo == (dn, blocks) and all(isinstance(m, SparseMat) for m in mats)
     assert max(m.cols for m in mats) < l.dim ** (degree + 1)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_block_insert_order_equals_the_reference(monkeypatch, case, degree):
+    """The array path inserts each block's columns in the order that
+    ``exactlin._insert_order`` gives the reference SparseMat block, as many
+    as ``column_span_echelon`` inserts from that block, and ends with the
+    same rows and pivots."""
+    l = replace(_BLOCK_CASES[case]())   # a fresh memo
+    calls, inserts = [], []
+    real_echelon, real_column = chain.column_span_echelon, chain._ImageBlock.column
+    real_insert = exactlin.Echelon.insert
+    monkeypatch.setattr(chain, "column_span_echelon",
+                        lambda m, within: calls.append((within, [])) or real_echelon(m, within=within))
+    monkeypatch.setattr(chain._ImageBlock, "column",
+                        lambda self, j: calls[-1][1].append(j) or real_column(self, j))
+    monkeypatch.setattr(exactlin.Echelon, "insert",
+                        lambda self, v: inserts.append(1) or real_insert(self, v))
+    blocks = blocked_complex(l, degree)[1]
+    ref = reference_delta(l, degree + 1)
+    above = {}
+    for i, key in enumerate(ref.source_keys):
+        above.setdefault(key, []).append(i)
+    assert len(calls) == len(blocks)
+    lattice = l.ring.kind == "integers"
+    for (within, order), (key, idx, ker, image) in zip(calls, blocks):
+        assert within is ker
+        want = ref.matrix.submatrix(idx, above.get(key, []))
+        expected = exactlin._insert_order(exactlin._MatrixColumns(want),
+                                          exactlin._leading_entries(ker), lattice)
+        assert order == list(itertools.islice(expected, len(order)))
+        before = len(inserts)
+        again = exactlin.column_span_echelon(want, within=ker)
+        assert len(inserts) - before == len(order)
+        assert (again.rows, again.row_at, again.sorted_pivots) == \
+            (image.rows, image.row_at, image.sorted_pivots)
+
+
+def test_a_fault_in_one_small_block_fails_the_one_delta_squared_check(monkeypatch):
+    """delta_n o delta_{n+1} = 0 is checked once over all entries: one
+    doubled delta_3 entry, in the smallest block whose rows delta_2 does not
+    kill and not in the largest block, still fails it."""
+    l = _algebra("sl", 2, 1, "rationals")
+    keys = delta(l, 2).source_keys
+    sizes = Counter(keys)
+    live = {j for _, j in delta(l, 2).matrix.entries}   # delta_2 e_j != 0
+    rows, cols, vals = chain._boundary_entries(l, 3)
+    t = min((t for t in range(len(rows)) if rows[t] in live), key=lambda t: sizes[keys[rows[t]]])
+    assert sizes[keys[rows[t]]] < max(sizes.values())
+    faulty = vals.copy()
+    faulty[t] *= 2
+    blocked_complex(replace(l), 2)   # the true entries pass
+    real = chain._boundary_entries
+    monkeypatch.setattr(chain, "_boundary_entries",
+                        lambda l, n: (rows, cols, faulty) if n == 3 else real(l, n))
+    with pytest.raises(RuntimeError, match="delta_n o delta_\\{n\\+1\\} != 0"):
+        blocked_complex(replace(l), 2)
+
+
+@pytest.mark.parametrize("m,n,name,total,image", [
+    (2, 2, "dual_z", 5328, 4428), (2, 2, "grass_f3", 3329, 2429), (3, 2, "rationals", 1128, 552),
+])
+def test_blocked_complex_makes_the_pinned_number_of_inserts(monkeypatch, m, n, name, total, image):
+    """``Echelon.insert`` calls inside ``blocked_complex(l, 2)``, in all and
+    from the image echelons: a change to the insertion order or to the
+    certified stop moves them."""
+    l = replace(_algebra("sl", m, n, name))   # a fresh memo
+    inserts, inside = [], []
+    real_insert, real_echelon = exactlin.Echelon.insert, chain.column_span_echelon
+    monkeypatch.setattr(exactlin.Echelon, "insert",
+                        lambda self, v: inserts.append(bool(inside)) or real_insert(self, v))
+
+    def echelon(m, within):
+        inside.append(1)
+        try:
+            return real_echelon(m, within=within)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(chain, "column_span_echelon", echelon)
+    blocked_complex(l, 2)
+    assert (len(inserts), sum(inserts)) == (total, image)
 
 
 def _hl_and_every_block_subquotient(monkeypatch, l, degree):

@@ -190,6 +190,22 @@ def test_block_queries_match_one_ambient_echelon(m, n, name):
         assert list(ts.project(moved)) == want
 
 
+def test_carrier_generators_read_the_ring_zero_once(monkeypatch):
+    """Over Q every ``RingSpec.zero`` is a new Fraction: the dense generator
+    vectors share one, read once per call, and stay what they were."""
+    _, ts = _built(2, 1, "rationals")
+    ring, amb = ts.base.ring, ts.ambient_dim
+    reads = []
+    real = exactlin.RingSpec.zero
+    monkeypatch.setattr(exactlin.RingSpec, "zero",
+                        property(lambda self: reads.append(self) or real.fget(self)))
+    gens = ts.carrier_generators()
+    assert len(reads) == 1 and len(gens) > 1
+    monkeypatch.undo()
+    assert gens == [(c, [ring.one if t == c else ring.zero for t in range(amb)])
+                    for c in ts.complement]
+
+
 @pytest.mark.parametrize("m,n,name", [(2, 1, "rationals"), (3, 0, "f3")])
 def test_queries_take_the_arrays_project_returns(m, n, name):
     """project and bracket return object arrays; every query takes them
