@@ -4,8 +4,9 @@ Subcommands: check, hl2, hhs1, verify, catalog.  Exit codes are stable:
 0 success / verification passed, 1 axiom violations or a failed verification,
 2 unreadable or malformed input (including a modulus that is not an integer,
 an unknown builtin, a non-unital dialgebra where a bar-unit is needed, a
---dialgebra file that violates the axioms, a negative --m or --n, and a
-modulus too large to test for primality), 3 size guard exceeded,
+zero-dimensional dialgebra for hhs1 and verify, a --dialgebra file that
+violates the axioms, a negative --m or --n, and a modulus too large to test
+for primality), 3 size guard exceeded,
 4 unclassified (m, n) case, 5 internal invariant breach (a bug, not bad
 input; this includes any KeyError or ValueError from the computation).  JSON
 output is byte-identical for identical inputs and seed (the per-stage timings

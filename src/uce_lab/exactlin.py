@@ -162,7 +162,7 @@ class RingSpec:
             return Fraction(x)
         if self.kind == "int_mod":
             return int(x) % self.modulus
-        if isinstance(x, Fraction):
+        if type(x) is Fraction:
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an integer")
             return x.numerator
@@ -455,7 +455,7 @@ class Echelon:
         p = self.ring.modulus
         v = {}
         for i, x in items:
-            if isinstance(x, Fraction):
+            if type(x) is Fraction:  # an isinstance test on an ABC is slow
                 if x.denominator != 1:
                     if self.mode == "intfield":
                         self._to_fracfield()

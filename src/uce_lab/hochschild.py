@@ -11,6 +11,10 @@ product and wraps around with the right product:
 
 The alternating interior signs are required for d o d = 0 (already for the
 one-dimensional case in degree 2) and are gated by the property suite.
+
+The paper assumes that D has a basis containing its bar-unit.  That holds
+for every nonzero unital D (see _require_bar_unit_basis), and nothing here
+reads the order of the basis, so everything is computed on D's own basis.
 """
 
 from __future__ import annotations
@@ -23,11 +27,8 @@ from .exactlin import (
     GradedFreeModule,
     GradedModuleInvariants,
     SparseMat,
-    SpanSolver,
-    bilinear,
     kernel_basis,
     module_iso_check,
-    snf,
     subquotient_invariants,
 )
 from .chain import (DEFAULT_SIZE_GUARD, blocked_complex, guard_check, tensor_index,
@@ -48,7 +49,6 @@ from .tensorsq import (
 __all__ = [
     "NoBarUnitBasisError",
     "HochschildMap",
-    "with_bar_unit_first",
     "d",
     "hhs1",
     "DegreeOneHomology",
@@ -70,65 +70,28 @@ class HochschildMap:
     matrix: SparseMat
 
 
-def with_bar_unit_first(dlg: SuperDialgebra) -> SuperDialgebra:
-    """Rewrite the dialgebra on a basis whose first vector is the bar-unit.
+def _require_bar_unit_basis(dlg: SuperDialgebra) -> None:
+    """Check the hypothesis of the whole section: D has a basis containing
+    its bar-unit e.  It holds exactly when D is unital and nonzero, so D is
+    used on its own basis and never rewritten.
 
-    The completion is greedy over the standard basis; over the integers the
-    change of basis must be unimodular, otherwise NoBarUnitBasisError.
-    """
+    The bar-unit law x <| e = x makes e nonzero once D is.  Over Q and F_p,
+    any e != 0 extends to a basis.  Over Z, a bar-unit is
+    primitive: if e = k f with k >= 2, then every x in D is
+    x = x <| e = k (x <| f), so D = kD, which forces the free module D of
+    finite rank to be 0.  A primitive even vector spans a direct summand
+    Z e of the even part, so e extends to a homogeneous basis of D."""
     if not dlg.is_unital:
         raise NoBarUnitBasisError(f"{dlg.name} has no bar-unit")
-    ring = dlg.ring
-    dim = dlg.dim
-    unit = [ring.normalize(c) for c in dlg.bar_unit]
-    if unit == dlg.basis_vector(0):
-        return dlg
-    ech = Echelon(ring, dim)
-    ech.insert(ech.vector(unit))
-    chosen = [unit]
-    par = [0]
-    for t in range(dim):
-        if len(chosen) == dim:
-            break
-        cand = dlg.basis_vector(t)
-        if ech.insert(ech.vector(cand)):
-            chosen.append(cand)
-            par.append(dlg.parity(t))
-    if len(chosen) < dim:
-        raise NoBarUnitBasisError(f"could not complete a basis from {dlg.name}")
-    basis = SparseMat.from_columns(ring, dim, chosen)
-    if ring.kind == "integers" and any(x != 1 for x in snf(basis)):
-        raise NoBarUnitBasisError(
-            f"{dlg.name}: no unimodular basis contains the bar-unit"
-        )
-    solver = SpanSolver(basis)
-    left = {}
-    right = {}
-    for i in range(dim):
-        for j in range(dim):
-            for table, out in ((dlg.left, left), (dlg.right, right)):
-                prod = bilinear(ring, table, dim, chosen[i], chosen[j])
-                if any(x != 0 for x in prod):
-                    coords = solver.solve(prod)
-                    if coords is None:
-                        raise NoBarUnitBasisError(
-                            f"{dlg.name}: products leave the recoordinatised lattice"
-                        )
-                    terms = [(k, c) for k, c in enumerate(coords) if c != 0]
-                    if terms:
-                        out[(i, j)] = terms
-    bar = [ring.one] + [ring.zero] * (dim - 1)
-    mod = GradedFreeModule(dim, tuple(par))
-    return SuperDialgebra(ring, mod, left, right, tuple(bar),
-                          f"{dlg.name}~unit0")
+    if dlg.dim == 0:
+        raise NoBarUnitBasisError(f"{dlg.name} is zero-dimensional: no basis contains its bar-unit")
 
 
 def d(dlg: SuperDialgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> HochschildMap:
     """Boundary matrix D^(x)(n+1) -> D^(x)n (see the module docstring)."""
     if n < 1:
         raise ValueError("the boundary is built for n >= 1")
-    # hypothesis of the whole section: a basis containing the bar-unit exists
-    with_bar_unit_first(dlg)
+    _require_bar_unit_basis(dlg)
     ring = dlg.ring
     dim = dlg.dim
     guard_check([dim ** (n + 1), dim ** n], guard)
@@ -186,7 +149,7 @@ class DegreeOneHomology:
     """Ker d_1 / (Im d_2 + I) with enough structure to evaluate and compare
     classes: the relation echelon provides canonical representatives."""
 
-    dlg: SuperDialgebra     # basis already has the bar-unit first
+    dlg: SuperDialgebra     # D itself, on its own basis
     d1: HochschildMap
     d2: HochschildMap
     kernel: SparseMat
@@ -202,16 +165,15 @@ class DegreeOneHomology:
 
 
 def degree_one_homology(dlg: SuperDialgebra, guard: int = DEFAULT_SIZE_GUARD) -> DegreeOneHomology:
-    base = with_bar_unit_first(dlg)
-    d1 = d(base, 1, guard)
-    d2 = d(base, 2, guard)
+    d1 = d(dlg, 1, guard)
+    d2 = d(dlg, 2, guard)
     if not (d1.matrix @ d2.matrix).is_zero():
         raise RuntimeError("d_1 o d_2 != 0; boundary signs drifted")
     ker = kernel_basis(d1.matrix)
-    gens = _ideal_generators(base)
-    rel = Echelon(base.ring, base.dim ** 2).extend(d2.matrix.columns()).extend(gens)
+    gens = _ideal_generators(dlg)
+    rel = Echelon(dlg.ring, dlg.dim ** 2).extend(d2.matrix.columns()).extend(gens)
     inv = subquotient_invariants(ker, rel.basis_matrix(), d1.source.parity)
-    return DegreeOneHomology(base, d1, d2, ker, rel, inv, gens)
+    return DegreeOneHomology(dlg, d1, d2, ker, rel, inv, gens)
 
 
 def hhs1(dlg: SuperDialgebra, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
@@ -426,17 +388,17 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
 
     if low_rank_case(m, n) is None:
         raise ValueError(f"({m},{n}) is not a classified case")
-    base = with_bar_unit_first(dlg)
-    slalg = sl(m, n, base)
+    _require_bar_unit_basis(dlg)
+    slalg = sl(m, n, dlg)
     ts = tensor_square(slalg.algebra, guard)
-    hoch = degree_one_homology(base, guard)
+    hoch = degree_one_homology(dlg, guard)
     str2 = _Str2(slalg)
     mu = _Mu(slalg)
-    ring = base.ring
-    dim_d = base.dim
+    ring = dlg.ring
+    dim_d = dlg.dim
 
     # the quotient D_k each kernel-class coefficient lives in
-    by_mod = {k: quotient_Dm(base, k) for k in {pattern_modulus(m, n, r) for r in str2.reps}}
+    by_mod = {k: quotient_Dm(dlg, k) for k in {pattern_modulus(m, n, r) for r in str2.reps}}
     quotient = {r: by_mod[pattern_modulus(m, n, r)] for r in str2.reps}
 
     def w_is_zero(rep, vec):
@@ -492,7 +454,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
             if not hoch.is_zero_class(dd):
                 section = False
             for rep2, col in w.items():
-                want = base.basis_vector(b) if rep2 == rep else [ring.zero] * dim_d
+                want = dlg.basis_vector(b) if rep2 == rep else [ring.zero] * dim_d
                 if not w_is_zero(rep2, [a - b for a, b in zip(col, want)]):
                     section = False
 
@@ -518,7 +480,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
         off = pattern_parity_offset(m, n, rep)
         for b in range(dim_d):
             image_cols.append(mu.of_pattern(rep, [(b, ring.one)]))
-            source_parities.append((base.parity(b) + off) % 2)
+            source_parities.append((dlg.parity(b) + off) % 2)
     # the images extend only the blocks they hit; each Ker delta_2 generator
     # is tested in its own block's coordinates
     plus = ts.extend_blocks(image_cols)
@@ -528,7 +490,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
         surjective = surjective and all(ech.contains(ech.vector(col)) for col in ker.columns())
 
     computed = ts.kernel_invariants()
-    expected = hoch.invariants.direct_sum(expected_w(m, n, base))
+    expected = hoch.invariants.direct_sum(expected_w(m, n, dlg))
     inv_match = module_iso_check(computed, expected)
 
     # (g) the map is parity homogeneous with the right parities

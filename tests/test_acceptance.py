@@ -15,7 +15,7 @@ import pytest
 from uce_lab.chain import delta
 from uce_lab.exactlin import module_iso_check
 from uce_lab.hochschild import d as hoch_d
-from uce_lab.hochschild import splitting_check, with_bar_unit_first
+from uce_lab.hochschild import splitting_check
 from uce_lab.leibniz import sl
 from uce_lab.superdialg import builtin_dialgebra, catalog_names, validate
 from uce_lab.tensorsq import tensor_square, uce
@@ -202,7 +202,7 @@ def test_criterion_3_boundary_squares_to_zero():
         if not (d2.matrix @ d3.matrix).is_zero():
             bad.append(case.describe())
     for name in UNITAL:
-        dlg = with_bar_unit_first(builtin_dialgebra(name))
+        dlg = builtin_dialgebra(name)
         h1, h2, h3 = hoch_d(dlg, 1), hoch_d(dlg, 2), hoch_d(dlg, 3)
         if not (h1.matrix @ h2.matrix).is_zero():
             bad.append(f"hochschild d1d2 {name}")

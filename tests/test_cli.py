@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from uce_lab import cli
 from uce_lab.cli import main
-from uce_lab.superdialg import builtin_dialgebra, dump_dialgebra, load_dialgebra_file
+from uce_lab.hochschild import splitting_check
+from uce_lab.superdialg import (
+    builtin_dialgebra,
+    dump_dialgebra,
+    load_dialgebra,
+    load_dialgebra_file,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -158,6 +164,43 @@ def test_bar_unit_breaking_the_bar_unit_law_exits_2(capsys, tmp_path):
     p.write_text(json.dumps(blob))
     code, _, err = run(capsys, "verify", "--m", "2", "--n", "1", "--dialgebra", str(p))
     assert code == 2 and "bar-unit" in err
+
+
+@pytest.mark.parametrize("command", [("hhs1",), ("verify", "--m", "2", "--n", "1"),
+                                     ("verify", "--m", "3", "--n", "0")])
+def test_zero_dimensional_dialgebra_exits_2(capsys, tmp_path, zero_dim_data, command):
+    # a valid unital file, but no basis contains its (empty) bar-unit
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(zero_dim_data))
+    code, out, err = run(capsys, *command, "--dialgebra", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.strip().count("\n") == 0
+    assert "zero-dimensional" in err
+
+
+def test_zero_dimensional_dialgebra_hl2_never_needs_the_basis(capsys, tmp_path,
+                                                               zero_dim_data):
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(zero_dim_data))
+    assert run(capsys, "check", str(p))[0] == 0
+    code, out, _ = run(capsys, "hl2", "--m", "3", "--n", "0", "--dialgebra", str(p))
+    assert code == 0 and "even: 0 | odd: 0" in out
+
+
+def test_dialgebra_whose_bar_unit_is_not_a_basis_vector(capsys, tmp_path, skew_zz_data):
+    # Z x Z on the basis (2, -1), (-1, 1): computed on its own basis, with
+    # no change of basis to complete
+    p = tmp_path / "skew_zz.json"
+    p.write_text(json.dumps(skew_zz_data))
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0 and "skew_zz: valid" in out
+    code, out, _ = run(capsys, "hhs1", "--dialgebra", str(p))
+    assert code == 0 and "even: 0 | odd: 0" in out
+    for m, n in ((2, 1), (3, 0)):
+        code, out, _ = run(capsys, "verify", "--m", str(m), "--n", str(n),
+                           "--dialgebra", str(p))
+        assert code == 0 and " pass " in out
+    assert splitting_check(2, 1, load_dialgebra(skew_zz_data)).ok
 
 
 def _f2_with_modulus(tmp_path, modulus):

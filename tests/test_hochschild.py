@@ -1,22 +1,38 @@
 """Hochschild boundary, degree-one homology, and the splitting diagram."""
 
+import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from uce_lab import chain, hochschild
 from uce_lab.chain import delta
-from uce_lab.exactlin import Echelon, SparseMat, kernel_basis, module_iso_check
+from uce_lab.exactlin import (
+    Echelon,
+    GradedFreeModule,
+    SparseMat,
+    SpanSolver,
+    bilinear,
+    kernel_basis,
+    snf,
+)
 from uce_lab.hochschild import (
     NoBarUnitBasisError,
     d,
     degree_one_homology,
     hhs1,
     splitting_check,
-    with_bar_unit_first,
 )
 from uce_lab.leibniz import from_dialgebra, sl
-from uce_lab.superdialg import builtin_dialgebra, catalog_names, quotient_Dm, validate
+from uce_lab.superdialg import (
+    SuperDialgebra,
+    builtin_dialgebra,
+    catalog_names,
+    load_dialgebra,
+    quotient_Dm,
+    validate,
+)
 from uce_lab.tensorsq import pattern_modulus, tensor_square
 
 UNITAL = [n for n in catalog_names() if builtin_dialgebra(n).is_unital]
@@ -30,7 +46,7 @@ UNITAL = [n for n in catalog_names() if builtin_dialgebra(n).is_unital]
 def test_d1_equals_dialgebra_bracket_matrix():
     # d_1(a (x) b) = a <| b - (-1)^{|a||b|} b |> a = [a, b]
     for name in UNITAL:
-        dlg = with_bar_unit_first(builtin_dialgebra(name))
+        dlg = builtin_dialgebra(name)
         d1 = d(dlg, 1)
         bracket = delta(from_dialgebra(dlg), 2)
         assert d1.matrix == bracket.matrix
@@ -45,7 +61,7 @@ def test_d2_on_rationals():
 
 @pytest.mark.parametrize("name", UNITAL)
 def test_complex_property_degrees_1_and_2(name):
-    dlg = with_bar_unit_first(builtin_dialgebra(name))
+    dlg = builtin_dialgebra(name)
     d1, d2, d3 = d(dlg, 1), d(dlg, 2), d(dlg, 3)
     assert (d1.matrix @ d2.matrix).is_zero()
     assert (d2.matrix @ d3.matrix).is_zero()
@@ -54,6 +70,14 @@ def test_complex_property_degrees_1_and_2(name):
 def test_d_requires_bar_unit():
     with pytest.raises(NoBarUnitBasisError):
         d(builtin_dialgebra("t3_dga_q"), 1)
+
+
+def test_d_requires_a_nonzero_dialgebra(zero_dim_data):
+    # the empty bar-unit of the zero dialgebra lies in no basis
+    zero = load_dialgebra(zero_dim_data)
+    assert validate(zero) == [] and zero.is_unital
+    with pytest.raises(NoBarUnitBasisError, match="zero-dimensional"):
+        d(zero, 1)
 
 
 def test_d_is_parity_even():
@@ -65,22 +89,87 @@ def test_d_is_parity_even():
 
 
 # ---------------------------------------------------------------------------
-# bar-unit-first basis
+# D's own basis against a basis with the bar-unit first
 # ---------------------------------------------------------------------------
 
 
-def test_with_bar_unit_first_mat2():
-    dlg = builtin_dialgebra("mat2_q")
-    moved = with_bar_unit_first(dlg)
-    assert list(moved.bar_unit) == [1, 0, 0, 0]
+def _with_bar_unit_first(dlg: SuperDialgebra, completion=None) -> SuperDialgebra:
+    """Reference: D rewritten on a basis whose first vector is the bar-unit,
+    the form in which the paper states its hypothesis.  The other vectors
+    are ``completion`` or, by default, the greedy completion over the
+    standard basis; over the integers the change of basis must be
+    unimodular (ValueError otherwise).  The copy keeps D's name, so reports
+    on it compare whole with reports on D."""
+    ring, dim = dlg.ring, dlg.dim
+    unit = [ring.normalize(c) for c in dlg.bar_unit]
+    if completion is None:
+        ech = Echelon(ring, dim)
+        ech.insert(ech.vector(unit))
+        completion = [dlg.basis_vector(t) for t in range(dim)
+                      if ech.insert(ech.vector(dlg.basis_vector(t)))]
+    chosen = [unit] + [[ring.normalize(c) for c in v] for v in completion]
+    basis = SparseMat.from_columns(ring, dim, chosen)
+    if len(chosen) != dim or (ring.kind == "integers" and any(x != 1 for x in snf(basis))):
+        raise ValueError(f"{dlg.name}: the completion is not a unimodular basis")
+    solver = SpanSolver(basis)
+    left, right = {}, {}
+    for i in range(dim):
+        for j in range(dim):
+            for table, out in ((dlg.left, left), (dlg.right, right)):
+                coords = solver.solve(bilinear(ring, table, dim, chosen[i], chosen[j]))
+                terms = [(k, c) for k, c in enumerate(coords) if c != 0]
+                if terms:
+                    out[(i, j)] = terms
+    mod = GradedFreeModule(dim, tuple(dlg.element_parity(v) for v in chosen))
+    bar = (ring.one,) + (ring.zero,) * (dim - 1)
+    return SuperDialgebra(ring, mod, left, right, bar, dlg.name)
+
+
+# the skew Z x Z with (2, 3), (1, 1) after its bar-unit: the greedy
+# completion (2, 3), (1, 0) has determinant -3
+REWRITES = [(2, 1, "mat2_q", None), (3, 0, "mat2_q", None),
+            (2, 1, "skew_zz", [[1, 1]])]
+
+
+@pytest.mark.parametrize("m,n,name,completion", REWRITES)
+def test_results_do_not_depend_on_the_basis(m, n, name, completion, skew_zz_data):
+    dlg = load_dialgebra(skew_zz_data) if name == "skew_zz" else builtin_dialgebra(name)
+    moved = _with_bar_unit_first(dlg, completion)
     assert validate(moved) == []
-    # invariants are basis independent
-    assert module_iso_check(hhs1(dlg), hhs1(moved))
+    assert list(moved.bar_unit) == [1] + [0] * (dlg.dim - 1)
+    assert hhs1(dlg).to_json() == hhs1(moved).to_json()
+    reports = [json.dumps(splitting_check(m, n, x).to_json(), sort_keys=True)
+               for x in (dlg, moved)]
+    assert reports[0] == reports[1]
 
 
-def test_with_bar_unit_first_noop_when_already_first():
-    dlg = builtin_dialgebra("dual_numbers_q")
-    assert with_bar_unit_first(dlg) is dlg
+def test_greedy_completion_of_the_skew_zz_is_not_unimodular(skew_zz_data):
+    # a valid D whose bar-unit the greedy completion cannot extend, so D is
+    # used on its own basis
+    with pytest.raises(ValueError, match="unimodular"):
+        _with_bar_unit_first(load_dialgebra(skew_zz_data))
+
+
+def _fractional_constants(slalg) -> int:
+    return sum(Fraction(c).denominator != 1
+               for terms in slalg.algebra.table.values() for _, c in terms)
+
+
+def test_sl_of_mat2_on_its_own_basis_is_integral(monkeypatch):
+    # the fractional constants came from the change of basis alone
+    dlg = builtin_dialgebra("mat2_q")
+    assert _fractional_constants(sl(3, 0, dlg)) == 0
+    assert _fractional_constants(sl(3, 0, _with_bar_unit_first(dlg))) > 0
+    switches = []
+    real = Echelon._to_fracfield
+
+    def counted(self):
+        switches.append(self.mode)
+        real(self)
+
+    monkeypatch.setattr(Echelon, "_to_fracfield", counted)
+    assert splitting_check(3, 0, dlg).ok
+    assert switches == []
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +282,10 @@ def _drop_orbit_sign(monkeypatch):
 def _str2_kills_every_d3_column(m, n, dlg) -> bool:
     """Check (a) as it was first written, the reference for the check on
     the echelon rows: Str2 on every nonzero column of delta_3."""
-    base = with_bar_unit_first(dlg)
-    slalg = sl(m, n, base)
-    hoch = degree_one_homology(base)
+    slalg = sl(m, n, dlg)
+    hoch = degree_one_homology(dlg)
     str2 = hochschild._Str2(slalg)
-    quotients = {rep: quotient_Dm(base, pattern_modulus(m, n, rep)) for rep in str2.reps}
+    quotients = {rep: quotient_Dm(dlg, pattern_modulus(m, n, rep)) for rep in str2.reps}
     for col in delta(slalg.algebra, 3).matrix.columns():
         if not col:
             continue
