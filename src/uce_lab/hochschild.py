@@ -73,18 +73,19 @@ class HochschildMap:
 def _require_bar_unit_basis(dlg: SuperDialgebra) -> None:
     """Check the hypothesis of the whole section: D has a basis containing
     its bar-unit e.  It holds exactly when D is unital and nonzero, so D is
-    used on its own basis and never rewritten.
+    used on its own basis.
 
     The bar-unit law x <| e = x makes e nonzero once D is.  Over Q and F_p,
-    any e != 0 extends to a basis.  Over Z, a bar-unit is
-    primitive: if e = k f with k >= 2, then every x in D is
-    x = x <| e = k (x <| f), so D = kD, which forces the free module D of
-    finite rank to be 0.  A primitive even vector spans a direct summand
-    Z e of the even part, so e extends to a homogeneous basis of D."""
+    any e != 0 extends to a basis.  Over Z, a bar-unit is primitive: if
+    e = k f with k >= 2, then every x in D is x = x <| e = k (x <| f), so
+    D = kD, which forces the free module D of finite rank to be 0.  A
+    primitive even vector spans a direct summand Z e of the even part, so e
+    extends to a homogeneous basis of D."""
     if not dlg.is_unital:
         raise NoBarUnitBasisError(f"{dlg.name} has no bar-unit")
     if dlg.dim == 0:
-        raise NoBarUnitBasisError(f"{dlg.name} is zero-dimensional: no basis contains its bar-unit")
+        raise NoBarUnitBasisError(
+            f"{dlg.name} is zero-dimensional: no basis contains its bar-unit")
 
 
 def d(dlg: SuperDialgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> HochschildMap:
