@@ -39,7 +39,6 @@ from operator import add
 import numpy as np
 
 from .exactlin import (
-    _INT64_SAFE,
     GradedFreeModule,
     GradedModuleInvariants,
     SparseMat,
@@ -61,6 +60,11 @@ __all__ = [
     "blocked_complex",
     "hl",
 ]
+
+# int64 sums are exact while they stay below this, 2^61, which leaves
+# headroom under the int64 limit 2^63; the assembly and the
+# delta_n o delta_{n+1} = 0 check switch to Python ints above it.
+_INT64_SAFE = 1 << 61
 
 DEFAULT_SIZE_GUARD = 50_000
 
@@ -142,8 +146,7 @@ def tensor_index(tup, dim: int) -> int:
 def _exact_array(ring, xs, terms: int) -> np.ndarray:
     """Ring values as an array in which a sum of up to ``terms`` of them, or
     of their negatives, is exact: int64 when they are integers and
-    terms * max |x| stays below 2^61 (``exactlin._INT64_SAFE``, which
-    leaves headroom under the int64 limit 2^63), Python ints in an object
+    terms * max |x| stays below ``_INT64_SAFE``, Python ints in an object
     array otherwise.  Integral rationals are read as ints; fractional ones
     stay Fractions."""
     if ring.kind == "rationals":

@@ -13,9 +13,9 @@ Everything is exact: integers, rationals and prime fields.  An echelon row
 is sparse, a dict {index: value} of its nonzero entries as Python ints (in
 [0, p) over F_p) or, in Fraction mode, Fractions; Python ints never
 overflow, so elimination needs no overflow guard and touches only the
-nonzero entries.  numpy serves the Smith normal form, where dense int64
-arrays escalate to object-dtype Python ints past a strict pre-op overflow
-guard, and the dense residues that ``Echelon.residue`` hands out.  Over the
+nonzero entries.  The Smith normal form works on the same sparse rows of
+Python ints; numpy serves only the dense residues that ``Echelon.residue``
+hands out.  Over the
 rationals, echelon rows are integer vectors, and residues and solution
 coordinates are computed fraction-free, as an integer vector over one
 positive denominator; ``fractions.Fraction`` values are built only where
@@ -60,11 +60,6 @@ __all__ = [
     "UnsupportedRingError",
     "NotASubmoduleError",
 ]
-
-# int64 entries are kept strictly below this; any op that could exceed it
-# escalates the computation to object dtype (exact Python ints).
-_INT64_SAFE = 1 << 61
-
 
 class ExactLinError(Exception):
     pass
@@ -918,148 +913,103 @@ class SpanSolver:
 # ---------------------------------------------------------------------------
 
 
-def _dense_int_matrix(m: SparseMat):
-    big = any(
-        abs(v if not isinstance(v, Fraction) else v.numerator) >= _INT64_SAFE
-        for v in m.entries.values()
-    )
-    dt = object if big else np.int64
-    a = np.zeros((m.rows, m.cols), dtype=dt)
+def _smith(m: SparseMat):
+    """(diag, uinv) for an integer matrix m: diag the Smith diagonal of
+    U @ m @ V for some unimodular U and V, and uinv the columns of U^-1 as
+    sparse dicts {row: value}.
+
+    The matrix is a list of sparse rows {col: value} of Python ints, so no
+    step can overflow.  Each diagonal entry is found by the same elementary
+    operations in the same order as a dense elimination: pivot on the
+    smallest |entry| of the remaining block, first in row-major order;
+    reduce its column, then its row, by floor quotients, swapping a nonzero
+    remainder in as the new pivot, until both are clear; negate a negative
+    pivot; where some entry of the remaining block is not a multiple of the
+    pivot, add the first such row to the pivot row and pick again.  Rows
+    from t on have entries in columns from t on only, so a column operation
+    at step t touches those rows alone.
+    """
+    nr, nc = m.rows, m.cols
+    rows = [{} for _ in range(nr)]
     for (i, j), v in m.entries.items():
-        if isinstance(v, Fraction):
-            raise ValueError("integer matrix expected")
-        a[i, j] = v
-    return a
+        rows[i][j] = v
+    uinv = [{i: 1} for i in range(nr)]
 
+    def row_axpy(i, t, q):   # row i -= q * row t
+        _axpy(rows[i], -q, rows[t])
+        _axpy(uinv[t], q, uinv[i])
 
-class _SnfWorker:
-    """Dense integer SNF with optional row-transform tracking (D = U @ M @ V)."""
+    def row_swap(i, t):
+        rows[i], rows[t] = rows[t], rows[i]
+        uinv[i], uinv[t] = uinv[t], uinv[i]
 
-    def __init__(self, a, track: bool):
-        self.a = a
-        self.obj = a.dtype == object
-        n = a.shape[0]
-        self.track = track
-        if track:
-            self.u = np.eye(n, dtype=np.int64)
-            self.uinv = np.eye(n, dtype=np.int64)
-            if self.obj:
-                self.u = self.u.astype(object)
-                self.uinv = self.uinv.astype(object)
-        # pessimistic running bound on |u|, |uinv| entries, refreshed by a
-        # real scan only when it crosses the safety line
-        self._ubound = 1
+    def col_axpy(j, t, q):   # column j -= q * column t
+        for r in rows[t:]:
+            x = r.get(t)
+            if x:
+                y = r.get(j, 0) - q * x
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
 
-    def _escalate(self):
-        if not self.obj:
-            self.obj = True
-            self.a = self.a.astype(object)
-            if self.track:
-                self.u = self.u.astype(object)
-                self.uinv = self.uinv.astype(object)
+    def col_swap(j, t):
+        for r in rows[t:]:
+            x, y = r.pop(j, 0), r.pop(t, 0)
+            if x:
+                r[t] = x
+            if y:
+                r[j] = y
 
-    def _guard(self, q: int, src_row, dst_row):
-        if self.obj:
-            return
-        bound = abs(q) * int(np.abs(src_row).max(initial=0)) + int(np.abs(dst_row).max(initial=0))
-        if bound >= _INT64_SAFE:
-            self._escalate()
-            return
-        if self.track:
-            self._ubound *= 1 + abs(q)
-            if self._ubound >= _INT64_SAFE:
-                actual = max(
-                    int(np.abs(self.u).max(initial=0)),
-                    int(np.abs(self.uinv).max(initial=0)),
-                )
-                self._ubound = actual * (1 + abs(q))
-                if self._ubound >= _INT64_SAFE:
-                    self._escalate()
-
-    def row_axpy(self, i, t, q):
-        self._guard(q, self.a[t], self.a[i])
-        self.a[i] -= q * self.a[t]
-        if self.track:
-            self.u[i] -= q * self.u[t]
-            self.uinv[:, t] += q * self.uinv[:, i]
-
-    def col_axpy(self, j, t, q):
-        self._guard(q, self.a[:, t], self.a[:, j])
-        self.a[:, j] -= q * self.a[:, t]
-
-    def row_swap(self, i, t):
+    diag = []
+    t = 0
+    while t < nr and t < nc:
+        best = min(((abs(x), i, j) for i in range(t, nr) for j, x in rows[i].items()),
+                   default=None)
+        if best is None:
+            break
+        _, i, j = best
         if i != t:
-            self.a[[i, t]] = self.a[[t, i]]
-            if self.track:
-                self.u[[i, t]] = self.u[[t, i]]
-                self.uinv[:, [i, t]] = self.uinv[:, [t, i]]
-
-    def col_swap(self, j, t):
+            row_swap(i, t)
         if j != t:
-            self.a[:, [j, t]] = self.a[:, [t, j]]
-
-    def row_negate(self, i):
-        self.a[i] = -self.a[i]
-        if self.track:
-            self.u[i] = -self.u[i]
-            self.uinv[:, i] = -self.uinv[:, i]
-
-    def run(self):
-        a = self.a
-        nr, nc = a.shape
-        t = 0
-        diag = []
-        while t < nr and t < nc:
-            sub = a[t:, t:]
-            nz = np.argwhere(sub != 0)
-            if len(nz) == 0:
+            col_swap(j, t)
+        while True:
+            changed = False
+            for i in range(t + 1, nr):
+                x = rows[i].get(t)
+                if x:
+                    q = x // rows[t][t]
+                    if q:
+                        row_axpy(i, t, q)
+                    if t in rows[i]:
+                        row_swap(i, t)
+                        changed = True
+            if changed:
+                continue
+            # each step below touches only columns j and t of the pivot row
+            for j in sorted(k for k in rows[t] if k > t):
+                q = rows[t][j] // rows[t][t]
+                if q:
+                    col_axpy(j, t, q)
+                if j in rows[t]:
+                    col_swap(j, t)
+                    changed = True
+            if not changed and not any(t in rows[i] for i in range(t + 1, nr)):
                 break
-            # smallest |entry| as pivot keeps the numbers small
-            best = min(nz.tolist(), key=lambda ij: abs(int(sub[ij[0], ij[1]])))
-            self.row_swap(best[0] + t, t)
-            self.col_swap(best[1] + t, t)
-            a = self.a
-            while True:
-                # clear column t
-                changed = False
-                for i in range(t + 1, nr):
-                    if a[i, t] != 0:
-                        q = int(a[i, t]) // int(a[t, t])
-                        if q:
-                            self.row_axpy(i, t, q)
-                            a = self.a
-                        if a[i, t] != 0:
-                            self.row_swap(i, t)
-                            changed = True
-                if changed:
-                    continue
-                # clear row t
-                changed = False
-                for j in range(t + 1, nc):
-                    if a[t, j] != 0:
-                        q = int(a[t, j]) // int(a[t, t])
-                        if q:
-                            self.col_axpy(j, t, q)
-                            a = self.a
-                        if a[t, j] != 0:
-                            self.col_swap(j, t)
-                            changed = True
-                if not changed and not a[t + 1:, t].any():
-                    break
-            if a[t, t] < 0:
-                self.row_negate(t)
-            # enforce divisibility of the remaining block
-            d = int(a[t, t])
-            if d != 1:
-                rest = a[t + 1:, t + 1:]
-                bad = np.argwhere(rest % d != 0)
-                if len(bad):
-                    i = int(bad[0][0]) + t + 1
-                    self.row_axpy(t, i, -1)  # a[t] += a[i]
-                    continue
-            diag.append(int(a[t, t]))
-            t += 1
-        return diag
+        d = rows[t][t]
+        if d < 0:
+            d = -d
+            rows[t] = _scaled(-1, rows[t])
+            uinv[t] = _scaled(-1, uinv[t])
+        if d != 1:
+            bad = next((i for i in range(t + 1, nr) if any(x % d for x in rows[i].values())),
+                       None)
+            if bad is not None:
+                row_axpy(t, bad, -1)   # row t += row bad
+                continue
+        diag.append(d)
+        t += 1
+    return diag, uinv
 
 
 def snf(m: SparseMat) -> tuple:
@@ -1071,18 +1021,19 @@ def snf(m: SparseMat) -> tuple:
     if m.ring.is_field:
         r = rank(m)
         return tuple([m.ring.one] * r)
-    worker = _SnfWorker(_dense_int_matrix(m), track=False)
-    return tuple(worker.run())
+    return tuple(_smith(m)[0])
 
 
 def snf_with_transforms(m: SparseMat):
-    """(diag, U, Uinv) with diag = the Smith diagonal of U @ m @ V for some
-    unimodular V; U and Uinv are dense integer numpy arrays (rows x rows)."""
+    """(diag, uinv_columns) with diag the Smith diagonal of U @ m @ V for
+    some unimodular U and V, and uinv_columns the m.rows columns of U^-1,
+    column t a list of its nonzero (row, value) pairs in ascending row
+    order.  Column t of U^-1 generates the t-th cyclic summand of the
+    cokernel: Z/diag[t] for t < len(diag), Z beyond."""
     if m.ring.kind != "integers":
         raise UnsupportedRingError("transforms are tracked over the integers only")
-    worker = _SnfWorker(_dense_int_matrix(m), track=True)
-    diag = worker.run()
-    return diag, worker.u, worker.uinv
+    diag, uinv = _smith(m)
+    return diag, [sorted(col.items()) for col in uinv]
 
 
 # ---------------------------------------------------------------------------

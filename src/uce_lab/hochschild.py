@@ -159,7 +159,7 @@ class DegreeOneHomology:
     ideal_gens: list
 
     def is_zero_class(self, vec) -> bool:
-        return not self.relations.residue_of(vec).any()
+        return self.relations.contains(self.relations.vector(vec))
 
     def classes_equal(self, u, v) -> bool:
         return self.is_zero_class([a - b for a, b in zip(u, v)])
@@ -403,7 +403,8 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     quotient = {r: by_mod[pattern_modulus(m, n, r)] for r in str2.reps}
 
     def w_is_zero(rep, vec):
-        return not any(vec) or not quotient[rep].echelon.residue_of(vec).any()
+        ech = quotient[rep].echelon
+        return not any(vec) or ech.contains(ech.vector(vec))
 
     def str2_is_zero(items):
         dd, w = str2.eval(items)

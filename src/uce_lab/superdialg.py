@@ -542,13 +542,8 @@ class QuotientModule:
 
     def annihilated_by(self, m: int) -> bool:
         """True when multiplying any quotient generator by m lands in the ideal."""
-        ring = self.source.ring
-        for i in range(self.source.dim):
-            v = [ring.zero] * self.source.dim
-            v[i] = ring.normalize(m)
-            if self.echelon.residue_of(v).any():
-                return False
-        return True
+        ech = self.echelon
+        return all(ech.contains(ech.vector([(i, m)])) for i in range(self.source.dim))
 
 
 def quotient_Dm(d: SuperDialgebra, m: int) -> QuotientModule:

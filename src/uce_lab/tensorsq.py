@@ -354,15 +354,14 @@ class TensorSquare:
             if image.has_unit_pivots():
                 free.extend([(i, ring.one)] for s, i in enumerate(idx) if s not in image.row_at)
                 continue
-            diag, _, uinv = snf_with_transforms(image.basis_matrix())
+            diag, uinv = snf_with_transforms(image.basis_matrix())
             if len(diag) != image.rank:
                 raise RuntimeError(
                     f"Smith diagonal of block {key} has {len(diag)} entries, "
                     f"not the rank {image.rank} of its echelon"
                 )
-            # column t of uinv in ambient coordinates
-            cols = [[(idx[s], int(uinv[s, t])) for s in np.flatnonzero(uinv[:, t])]
-                    for t in range(len(idx))]
+            # the columns of U^-1 in ambient coordinates
+            cols = [[(idx[s], x) for s, x in col] for col in uinv]
             free.extend(cols[len(diag):])
             cyclic.extend(cols[t] for t, d in enumerate(diag) if d > 1)
             orders.append([d for d in diag if d > 1])

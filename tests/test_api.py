@@ -87,10 +87,19 @@ def test_private_module_level_names_are_used():
     assert _unreferenced_private_names() == []
 
 
+def _exactlin_names_used(name) -> set:
+    tree = ast.parse((Path(uce_lab.__file__).parent / "exactlin.py").read_text())
+    node = next(n for n in tree.body if getattr(n, "name", None) == name)
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
 def test_echelon_holds_no_numpy():
     """Echelon rows are sparse dicts of Python numbers; a numpy reference in
     the class body would be a dense path beside them."""
-    tree = ast.parse((Path(uce_lab.__file__).parent / "exactlin.py").read_text())
-    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Echelon")
-    used = {n.id for n in ast.walk(cls) if isinstance(n, ast.Name)}
-    assert used & {"np", "numpy"} == set()
+    assert _exactlin_names_used("Echelon") & {"np", "numpy"} == set()
+
+
+def test_smith_forms_hold_no_numpy():
+    """Smith forms run on the same sparse rows of Python ints as Echelon."""
+    for name in ("_smith", "snf", "snf_with_transforms"):
+        assert _exactlin_names_used(name) & {"np", "numpy"} == set()

@@ -8,15 +8,17 @@ annihilator counting) for quotient groups of full-rank sublattices.
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from uce_lab import exactlin
-from uce_lab.superdialg import builtin_dialgebra, catalog_names
+from uce_lab.superdialg import builtin_dialgebra, catalog_names, load_dialgebra_file
 from uce_lab.exactlin import (
     GF,
     QQ,
@@ -135,17 +137,258 @@ def test_snf_divisibility_chain_and_sympy(seed):
 
 
 def test_snf_transforms_are_inverse():
-    import numpy as np
-
     m = SparseMat.from_dense(ZZ, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    diag, u, uinv = snf_with_transforms(m)
+    diag, uinv = snf_with_transforms(m)
     assert list(diag) == [2, 2, 156]
-    assert np.array_equal(u @ uinv, np.eye(3, dtype=u.dtype))
+    _, u, _ = reference_snf(m)
+    dense_uinv = np.zeros((3, 3), dtype=object)
+    for t, col in enumerate(uinv):
+        for s, x in col:
+            dense_uinv[s, t] = x
+    assert np.array_equal(u.astype(object) @ dense_uinv, np.eye(3, dtype=int))
 
 
 def test_snf_big_entries_escalate_exactly():
     m = SparseMat.from_dense(ZZ, [[2 ** 40, 1], [1, 2 ** 40]])
     assert snf(m) == (1, 2 ** 80 - 1)
+
+
+# The dense Smith elimination that the sparse ``exactlin._smith`` replaced,
+# kept as the reference (only the escalation count is new): numpy int64
+# under a pre-operation overflow guard that escalates to object dtype, with
+# U and U^-1 tracked densely.
+
+_INT64_SAFE = 1 << 61
+
+
+def _dense_int_matrix(m: SparseMat):
+    big = any(
+        abs(v if not isinstance(v, Fraction) else v.numerator) >= _INT64_SAFE
+        for v in m.entries.values()
+    )
+    dt = object if big else np.int64
+    a = np.zeros((m.rows, m.cols), dtype=dt)
+    for (i, j), v in m.entries.items():
+        if isinstance(v, Fraction):
+            raise ValueError("integer matrix expected")
+        a[i, j] = v
+    return a
+
+
+class _SnfWorker:
+    """Dense integer SNF with optional row-transform tracking (D = U @ M @ V)."""
+
+    def __init__(self, a, track: bool):
+        self.a = a
+        self.obj = a.dtype == object
+        n = a.shape[0]
+        self.track = track
+        if track:
+            self.u = np.eye(n, dtype=np.int64)
+            self.uinv = np.eye(n, dtype=np.int64)
+            if self.obj:
+                self.u = self.u.astype(object)
+                self.uinv = self.uinv.astype(object)
+        # pessimistic running bound on |u|, |uinv| entries, refreshed by a
+        # real scan only when it crosses the safety line
+        self._ubound = 1
+        self.escalations = 0
+
+    def _escalate(self):
+        if not self.obj:
+            self.escalations += 1
+            self.obj = True
+            self.a = self.a.astype(object)
+            if self.track:
+                self.u = self.u.astype(object)
+                self.uinv = self.uinv.astype(object)
+
+    def _guard(self, q: int, src_row, dst_row):
+        if self.obj:
+            return
+        bound = abs(q) * int(np.abs(src_row).max(initial=0)) + int(np.abs(dst_row).max(initial=0))
+        if bound >= _INT64_SAFE:
+            self._escalate()
+            return
+        if self.track:
+            self._ubound *= 1 + abs(q)
+            if self._ubound >= _INT64_SAFE:
+                actual = max(
+                    int(np.abs(self.u).max(initial=0)),
+                    int(np.abs(self.uinv).max(initial=0)),
+                )
+                self._ubound = actual * (1 + abs(q))
+                if self._ubound >= _INT64_SAFE:
+                    self._escalate()
+
+    def row_axpy(self, i, t, q):
+        self._guard(q, self.a[t], self.a[i])
+        self.a[i] -= q * self.a[t]
+        if self.track:
+            self.u[i] -= q * self.u[t]
+            self.uinv[:, t] += q * self.uinv[:, i]
+
+    def col_axpy(self, j, t, q):
+        self._guard(q, self.a[:, t], self.a[:, j])
+        self.a[:, j] -= q * self.a[:, t]
+
+    def row_swap(self, i, t):
+        if i != t:
+            self.a[[i, t]] = self.a[[t, i]]
+            if self.track:
+                self.u[[i, t]] = self.u[[t, i]]
+                self.uinv[:, [i, t]] = self.uinv[:, [t, i]]
+
+    def col_swap(self, j, t):
+        if j != t:
+            self.a[:, [j, t]] = self.a[:, [t, j]]
+
+    def row_negate(self, i):
+        self.a[i] = -self.a[i]
+        if self.track:
+            self.u[i] = -self.u[i]
+            self.uinv[:, i] = -self.uinv[:, i]
+
+    def run(self):
+        a = self.a
+        nr, nc = a.shape
+        t = 0
+        diag = []
+        while t < nr and t < nc:
+            sub = a[t:, t:]
+            nz = np.argwhere(sub != 0)
+            if len(nz) == 0:
+                break
+            # smallest |entry| as pivot keeps the numbers small
+            best = min(nz.tolist(), key=lambda ij: abs(int(sub[ij[0], ij[1]])))
+            self.row_swap(best[0] + t, t)
+            self.col_swap(best[1] + t, t)
+            a = self.a
+            while True:
+                # clear column t
+                changed = False
+                for i in range(t + 1, nr):
+                    if a[i, t] != 0:
+                        q = int(a[i, t]) // int(a[t, t])
+                        if q:
+                            self.row_axpy(i, t, q)
+                            a = self.a
+                        if a[i, t] != 0:
+                            self.row_swap(i, t)
+                            changed = True
+                if changed:
+                    continue
+                # clear row t
+                changed = False
+                for j in range(t + 1, nc):
+                    if a[t, j] != 0:
+                        q = int(a[t, j]) // int(a[t, t])
+                        if q:
+                            self.col_axpy(j, t, q)
+                            a = self.a
+                        if a[t, j] != 0:
+                            self.col_swap(j, t)
+                            changed = True
+                if not changed and not a[t + 1:, t].any():
+                    break
+            if a[t, t] < 0:
+                self.row_negate(t)
+            # enforce divisibility of the remaining block
+            d = int(a[t, t])
+            if d != 1:
+                rest = a[t + 1:, t + 1:]
+                bad = np.argwhere(rest % d != 0)
+                if len(bad):
+                    i = int(bad[0][0]) + t + 1
+                    self.row_axpy(t, i, -1)  # a[t] += a[i]
+                    continue
+            diag.append(int(a[t, t]))
+            t += 1
+        return diag
+
+
+def reference_snf(m: SparseMat):
+    """(diag, U, U^-1) of the dense reference elimination."""
+    worker = _SnfWorker(_dense_int_matrix(m), track=True)
+    diag = worker.run()
+    return diag, worker.u, worker.uinv
+
+
+def _dense_columns(uinv) -> list:
+    """The columns of a dense U^-1 as (row, value) pairs of Python ints."""
+    return [[(s, int(uinv[s, t])) for s in np.flatnonzero(uinv[:, t])]
+            for t in range(uinv.shape[1])]
+
+
+def assert_smith_matches_reference(m: SparseMat):
+    diag, uinv = snf_with_transforms(m)
+    ref_diag, u, ref_uinv = reference_snf(m)
+    assert diag == ref_diag and list(snf(m)) == ref_diag
+    assert uinv == _dense_columns(ref_uinv)
+    assert np.array_equal(u.astype(object) @ ref_uinv.astype(object),
+                          np.eye(m.rows, dtype=int))
+    # m V = U^-1 D: the scaled columns generate the column lattice of m
+    scaled = [[(s, d * x) for s, x in uinv[t]] for t, d in enumerate(diag)]
+    assert Echelon(ZZ, m.rows).extend(m.columns()).same_span(
+        Echelon(ZZ, m.rows).extend(scaled))
+
+
+_NEAR = (0, 1, 2, 3, 2 ** 60, 2 ** 62, 2 ** 100)
+
+
+@st.composite
+def _integer_matrix(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.integers(-6, 6),
+        st.builds(lambda base, off, sign: sign * (base + off),
+                  st.sampled_from(_NEAR), st.integers(-3, 3), st.sampled_from([1, -1])),
+    )
+    dense = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    return SparseMat(ZZ, rows, cols, {(i, j): x for i, row in enumerate(dense)
+                                      for j, x in enumerate(row)})
+
+
+def _near_escalation(big, sign):
+    dense = [[big + 1, big, 3], [big - 1, 2, big], [5, big + 3, -big]]
+    return SparseMat.from_dense(ZZ, [[sign * x for x in row] for row in dense])
+
+
+@given(_integer_matrix())
+@example(SparseMat.zeros(ZZ, 0, 0))
+@example(SparseMat.zeros(ZZ, 0, 3))
+@example(SparseMat.zeros(ZZ, 3, 0))
+@example(SparseMat.zeros(ZZ, 3, 4))
+@example(_near_escalation(2 ** 60, 1))
+@example(_near_escalation(2 ** 62, 1))
+@example(_near_escalation(2 ** 62, -1))
+@example(_near_escalation(2 ** 100, 1))
+@example(_near_escalation(2 ** 100, -1))
+def test_sparse_smith_matches_the_dense_reference(m):
+    assert_smith_matches_reference(m)
+
+
+def test_the_reference_escalates_on_the_2_to_60_example():
+    # so the comparison above crosses the old int64 -> object switch
+    worker = _SnfWorker(_dense_int_matrix(_near_escalation(2 ** 60, 1)), track=True)
+    worker.run()
+    assert worker.escalations == 1
+
+
+@pytest.mark.parametrize("m,n,name", [(2, 1, "dual_z"), (3, 0, "integers")])
+def test_every_smith_input_of_a_verification_matches_reference(monkeypatch, m, n, name):
+    from uce_lab.theorems import CaseLabel, verify_dialgebra
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / f"{name}.json"
+    dlg = load_dialgebra_file(path) if path.is_file() else builtin_dialgebra(name)
+    inputs = []
+    real = exactlin._smith
+    monkeypatch.setattr(exactlin, "_smith", lambda mat: inputs.append(mat) or real(mat))
+    assert verify_dialgebra(CaseLabel(m, n, name), dlg).passed
+    monkeypatch.undo()
+    assert inputs
+    for mat in inputs:
+        assert_smith_matches_reference(mat)
 
 
 # ---------------------------------------------------------------------------
