@@ -8,9 +8,13 @@ zero-dimensional dialgebra for hhs1 and verify, a --dialgebra file that
 violates the axioms, a negative --m or --n, and a modulus too large to test
 for primality), 3 size guard exceeded,
 4 unclassified (m, n) case, 5 internal invariant breach (a bug, not bad
-input; this includes any KeyError or ValueError from the computation).  JSON
-output is byte-identical for identical inputs and seed (the per-stage timings
-and block sizes are only printed in text mode); the seed is only recorded.
+input; this includes any KeyError or ValueError from the computation).  For
+hl2, hhs1 and verify the size guard is applied as soon as the dialgebra is
+read, from m, n and its dimension alone, so exit 3 comes before exit 2: before
+the axioms of a --dialgebra file are checked, and before a missing bar-unit
+is reported.  JSON output is byte-identical for identical inputs and seed
+(the per-stage timings and block sizes are only printed in text mode); the
+seed is only recorded.
 """
 
 from __future__ import annotations
@@ -63,30 +67,38 @@ def _check_lines(d, issues):
 
 
 def _load_source(args):
-    """(dialgebra, label) from --builtin or --dialgebra.  A file is validated
-    first; its axiom violations raise InvalidInputError, listed as check
-    lists them."""
+    """(dialgebra, label) from --builtin or --dialgebra, size-guarded by
+    ``_preflight_guard`` before a file is validated; a file's axiom
+    violations raise InvalidInputError, listed as check lists them."""
     if getattr(args, "builtin", None):
         try:
-            return builtin_dialgebra(args.builtin), args.builtin
+            d = builtin_dialgebra(args.builtin)
         except KeyError as e:
             raise InvalidInputError(e.args[0]) from None
+        _preflight_guard(args, d)
+        return d, args.builtin
     d = load_dialgebra_file(args.dialgebra)
+    _preflight_guard(args, d)
     issues = validate(d)
     if issues:
         raise InvalidInputError("\n".join(_check_lines(d, issues)))
     return d, d.name
 
 
-def _preflight_guard(m, n, d, guard):
-    """Reject hopeless cases before the matrix algebra is even built: sl has
-    at least dim gl - dim D generators, and degree-2 homology touches the
+def _preflight_guard(args, d):
+    """Reject hopeless cases before anything is built, reading only m, n
+    and dim D: hhs1 needs D^(x)3 and D^(x)2; for hl2 and verify, sl has at
+    least dim gl - dim D generators, and degree-2 homology touches the
     third tensor power."""
-    low = (m + n) ** 2 * d.dim - d.dim
-    if low > 0 and low ** 3 + low ** 2 + low > guard:
+    if args.command == "hhs1":
+        what, total = f"HHS_1({d.name})", d.dim ** 3 + d.dim ** 2
+    else:
+        low = (args.m + args.n) ** 2 * d.dim - d.dim
+        what, total = f"sl({args.m},{args.n},{d.name})", low ** 3 + low ** 2 + low
+    if total > args.guard:
         raise SizeGuardExceededError(
-            f"sl({m},{n},{d.name}) needs a total tensor dimension of at "
-            f"least {low ** 3 + low ** 2 + low}, over the guard {guard}"
+            f"{what} needs a total tensor dimension of at least {total}, "
+            f"over the guard {args.guard}"
         )
 
 
@@ -107,7 +119,6 @@ def cmd_check(args) -> int:
 
 def cmd_hl2(args) -> int:
     d, label = _load_source(args)
-    _preflight_guard(args.m, args.n, d, args.guard)
     slalg = sl(args.m, args.n, d)
     inv = hl(slalg.algebra, 2, args.guard)
     payload = {
@@ -149,7 +160,6 @@ def cmd_verify(args) -> int:
 
     case = CaseLabel(args.m, args.n, args.builtin or "loaded")
     d, _ = _load_source(args)
-    _preflight_guard(args.m, args.n, d, args.guard)
     report = verify_dialgebra(case, d, args.guard)
     payload = {"seed": args.seed, "report": report.to_json(), "pass": report.passed}
     if args.format == "json":

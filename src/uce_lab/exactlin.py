@@ -14,8 +14,8 @@ is sparse, a dict {index: value} of its nonzero entries as Python ints (in
 [0, p) over F_p) or, in Fraction mode, Fractions; Python ints never
 overflow, so elimination needs no overflow guard and touches only the
 nonzero entries.  The Smith normal form works on the same sparse rows of
-Python ints; numpy serves only the dense residues that ``Echelon.residue``
-hands out.  Over the
+Python ints.  ``SparseMat.apply`` and ``Echelon.residue`` give a vector as
+the sorted (index, value) pairs of its nonzero entries.  Over the
 rationals, echelon rows are integer vectors, and residues and solution
 coordinates are computed fraction-free, as an integer vector over one
 positive denominator; ``fractions.Fraction`` values are built only where
@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 __all__ = [
     "RingSpec",
@@ -325,18 +323,20 @@ class SparseMat:
             out = {k: v % ring.modulus for k, v in out.items()}
         return SparseMat(ring, self.rows, other.cols, out)
 
-    def apply(self, vec) -> list:
-        """self @ vec for a dense coordinate sequence, as a dense list of
-        normalized ring elements."""
+    def apply(self, items) -> list:
+        """self @ v for the (index, value) pairs items of a vector v (an index
+        may repeat), as the sorted (index, value) pairs of the nonzero
+        entries of the product, normalized.  Only the nonzero entries of v
+        and the columns they hit are visited."""
         ring = self.ring
-        out = [ring.zero] * self.rows
         cols = self.columns()
-        for j, c in enumerate(vec):
-            if c == 0:
-                continue
-            for i, m in cols[j]:
-                out[i] = out[i] + c * m
-        return [ring.normalize(x) for x in out]
+        acc = {}
+        for j, c in items:
+            if c != 0:
+                for i, m in cols[j]:
+                    acc[i] = acc.get(i, 0) + c * m
+        out = ((i, ring.normalize(x)) for i, x in sorted(acc.items()))
+        return [(i, x) for i, x in out if x != 0]
 
     def __eq__(self, other):
         return (
@@ -608,19 +608,17 @@ class Echelon:
             raise RuntimeError("echelon residue is not reduced at the pivots")
         return w, den
 
-    def residue(self, v):
-        """Canonical representative of v modulo the row span / lattice, as a
-        dense object array of ring elements.
+    def residue(self, v) -> list:
+        """Canonical representative of the engine vector v modulo the row
+        span / lattice, as the sorted (index, value) pairs of its nonzero
+        entries, normalized ring elements; empty exactly when v lies in
+        the span.
 
-        Fields: zeros at every pivot (complement coordinates).  Integers:
+        Fields: no entry at any pivot (complement coordinates).  Integers:
         pivot coordinates reduced into [0, pivot value).  Over the rationals
-        the entries are Fractions.
+        the values are Fractions.
         """
-        return _dense(self.ring, self.dim, _ring_values(self.ring, *self._reduce(v)))
-
-    def residue_of(self, dense):
-        """residue of a dense coordinate sequence (list or numpy array)."""
-        return self.residue(self.vector([(i, x) for i, x in enumerate(dense) if x != 0]))
+        return sorted(_ring_values(self.ring, *self._reduce(v)).items())
 
     def contains(self, v) -> bool:
         return not self._reduce(v)[0]
@@ -674,15 +672,6 @@ def _ring_values(ring: RingSpec, w: dict, den: int) -> dict:
     if ring.kind != "rationals":
         return w
     return {k: Fraction(x, den) for k, x in w.items()}
-
-
-def _dense(ring: RingSpec, dim: int, w: dict):
-    """The sparse vector w of ring elements as a dense object array, one
-    shared ring zero at the zero entries."""
-    out = np.full(dim, ring.zero, dtype=object)
-    for k, x in w.items():
-        out[k] = x
-    return out
 
 
 def _engine_columns(ring: RingSpec, nrows: int, vecs) -> SparseMat:

@@ -121,27 +121,17 @@ def d(dlg: SuperDialgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Hochschil
 
 
 def _ideal_generators(dlg: SuperDialgebra):
-    """Generators a (x) (b <| c - b |> c) of the degree-one ideal, as ambient
-    vectors in D (x) D.  They vanish whenever the two products coincide."""
+    """Generators a (x) (b <| c - b |> c) of the degree-one ideal, as the
+    (index, value) pairs of ambient vectors in D (x) D.  They vanish
+    whenever the two products coincide."""
     ring = dlg.ring
     dim = dlg.dim
     gens = []
     for b in range(dim):
         for c in range(dim):
-            diff = [
-                ring.normalize(x - y)
-                for x, y in zip(
-                    dlg.lmul(dlg.basis_vector(b), dlg.basis_vector(c)),
-                    dlg.rmul(dlg.basis_vector(b), dlg.basis_vector(c)),
-                )
-            ]
-            if all(x == 0 for x in diff):
-                continue
-            for a in range(dim):
-                vec = [ring.zero] * (dim * dim)
-                for k, x in enumerate(diff):
-                    vec[a * dim + k] = x
-                gens.append(vec)
+            diff = combine(ring, [(1, dlg.left.get((b, c), ())), (-1, dlg.right.get((b, c), ()))])
+            if diff:
+                gens.extend([(a * dim + k, x) for k, x in diff] for a in range(dim))
     return gens
 
 
@@ -159,10 +149,8 @@ class DegreeOneHomology:
     ideal_gens: list
 
     def is_zero_class(self, vec) -> bool:
+        """vec, as (index, value) pairs, is zero in Ker d_1 / (Im d_2 + I)."""
         return self.relations.contains(self.relations.vector(vec))
-
-    def classes_equal(self, u, v) -> bool:
-        return self.is_zero_class([a - b for a, b in zip(u, v)])
 
 
 def degree_one_homology(dlg: SuperDialgebra, guard: int = DEFAULT_SIZE_GUARD) -> DegreeOneHomology:
@@ -185,19 +173,6 @@ def hhs1(dlg: SuperDialgebra, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleIn
 # ---------------------------------------------------------------------------
 # splitting of HL_2(sl(m, n, D)) into HHS_1(D) and the kernel classes
 # ---------------------------------------------------------------------------
-
-
-def _nonzero(vec) -> list:
-    """The (index, value) pairs of the nonzero entries of a dense vector."""
-    return [(t, c) for t, c in enumerate(vec) if c != 0]
-
-
-def _dense(ring, n: int, items) -> list:
-    """The dense length-n vector adding up the (index, value) pairs items."""
-    out = [ring.zero] * n
-    for i, c in items:
-        out[i] = out[i] + c
-    return out
 
 
 class _Str2:
@@ -265,14 +240,11 @@ class _Str2:
 
     def eval(self, items):
         """items: the (index, value) pairs of an ambient sl (x) sl vector.
-        Returns (dd, w) with dd a dense D (x) D vector and w a dict
-        rep-pattern -> dense D vector."""
-        ring = self.dlg.ring
-        dim_d = self.dlg.dim
-        dd = [ring.zero] * (dim_d * dim_d)
-        w = {rep: [ring.zero] * dim_d for rep in self.reps}
-        for (rep, k), v in combine(ring, ((c, self.column(t)) for t, c in items)):
-            (dd if rep is None else w[rep])[k] = v
+        Returns (dd, w) with dd the D (x) D part and w a dict rep-pattern ->
+        D coefficient, every vector as its nonzero (index, value) pairs."""
+        dd, w = [], {rep: [] for rep in self.reps}
+        for (rep, k), v in combine(self.dlg.ring, ((c, self.column(t)) for t, c in items)):
+            (dd if rep is None else w[rep]).append((k, v))
         return dd, w
 
 
@@ -289,8 +261,8 @@ class _Mu:
     def _pair(self, i, j, x, k, l, y) -> list:
         """E_ij(x) (x) E_kl(y) for dense D vectors x, y."""
         dim = self.slalg.algebra.dim
-        a = _nonzero(self.slalg.coords_of_unit(i, j, x))
-        b = _nonzero(self.slalg.coords_of_unit(k, l, y))
+        a = self.slalg.coords_of_unit(i, j, x)
+        b = self.slalg.coords_of_unit(k, l, y)
         return [(s * dim + t, ca * cb) for s, ca in a for t, cb in b]
 
     def _dd_unit(self, t: int) -> list:
@@ -384,7 +356,10 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     blocks of L (x) L: (a) on the rows of the Im delta_3 block echelons, (f)
     on the generators of Ker delta_2 of each block, each tested in its own
     block against Im delta_3 plus the images of the map.  An image that
-    meets two blocks raises RuntimeError."""
+    meets two blocks raises RuntimeError.  Every map and every check takes
+    and gives vectors as (index, value) pairs: the squares (b) compare the
+    sorted pairs of ``SparseMat.apply``, and the identities (d), (e) test a
+    difference formed with ``combine`` for the zero class."""
     from .theorems import expected_w  # lazy; theorems drives this module
 
     if low_rank_case(m, n) is None:
@@ -404,7 +379,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
 
     def w_is_zero(rep, vec):
         ech = quotient[rep].echelon
-        return not any(vec) or ech.contains(ech.vector(vec))
+        return not vec or ech.contains(ech.vector(vec))
 
     def str2_is_zero(items):
         dd, w = str2.eval(items)
@@ -426,48 +401,45 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
 
     # (b) both squares of the diagram commute
     trace_sq = True
-    for c, g in ts.carrier_generators():
-        boundary = ts.d2.matrix.apply(g)
-        lhs = slalg.gl.supertrace(slalg.embed(boundary))
-        dd, _ = str2.eval([(c, ring.one)])
-        rhs = hoch.d1.matrix.apply(dd)
-        if [ring.normalize(x) for x in lhs] != rhs:
+    for _, g in ts.carrier_generators():
+        lhs = slalg.gl.supertrace(slalg.embed(ts.d2.matrix.apply(g)))
+        dd, _ = str2.eval(g)
+        if lhs != hoch.d1.matrix.apply(dd):
             trace_sq = False
             break
     embed_sq = True
-    for t in range(dim_d * dim_d):
-        omega = slalg.embed(ts.d2.matrix.apply(_dense(ring, ts.ambient_dim, mu.of_dd([(t, ring.one)]))))
-        target = slalg.gl.unit_vector(1, 1, hoch.d1.matrix.column_dense(t))
-        if [ring.normalize(x) for x in omega] != [ring.normalize(x) for x in target]:
+    for t, col in enumerate(hoch.d1.matrix.columns()):
+        omega = slalg.embed(ts.d2.matrix.apply(mu.of_dd([(t, ring.one)])))
+        if omega != [(slalg.gl.unit_index(1, 1, b), x) for b, x in col]:
             embed_sq = False
             break
 
     # (d) Str2 o mu = id on both summands
     section = True
-    for j, col in enumerate(hoch.kernel.columns()):
+    for col in hoch.kernel.columns():
         dd, w = str2.eval(mu.of_dd(col))
-        if not hoch.classes_equal(dd, hoch.kernel.column_dense(j)):
+        if not hoch.is_zero_class(combine(ring, [(1, dd), (-1, col)])):
             section = False
         if any(not w_is_zero(rep, wcol) for rep, wcol in w.items()):
             section = False
     for rep in str2.reps:
         for b in range(dim_d):
-            dd, w = str2.eval(mu.of_pattern(rep, [(b, ring.one)]))
+            unit = [(b, ring.one)]
+            dd, w = str2.eval(mu.of_pattern(rep, unit))
             if not hoch.is_zero_class(dd):
                 section = False
             for rep2, col in w.items():
-                want = dlg.basis_vector(b) if rep2 == rep else [ring.zero] * dim_d
-                if not w_is_zero(rep2, [a - b for a, b in zip(col, want)]):
+                if not w_is_zero(rep2, combine(ring, [(1, col), (-1, unit if rep2 == rep else [])])):
                     section = False
 
     # (e) mu o Str2 = id on the kernel classes of the carrier
     retraction = True
     for g in ts.kernel_class_generators():
-        dd, w = str2.eval(_nonzero(g))
-        back = mu.of_dd(_nonzero(dd))
+        dd, w = str2.eval(g)
+        back = mu.of_dd(dd)
         for rep, col in w.items():
-            back += mu.of_pattern(rep, _nonzero(col))
-        if not ts.classes_equal(_dense(ring, ts.ambient_dim, back), g):
+            back += mu.of_pattern(rep, col)
+        if not ts.is_zero_class(combine(ring, [(1, back), (-1, g)])):
             retraction = False
             break
 

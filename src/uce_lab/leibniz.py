@@ -182,9 +182,10 @@ class GeneralLinear:
                 v[self.unit_index(i, j, b)] = c
         return v
 
-    def supertrace(self, xvec):
-        """Str(x) = sum_i (-1)^{|i|(|i| + |x_ii|)} x_ii, a D element."""
-        return self.supertrace_matrix().apply(xvec)
+    def supertrace(self, items):
+        """Str(x) = sum_i (-1)^{|i|(|i| + |x_ii|)} x_ii, a D element; x and
+        the result are (index, value) pairs, as for ``SparseMat.apply``."""
+        return self.supertrace_matrix().apply(items)
 
     def supertrace_matrix(self) -> SparseMat:
         ent = {}
@@ -241,20 +242,21 @@ class SpecialLinear:
     inclusion: SparseMat
     sl_index: dict
 
-    def embed(self, slvec):
-        """gl coordinates of an element given in sl coordinates."""
-        return self.inclusion.apply(slvec)
+    def embed(self, items):
+        """gl coordinates of an element given in sl coordinates, both as
+        (index, value) pairs, as for ``SparseMat.apply``."""
+        return self.inclusion.apply(items)
 
-    def coords_of_unit(self, i: int, j: int, dvec):
-        """sl coordinates of E_ij(x) for i != j, read off sl_index."""
+    def coords_of_unit(self, i: int, j: int, dvec) -> list:
+        """sl coordinates of E_ij(x) for i != j and x a dense D-coordinate
+        vector, read off sl_index, as the sorted (index, value) pairs of the
+        nonzero entries."""
         if i == j:
             raise ValueError(f"E[{i},{i}](...) is diagonal, not an sl basis vector")
-        ring = self.algebra.ring
-        x = [ring.zero] * self.algebra.dim
-        for b, c in enumerate(dvec):
-            if c != 0:
-                x[self.sl_index[self.gl.unit_index(i, j, b)]] = ring.normalize(c)
-        return x
+        norm = self.algebra.ring.normalize
+        out = ((self.sl_index[self.gl.unit_index(i, j, b)], norm(c))
+               for b, c in enumerate(dvec) if c != 0)
+        return sorted((t, x) for t, x in out if x != 0)
 
 
 def sl(m: int, n: int, d: SuperDialgebra) -> SpecialLinear:

@@ -11,6 +11,7 @@ come from ``chain.blocked_complex``, shared with ``chain.hl``.  These block
 echelons (``TensorSquare.blocks``) are the only copy of Im delta_3: a query
 splits an ambient vector into its blocks and works in block coordinates, and
 a span grows one block at a time, each added vector lying in one block.
+Vectors are (index, value) pairs throughout (see ``TensorSquare``).
 Only an integer block with a pivot value other than 1 or -1 takes a Smith
 form, for its free and cyclic coordinates; the torsion is the merged
 invariant factor chain of the cyclic orders.  The W classes lie in single
@@ -25,8 +26,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from .exactlin import (
     Echelon,
@@ -194,7 +193,13 @@ def combine(ring, terms) -> list:
 @dataclass(eq=False)
 class TensorSquare:
     """Quotient presentation of (L (x) L)/Im delta_3 with the induced bracket
-    and the boundary to L.  Im delta_3 is held only as its block echelons."""
+    and the boundary to L.  Im delta_3 is held only as its block echelons.
+
+    Every ambient vector, taken or returned, is a list of (index, value)
+    pairs of its nonzero entries (distinct indices).  ``project`` returns
+    the canonical representative of a class sorted by index, so two classes
+    are equal when ``is_zero_class`` holds for their difference, formed
+    with ``combine``."""
 
     base: LeibnizSuperalgebra
     d2: ChainMap
@@ -224,35 +229,29 @@ class TensorSquare:
         return {i: s for idx, _ in self.blocks.values() for s, i in enumerate(idx)}
 
     def _pieces(self, vec) -> dict:
-        """key -> the nonzero (block position, value) pairs of an ambient
-        vector in that block; vec is a dense coordinate list or its (index,
-        value) pairs."""
+        """key -> the nonzero (block position, value) pairs of the ambient
+        vector with the (index, value) pairs vec in that block."""
         keys, pos = self.d2.source_keys, self._position
         out = {}
-        for i, x in vec if not len(vec) or isinstance(vec[0], tuple) else enumerate(vec):
+        for i, x in vec:
             if x != 0:
                 out.setdefault(keys[i], []).append((pos[i], x))
         return out
 
-    def project(self, vec):
-        """Canonical representative of the class of an ambient vector (dense,
-        or its (index, value) pairs) modulo Im delta_3: the block residues at
-        their ambient indices, as an object array of ring elements."""
-        ring = self.base.ring
-        out = np.full(self.ambient_dim, ring.zero, dtype=object)
+    def project(self, vec) -> list:
+        """Canonical representative of the class modulo Im delta_3 of the
+        ambient vector with the (index, value) pairs vec: the block residues
+        (``Echelon.residue``) at their ambient indices, as sorted (index,
+        value) pairs of nonzero ring elements.  Empty exactly for the zero
+        class."""
+        out = []
         for key, piece in self._pieces(vec).items():
             idx, image = self.blocks[key]
-            res = image.residue(image.vector(piece))
-            for s in np.flatnonzero(res):
-                out[idx[s]] = ring.normalize(res[s])
-        return out
-
-    def classes_equal(self, u, v) -> bool:
-        diff = [a - b for a, b in zip(u, v)]
-        return not self.project(diff).any()
+            out.extend((idx[s], x) for s, x in image.residue(image.vector(piece)))
+        return sorted(out)
 
     def is_zero_class(self, u) -> bool:
-        return not self.project(u).any()
+        return not self.project(u)
 
     def image_rows(self) -> list:
         """The rows of the block echelons at their ambient indices, as
@@ -284,44 +283,38 @@ class TensorSquare:
         return out
 
     def pair_vector(self, a, b):
-        """a (x) b for dense L vectors a, b, as its nonzero (index, value)
-        pairs in ascending index order."""
+        """a (x) b for L vectors given as (index, value) pairs, as its
+        nonzero (index, value) pairs; in ascending index order when a and b
+        are sorted."""
         norm = self.base.ring.normalize
         dim = self.base.dim
-        right = [(j, cb) for j, cb in enumerate(b) if cb != 0]
         out = []
-        for i, ca in enumerate(a):
-            if ca != 0:
-                for j, cb in right:
-                    x = norm(ca * cb)
-                    if x != 0:
-                        out.append((i * dim + j, x))
+        for i, ca in a:
+            for j, cb in b:
+                x = norm(ca * cb)
+                if x != 0:
+                    out.append((i * dim + j, x))
         return out
 
     def bracket(self, u, v):
-        """Induced bracket on classes: project(delta_2(u) (x) delta_2(v)).
-        Independent of the chosen representatives since delta_2 kills the
-        image."""
+        """Induced bracket on classes: project(delta_2(u) (x) delta_2(v)),
+        u, v and the result as (index, value) pairs.  Independent of the
+        chosen representatives since delta_2 kills the image."""
         d2 = self.d2.matrix
         return self.project(self.pair_vector(d2.apply(u), d2.apply(v)))
 
     def carrier_generators(self):
-        """Ambient vectors whose classes generate the carrier: complement
-        unit vectors, then the pivot units whose pivot value is not a unit
-        (which happens only over the integers), each in ascending index
-        order.  The dense vectors share one ring zero and one ring one."""
-        ring = self.base.ring
+        """(index, vector) for the ambient unit vectors whose classes
+        generate the carrier: complement units, then the pivot units whose
+        pivot value is not a unit (which happens only over the integers),
+        each in ascending index order.  Each vector is the one pair
+        [(index, 1)]."""
+        one = self.base.ring.one
         units = list(self.complement)
         units += sorted(idx[p] for idx, image in self.blocks.values()
                         if not image.has_unit_pivots()
                         for p, d in image.pivot_values().items() if abs(d) > 1)
-        zero, one = ring.zero, ring.one
-        gens = []
-        for c in units:
-            vec = [zero] * self.ambient_dim
-            vec[c] = one
-            gens.append((c, vec))
-        return gens
+        return [(c, [(c, one)]) for c in units]
 
     def generator_parity(self, ambient_index: int) -> int:
         return self.d2.source.parity[ambient_index]
@@ -384,16 +377,15 @@ class TensorSquare:
         return GradedModuleInvariants(self.base.ring, k0.cols, k1.cols, t0, t1)
 
     def kernel_class_generators(self):
-        """Ambient vectors in Ker delta_2 whose classes generate the
-        degree-2 homology."""
+        """Ambient vectors in Ker delta_2, as sorted (index, value) pairs,
+        whose classes generate the degree-2 homology."""
         gens = []
         for par in (0, 1):
             lift, kernel, torsion_lift, _ = self._carrier_block(par)
             for mat in (lift @ kernel, torsion_lift):
-                gens.extend(mat.column_dense(j) for j in range(mat.cols))
-        for g in gens:
-            if any(x != 0 for x in self.d2.matrix.apply(g)):
-                raise RuntimeError("kernel generator is not in Ker delta_2")
+                gens.extend(list(col) for col in mat.columns())
+        if any(self.d2.matrix.apply(g) for g in gens):
+            raise RuntimeError("kernel generator is not in Ker delta_2")
         return gens
 
     # -- property checks -----------------------------------------------------
@@ -420,8 +412,7 @@ class TensorSquare:
             xy_z = self.bracket(self.bracket(x, y), z)
             xz_y = self.bracket(self.bracket(x, z), y)
             sign = -1 if (py * pz) % 2 else 1
-            rhs = [p - sign * q for p, q in zip(xy_z, xz_y)]
-            if not self.classes_equal(lhs, rhs):
+            if not self.is_zero_class(combine(ring, [(1, lhs), (-1, xy_z), (sign, xz_y)])):
                 return [(a, b, c)]
         return []
 
@@ -429,6 +420,7 @@ class TensorSquare:
         """Transported bracket constants do not depend on representative
         lifts: redraw lifts by adding random image elements."""
         rng = random.Random(seed)
+        ring = self.base.ring
         gens = self.carrier_generators()
         rows = self.image_rows()
         if not gens:
@@ -436,16 +428,14 @@ class TensorSquare:
         for _ in range(trials):
             (ia, a), (ib, b) = rng.choice(gens), rng.choice(gens)
             base = self.bracket(a, b)
-            a2 = list(a)
-            b2 = list(b)
-            for vec in (a2, b2):
+            moved = []
+            for vec in (a, b):
+                terms = [(1, vec)]
                 for _ in range(2):
                     j = rng.randrange(len(rows))
-                    c = rng.randint(-3, 3)
-                    if c:
-                        for t, x in rows[j]:
-                            vec[t] = vec[t] + c * x
-            if not self.classes_equal(self.bracket(a2, b2), base):
+                    terms.append((rng.randint(-3, 3), rows[j]))
+                moved.append(combine(ring, terms))
+            if not self.is_zero_class(combine(ring, [(1, self.bracket(*moved)), (-1, base)])):
                 return False
         return True
 
@@ -577,7 +567,6 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
         ts = tensor_square(slalg.algebra, guard)
     ring = ts.base.ring
     keys = ts.d2.source_keys
-    boundary = ts.d2.matrix.columns()
 
     def check_block(pat, vec):
         weight = [0] * (m + n)
@@ -599,7 +588,7 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
             vec = ts.pair_vector(slalg.coords_of_unit(i, j, d.basis_vector(b)),
                                  slalg.coords_of_unit(k, l, d.bar_unit))
             check_block(pat, vec)
-            if combine(ring, ((c, boundary[x]) for x, c in vec)):
+            if ts.d2.matrix.apply(vec):
                 raise RuntimeError(f"class {pat} is not a cycle")
             vecs[(pat, b)] = vec
             labels.append((pat, d.module.label(b)))

@@ -397,6 +397,17 @@ def test_splitting_report_matches_the_golden_bytes(workload, case):
     assert out == _golden(workload, case)
 
 
+def _cli_subprocess(*argv, timeout=30):
+    """uce-lab argv in a fresh interpreter; the timeout turns a hang into a
+    failure."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run([sys.executable, "-m", "uce_lab.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 @pytest.mark.parametrize("command", ["hl2", "verify"])
 def test_huge_invariant_factors_end_in_bounded_time(tmp_path, command):
     # Z[x]/(x^2 - p), p = 10^18 + 3: HHS_1 has the factor 2p, which trial
@@ -409,16 +420,42 @@ def test_huge_invariant_factors_end_in_bounded_time(tmp_path, command):
         "name": "z_sqrt_p", "ring": {"kind": "integers"}, "dim": 2,
         "parity": [0, 0], "bar_unit": ["1", "0"], "left": mult, "right": mult,
     }))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    done = subprocess.run(
-        [sys.executable, "-m", "uce_lab.cli", command, "--m", "3", "--n", "0",
-         "--dialgebra", str(path), "--format", "json"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=30,
-    )
+    done = _cli_subprocess(command, "--m", "3", "--n", "0", "--dialgebra", str(path),
+                           "--format", "json")
     assert done.returncode == 0, done.stderr
     blob = json.loads(done.stdout)
     inv = blob["hl2"] if command == "hl2" else blob["report"]["computed"]
     assert inv["even_torsion"] == [3] * 10 + [6, 6 * p]
+
+
+@pytest.mark.parametrize("command", ["hl2", "hhs1", "verify"])
+def test_size_guard_comes_before_validation(tmp_path, command):
+    # a unital dim-60 file, one product off the bar-unit laws: the guard
+    # reads only m, n and dim, so the command exits 3 at once, before the
+    # axioms are checked (which would exit 2)
+    dim = 60
+    left = [[i, 0, i, "1"] for i in range(dim)] + [[1, 1, 1, "1"]]
+    right = [[0, i, i, "1"] for i in range(dim)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "name": "big", "ring": {"kind": "rationals"}, "dim": dim, "parity": [0] * dim,
+        "bar_unit": ["1"] + ["0"] * (dim - 1), "left": left, "right": right,
+    }))
+    assert main(["check", str(path)]) == 1
+    mn = [] if command == "hhs1" else ["--m", "2", "--n", "1"]
+    done = _cli_subprocess(command, *mn, "--dialgebra", str(path))
+    assert done.returncode == 3, done.stderr
+    assert "size guard" in done.stderr
+
+
+def test_check_of_a_large_zero_dialgebra_ends_in_bounded_time(tmp_path):
+    # every product vanishes, so validation has no triple to multiply out
+    dim = 80
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "name": "zero", "ring": {"kind": "rationals"}, "dim": dim, "parity": [0] * dim,
+        "left": [], "right": [],
+    }))
+    done = _cli_subprocess("check", str(path), "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"name": "zero", "valid": True, "violations": []}

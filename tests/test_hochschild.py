@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from uce_lab import chain, hochschild
+from uce_lab import chain, hochschild, leibniz
 from uce_lab.chain import delta
 from uce_lab.exactlin import (
     Echelon,
@@ -293,7 +293,8 @@ def _str2_kills_every_d3_column(m, n, dlg) -> bool:
         if not hoch.is_zero_class(dd):
             return False
         for rep, wcol in w.items():
-            if quotients[rep].echelon.residue_of(wcol).any():
+            ech = quotients[rep].echelon
+            if ech.residue(ech.vector(wcol)):
                 return False
     return True
 
@@ -304,6 +305,65 @@ def test_splitting_check_catches_a_broken_str2(monkeypatch, name):
     rep = splitting_check(2, 2, builtin_dialgebra(name))
     assert not rep.str2_well_defined
     assert all(getattr(rep, f) for f in FLAGS if f != "str2_well_defined")
+
+
+def _failing(rep) -> list:
+    return [f for f in FLAGS if not getattr(rep, f)]
+
+
+def _doubled(items) -> list:
+    return [(k, 2 * v) for k, v in items]
+
+
+def test_splitting_check_catches_a_broken_trace_square(monkeypatch):
+    # (b), left square: Str o embed o delta_2 against d_1 o Str2.  Over
+    # mat2_q, d_1 != 0, so the square has nonzero entries to compare
+    supertrace = leibniz.GeneralLinear.supertrace
+    monkeypatch.setattr(leibniz.GeneralLinear, "supertrace",
+                        lambda self, items: _doubled(supertrace(self, items)))
+    assert _failing(splitting_check(3, 0, builtin_dialgebra("mat2_q"))) == [
+        "trace_square_commutes"]
+
+
+def test_splitting_check_catches_a_broken_embed_square(monkeypatch):
+    # (b), right square: embed o delta_2 o mu against E_11(d_1).  A doubled mu
+    # still kills the relations, and HHS_1(mat2_q) = 0 hides it from (d), (e)
+    of_dd = hochschild._Mu.of_dd
+    monkeypatch.setattr(hochschild._Mu, "of_dd", lambda self, items: _doubled(of_dd(self, items)))
+    assert _failing(splitting_check(3, 0, builtin_dialgebra("mat2_q"))) == [
+        "embed_square_commutes"]
+
+
+@pytest.mark.parametrize("m,n,name", [(3, 0, "f3"), (2, 1, "bar_duplex_q")])
+def test_splitting_check_catches_a_mu_that_misses_the_relations(monkeypatch, m, n, name):
+    # (c): mu(a (x) b) without its term E_12(b |> a) (x) E_21(1) no longer
+    # kills Im d_2 + I, and no longer lifts d_1 either
+    def first_term(self, t):
+        a, b = divmod(t, self.dlg.dim)
+        return self._pair(1, 2, self.dlg.basis_vector(a), 2, 1, self.dlg.basis_vector(b))
+
+    monkeypatch.setattr(hochschild._Mu, "_dd_unit", first_term)
+    assert _failing(splitting_check(m, n, builtin_dialgebra(name))) == [
+        "mu_well_defined", "embed_square_commutes"]
+
+
+@pytest.mark.parametrize("part", ["hochschild", "kernel classes"])
+def test_splitting_check_catches_maps_that_are_not_inverse(monkeypatch, part):
+    # (d) Str2 o mu = id and (e) mu o Str2 = id: a doubled summand breaks
+    # both, as over a field either identity implies the other.  HHS_1 of
+    # dual_numbers_q and the W classes of (2, 2) are nonzero
+    evaluate = hochschild._Str2.eval
+
+    def doubled(self, items):
+        dd, w = evaluate(self, items)
+        if part == "hochschild":
+            return _doubled(dd), w
+        return dd, {rep: _doubled(col) for rep, col in w.items()}
+
+    monkeypatch.setattr(hochschild._Str2, "eval", doubled)
+    m, n, name = (2, 1, "dual_numbers_q") if part == "hochschild" else (2, 2, "grassmann_q")
+    assert _failing(splitting_check(m, n, builtin_dialgebra(name))) == [
+        "section_identity", "retraction_identity"]
 
 
 @pytest.mark.parametrize("broken", [False, True])

@@ -55,6 +55,78 @@ def test_perturbed_left_constant_reports_mixed_axiom():
     assert any("mixed-axiom" in v for v in issues)
 
 
+def _dense_validate(d):
+    """The dense validation that ``validate`` replaced, kept as the
+    reference: every triple multiplied out with lmul and rmul."""
+    issues, seen = [], set()
+
+    def note(kind, where):
+        if kind not in seen:
+            seen.add(kind)
+            issues.append(f"{kind} fails first at {where}")
+
+    basis = [d.basis_vector(i) for i in range(d.dim)]
+    for i in range(d.dim):
+        for j in range(d.dim):
+            target = (d.parity(i) + d.parity(j)) % 2
+            for table, op in ((d.left, "left-product"), (d.right, "right-product")):
+                for k, c in table.get((i, j), ()):
+                    if d.parity(k) != target:
+                        note(f"parity-additivity of {op}", f"(e{i}, e{j})")
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            ab_l, ab_r = d.lmul(a, b), d.rmul(a, b)
+            for k, c in enumerate(basis):
+                bc_l, bc_r = d.lmul(b, c), d.rmul(b, c)
+                where = f"(e{i}, e{j}, e{k})"
+                if d.lmul(ab_l, c) != d.lmul(a, bc_l):
+                    note("left-associativity", where)
+                if d.rmul(ab_r, c) != d.rmul(a, bc_r):
+                    note("right-associativity", where)
+                if d.lmul(a, bc_l) != d.lmul(a, bc_r):
+                    note("mixed-axiom a<|(b<|c) = a<|(b|>c)", where)
+                if d.lmul(ab_r, c) != d.rmul(a, bc_l):
+                    note("mixed-axiom (a|>b)<|c = a|>(b<|c)", where)
+                if d.rmul(ab_l, c) != d.rmul(ab_r, c):
+                    note("mixed-axiom (a<|b)|>c = (a|>b)|>c", where)
+    if d.is_unital:
+        e = list(d.bar_unit)
+        try:
+            if d.element_parity(e) != 0:
+                issues.append("bar-unit parity: the bar-unit must be even")
+        except ValueError:
+            issues.append("bar-unit parity: the bar-unit must be even")
+        for i, a in enumerate(basis):
+            if d.lmul(a, e) != a:
+                note("bar-unit law a<|e = a", f"e{i}")
+            if d.rmul(e, a) != a:
+                note("bar-unit law e|>a = a", f"e{i}")
+    return issues
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_sparse_validate_reports_what_the_dense_loop_reports(name):
+    """The same violation strings in the same order, first failing triples
+    included, on the catalog and on random perturbations of it: changed,
+    added and removed structure constants, some of them zero."""
+    d = builtin_dialgebra(name)
+    rng = random.Random(name)
+    probes = [d]
+    for _ in range(12):
+        left, right = dict(d.left), dict(d.right)
+        for _ in range(rng.randint(1, 3)):
+            table = rng.choice((left, right))
+            key = (rng.randrange(d.dim), rng.randrange(d.dim))
+            if key in table and rng.random() < 0.3:
+                del table[key]
+            else:
+                table[key] = [(rng.randrange(d.dim), rng.randint(-2, 2))]
+        probes.append(SuperDialgebra(d.ring, d.module, left, right, d.bar_unit, "perturbed"))
+    for x in probes:
+        assert validate(x) == _dense_validate(x)
+    assert any(validate(x) for x in probes)
+
+
 def test_bar_duplex_is_valid_with_two_bar_units():
     d = builtin_dialgebra("bar_duplex_q")
     assert validate(d) == []

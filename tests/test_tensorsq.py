@@ -27,6 +27,7 @@ from uce_lab.tensorsq import (
     NotPerfectError,
     TensorSquare,
     admissible_patterns,
+    combine,
     hl2,
     low_rank_case,
     pattern_modulus,
@@ -59,7 +60,13 @@ def ambient_image(ts):
 
 
 def reference_project(ref, vec):
-    return [ref.ring.normalize(x) for x in ref.residue(ref.vector(vec))]
+    return ref.residue(ref.vector(vec))
+
+
+def _pairs(dense):
+    """The nonzero (index, value) pairs of a dense vector, the form that
+    ``TensorSquare`` takes and returns."""
+    return [(i, x) for i, x in enumerate(dense) if x != 0]
 
 
 def test_requires_perfect():
@@ -119,8 +126,8 @@ def test_image_blocks_do_not_change_pivots_or_residues(m, n, name):
         assert ref.pivot_values() == single_ref.pivot_values()
     rng = random.Random(5)
     for _ in range(20):
-        v = [l.ring.normalize(rng.randint(-5, 5)) for _ in range(l.dim ** 2)]
-        assert list(blocked.project(v)) == list(single.project(v))
+        v = _pairs([l.ring.normalize(rng.randint(-5, 5)) for _ in range(l.dim ** 2)])
+        assert blocked.project(v) == single.project(v)
 
 
 @pytest.mark.parametrize("m,n,name", [
@@ -145,8 +152,8 @@ def test_shared_complex_gives_what_fresh_builds_give(m, n, name):
         assert ref.pivot_values() == alone_ref.pivot_values()
     rng = random.Random(11)
     for _ in range(20):
-        v = [l.ring.normalize(rng.randint(-5, 5)) for _ in range(l.dim ** 2)]
-        assert list(ts.project(v)) == list(alone.project(v))
+        v = _pairs([l.ring.normalize(rng.randint(-5, 5)) for _ in range(l.dim ** 2)])
+        assert ts.project(v) == alone.project(v)
 
 
 @pytest.mark.parametrize("m,n,name", [
@@ -166,57 +173,56 @@ def test_block_queries_match_one_ambient_echelon(m, n, name):
         units += sorted(p for p, d in ref.pivot_values().items() if abs(d) > 1)
     gens = ts.carrier_generators()
     assert [c for c, _ in gens] == units
-    assert all(g == [ring.one if t == c else ring.zero for t in range(amb)] for c, g in gens)
+    assert all(g == [(c, ring.one)] for c, g in gens)
     rows = ts.image_rows()
     assert [row[0][0] for row in rows] == sorted(ref.row_at)
     assert all(ts.is_zero_class(row) for row in rows)
     rng = random.Random(23)
-    for _ in range(20):
-        if ring == QQ:
-            v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(amb)]
+    for k in range(21):
+        if k == 20:
+            v = []   # the zero vector
+        elif ring == QQ:
+            v = _pairs([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(amb)])
         else:
-            v = [ring.normalize(rng.randint(-5, 5)) for _ in range(amb)]
+            v = _pairs([ring.normalize(rng.randint(-5, 5)) for _ in range(amb)])
         want = reference_project(ref, v)
-        assert list(ts.project(v)) == want
-        assert list(ts.project([(i, x) for i, x in enumerate(v) if x])) == want
-        assert ts.is_zero_class(v) == (not any(want))
+        assert ts.project(v) == want
+        assert ts.is_zero_class(v) == (not want)
         # adding an element of Im delta_3 leaves the class where it was
-        c = rng.randint(1, 3)
-        moved = list(v)
-        for t, x in rng.choice(rows):
-            moved[t] = ring.normalize(moved[t] + c * x)
-        assert ts.classes_equal(moved, v)
-        assert list(ts.project(moved)) == want
+        moved = combine(ring, [(1, v), (rng.randint(1, 3), rng.choice(rows))])
+        assert ts.is_zero_class(combine(ring, [(1, moved), (-1, v)]))
+        assert ts.project(moved) == want
 
 
-def test_carrier_generators_read_the_ring_zero_once(monkeypatch):
-    """Over Q every ``RingSpec.zero`` is a new Fraction: the dense generator
-    vectors share one, read once per call, and stay what they were."""
+def test_carrier_generators_read_no_ring_zero(monkeypatch):
+    """Over Q every ``RingSpec.zero`` is a new Fraction: the generators are
+    single (index, 1) pairs, built without reading it."""
     _, ts = _built(2, 1, "rationals")
-    ring, amb = ts.base.ring, ts.ambient_dim
+    ring = ts.base.ring
     reads = []
     real = exactlin.RingSpec.zero
     monkeypatch.setattr(exactlin.RingSpec, "zero",
                         property(lambda self: reads.append(self) or real.fget(self)))
     gens = ts.carrier_generators()
-    assert len(reads) == 1 and len(gens) > 1
+    assert reads == [] and len(gens) > 1
     monkeypatch.undo()
-    assert gens == [(c, [ring.one if t == c else ring.zero for t in range(amb)])
-                    for c in ts.complement]
+    assert gens == [(c, [(c, ring.one)]) for c in ts.complement]
 
 
 @pytest.mark.parametrize("m,n,name", [(2, 1, "rationals"), (3, 0, "f3")])
-def test_queries_take_the_arrays_project_returns(m, n, name):
-    """project and bracket return object arrays; every query takes them
-    back as it takes a dense list."""
+def test_queries_take_the_pairs_project_returns(m, n, name):
+    """project returns sorted (index, value) pairs; every query takes them
+    back as it takes any other pairs."""
     _, ts = _built(m, n, name)
+    ring = ts.base.ring
     rng = random.Random(5)
     for _, g in ts.carrier_generators()[:6]:
-        v = [ts.base.ring.normalize(rng.randint(-3, 3) * x) for x in g]
+        v = combine(ring, [(rng.randint(-3, 3), g)])
         cls = ts.project(v)
         assert ts.is_zero_class(cls) == ts.is_zero_class(v)
-        assert ts.classes_equal(cls, v) and ts.classes_equal(ts.project(g), g)
-        assert list(ts.project(cls)) == list(cls)
+        assert ts.is_zero_class(combine(ring, [(1, cls), (-1, v)]))
+        assert ts.is_zero_class(combine(ring, [(1, ts.project(g)), (-1, g)]))
+        assert ts.project(cls) == cls
 
 
 def test_bracket_class_meeting_two_blocks_raises(monkeypatch):
@@ -468,21 +474,18 @@ def _counting_smith_forms(monkeypatch):
 
 
 def reference_w_span(slalg, ts):
-    """The whole-ambient W span that ``w_cycles`` replaced, kept verbatim as
-    the reference: dense class vectors, one echelon of Im delta_3 plus all
-    of them, and one subquotient over all of L (x) L."""
+    """The whole-ambient W span that ``w_cycles`` replaced, kept as the
+    reference (it only reads the pairs ``coords_of_unit`` now returns):
+    dense class vectors, one echelon of Im delta_3 plus all of them, and one
+    subquotient over all of L (x) L."""
     d = slalg.gl.dlg
     ring = ts.base.ring
     dim = ts.base.dim
 
     def pair_vector(a, b):
         out = [ring.zero] * (dim * dim)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
+        for i, ca in a:
+            for j, cb in b:
                 out[i * dim + j] = ring.normalize(ca * cb)
         return out
 
@@ -541,7 +544,7 @@ def test_blockwise_carrier_smith_matches_the_whole_parity(m, n, name):
     assert ts.kernel_invariants() == GradedModuleInvariants(ts.base.ring, k0.cols, k1.cols, t0, t1)
     # the generators lie in Ker delta_2 and give the invariants back over Im
     gens = ts.kernel_class_generators()
-    assert all(not any(ts.d2.matrix.apply(g)) for g in gens)
+    assert all(ts.d2.matrix.apply(g) == [] for g in gens)
     image = ambient_image(ts)
     plus = image.copy().extend(gens)
     assert subquotient_invariants(
