@@ -27,19 +27,22 @@ for entry in catalog_entries():
     print(f"  {entry['name']:18s} violations: {issues or 'none'}")
 
 # The bar duplex: Q^2 with x <| y = x s(y) and x |> y = s(x) y, s = sum of
-# coordinates.  Both (1,0) and (0,1) satisfy the bar-unit laws.
+# coordinates.  Both (1,0) and (0,1) satisfy the bar-unit laws.  Elements
+# are lists of (index, value) pairs: u0 = (1,0) is [(0, 1)], u1 = (0,1) is
+# [(1, 1)].
 bd = builtin_dialgebra("bar_duplex_q")
+u0, u1 = [(0, 1)], [(1, 1)]
 print("\nbar duplex products:")
-print("  (0,1) <| (1,0) =", bd.lmul([0, 1], [1, 0]))
-print("  (1,0) |> (0,1) =", bd.rmul([1, 0], [0, 1]))
-print("  chosen bar-unit:", list(bd.bar_unit))
+print("  u1 <| u0 =", bd.lmul(u1, u0))
+print("  u0 |> u1 =", bd.rmul(u0, u1))
+print("  chosen bar-unit:", bd.bar_unit)
 print("  (0,1) also works:", validate(bd.with_bar_unit([0, 1])) == [])
 
 # Koszul signs in the graded tensor product
 g = builtin_dialgebra("grassmann_q")
 gg = tensor_product(g, g)
-x1 = [0, 0, 1, 0]   # x (x) 1
-ox = [0, 1, 0, 0]   # 1 (x) x
+x1 = [(2, 1)]   # x (x) 1
+ox = [(1, 1)]   # 1 (x) x
 print("\nKoszul sign in grassmann (x) grassmann:")
 print("  (x(x)1) <| (1(x)x) =", gg.lmul(x1, ox))
 print("  (1(x)x) <| (x(x)1) =", gg.lmul(ox, x1))

@@ -16,13 +16,15 @@ from uce_lab.tensorsq import tensor_square, uce
 
 Q = builtin_dialgebra("rationals")
 
+# elements are lists of (index, value) pairs; E_ij(1) is unit_vector(i, j,
+# [(0, 1)]), and E11, E12, E21, E22 are the basis vectors 0, 1, 2, 3
 g = gl(2, 0, Q)
 print("gl(2,0,Q): [E12, E21] =", g.algebra.bracket(
-    g.unit_vector(1, 2, [1]), g.unit_vector(2, 1, [1])), "(= E11 - E22)")
+    g.unit_vector(1, 2, [(0, 1)]), g.unit_vector(2, 1, [(0, 1)])), "(= E11 - E22)")
 
 g11 = gl(1, 1, Q)
 print("gl(1,1,Q): [E12, E21] =", g11.algebra.bracket(
-    g11.unit_vector(1, 2, [1]), g11.unit_vector(2, 1, [1])),
+    g11.unit_vector(1, 2, [(0, 1)]), g11.unit_vector(2, 1, [(0, 1)])),
     "(= E11 + E22: both generators are odd)")
 
 print("\ncentre of gl(2,0,Q) has dimension", centre(g.algebra).cols,

@@ -1,7 +1,13 @@
-"""Exact linear algebra substrate: coefficient rings, sparse matrices,
-products from structure constants (``bilinear``), incremental echelon/lattice
-reduction, Smith normal form, kernels and invariant factors of graded
-subquotients.
+"""Exact linear algebra substrate: coefficient rings, vectors as (index,
+value) pairs, sparse matrices, products from structure constants,
+incremental echelon/lattice reduction, Smith normal form, kernels and
+invariant factors of graded subquotients.
+
+A vector is a list of (index, value) pairs.  Inputs may repeat an index,
+whose values are then summed; outputs are sorted by index, nonzero and
+normalized.  ``combine`` forms linear combinations, ``multiply`` the product
+of two vectors from structure constants, and ``SparseMat.apply`` a matrix
+times a vector.
 
 Span and lattice facts go through one ``Echelon`` API: ``extend`` builds the
 span of a sequence of vectors (zero vectors skipped, insertion order kept),
@@ -14,14 +20,12 @@ is sparse, a dict {index: value} of its nonzero entries as Python ints (in
 [0, p) over F_p) or, in Fraction mode, Fractions; Python ints never
 overflow, so elimination needs no overflow guard and touches only the
 nonzero entries.  The Smith normal form works on the same sparse rows of
-Python ints.  ``SparseMat.apply`` and ``Echelon.residue`` give a vector as
-the sorted (index, value) pairs of its nonzero entries.  Over the
-rationals, echelon rows are integer vectors, and residues and solution
-coordinates are computed fraction-free, as an integer vector over one
-positive denominator; ``fractions.Fraction`` values are built only where
-results leave the module (``Echelon.residue``, ``SpanSolver.solve``,
-``basis_matrix``), and only for nonzero entries.  Input with fractional
-entries switches an echelon to Fraction rows.
+Python ints.  Over the rationals, echelon rows are integer vectors, and
+residues and solution coordinates are computed fraction-free, as an integer
+vector over one positive denominator; ``fractions.Fraction`` values are
+built only where results leave the module (``Echelon.residue``,
+``SpanSolver.solve``, ``basis_matrix``), and only for nonzero entries.
+Input with fractional entries switches an echelon to Fraction rows.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ __all__ = [
     "direct_sum_invariants",
     "quotient_invariants",
     "merge_torsion",
-    "bilinear",
+    "combine",
+    "multiply",
     "UnsupportedRingError",
     "NotASubmoduleError",
 ]
@@ -153,12 +158,12 @@ class RingSpec:
     def normalize(self, x):
         if self.kind == "rationals":
             return Fraction(x)
-        if self.kind == "int_mod":
-            return int(x) % self.modulus
         if type(x) is Fraction:
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an integer")
-            return x.numerator
+            x = x.numerator
+        if self.kind == "int_mod":
+            return int(x) % self.modulus
         return int(x)
 
     def parse(self, s: str):
@@ -266,15 +271,6 @@ class SparseMat:
                     ent[(i, j)] = v
         return cls(ring, rows, cols, ent)
 
-    @classmethod
-    def from_columns(cls, ring, nrows, columns):
-        ent = {}
-        for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                if v != 0:
-                    ent[(i, j)] = v
-        return cls(ring, nrows, len(columns), ent)
-
     def nnz(self) -> int:
         return len(self.entries)
 
@@ -291,12 +287,6 @@ class SparseMat:
                 col.sort()   # rows are distinct, so values are never compared
             self._cols_cache = cols
         return self._cols_cache
-
-    def column_dense(self, j):
-        col = [self.ring.zero] * self.rows
-        for i, v in self.columns()[j]:
-            col[i] = v
-        return col
 
     def submatrix(self, rows, cols) -> "SparseMat":
         """The block on the ascending index lists rows and cols, renumbered
@@ -324,19 +314,16 @@ class SparseMat:
         return SparseMat(ring, self.rows, other.cols, out)
 
     def apply(self, items) -> list:
-        """self @ v for the (index, value) pairs items of a vector v (an index
-        may repeat), as the sorted (index, value) pairs of the nonzero
-        entries of the product, normalized.  Only the nonzero entries of v
-        and the columns they hit are visited."""
-        ring = self.ring
+        """self @ v as a vector, for the vector v with the (index, value)
+        pairs items.  Only the nonzero entries of v and the columns they hit
+        are visited."""
         cols = self.columns()
         acc = {}
         for j, c in items:
             if c != 0:
                 for i, m in cols[j]:
                     acc[i] = acc.get(i, 0) + c * m
-        out = ((i, ring.normalize(x)) for i, x in sorted(acc.items()))
-        return [(i, x) for i, x in out if x != 0]
+        return _pairs(self.ring, acc)
 
     def __eq__(self, other):
         return (
@@ -351,21 +338,35 @@ class SparseMat:
         return f"SparseMat({self.ring.describe()}, {self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def bilinear(ring: RingSpec, table: dict, dim: int, a, b) -> list:
-    """The product of dense coordinate vectors a and b from structure
-    constants: table[(i, j)] expands e_i * e_j as [(k, coeff), ...] in a basis
-    of size dim, missing pairs are zero.  A dense list of normalized ring
-    elements."""
-    out = [ring.zero] * dim
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb == 0:
-                continue
-            for k, c in table.get((i, j), ()):
-                out[k] = out[k] + ca * cb * c
-    return [ring.normalize(x) for x in out]
+def _pairs(ring: RingSpec, acc: dict) -> list:
+    """The accumulated entries acc {index: value} as a vector: sorted by
+    index, normalized, zeros dropped."""
+    norm = ring.normalize
+    return [(k, y) for k, x in sorted(acc.items()) if (y := norm(x)) != 0]
+
+
+def combine(ring: RingSpec, terms) -> list:
+    """The vector sum of coef * vec over the (coef, vec) terms."""
+    acc = {}
+    for coef, vec in terms:
+        for k, v in vec:
+            acc[k] = acc.get(k, 0) + coef * v
+    return _pairs(ring, acc)
+
+
+def multiply(ring: RingSpec, table: dict, a, b) -> list:
+    """The product of the vectors a and b from structure constants:
+    table[(i, j)] expands e_i * e_j as [(k, coeff), ...], missing pairs are
+    zero.  A vector."""
+    acc = {}
+    for i, x in a:
+        for j, y in b:
+            terms = table.get((i, j))
+            if terms:
+                xy = x * y
+                for k, c in terms:
+                    acc[k] = acc.get(k, 0) + xy * c
+    return _pairs(ring, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -442,22 +443,32 @@ class Echelon:
     # -- vector plumbing ----------------------------------------------------
 
     def vector(self, items) -> dict:
-        """Sparse engine vector from list[(index, value)] or a full list."""
-        if isinstance(items, (list, tuple)) and items and not isinstance(items[0], tuple):
-            items = [(i, x) for i, x in enumerate(items) if x != 0]
-        if self.mode == "fracfield":
-            return {i: Fraction(x) for i, x in items if x != 0}
-        p = self.ring.modulus
+        """Sparse engine vector of the vector with the (index, value) pairs
+        items: the values of a repeated index are summed, reduced mod p over
+        F_p, and zero sums dropped."""
         v = {}
+        items = iter(items)
+        if self.mode == "fracfield":
+            for i, x in items:
+                if i in v:
+                    x += v.pop(i)
+                if x != 0:
+                    v[i] = Fraction(x)
+            return v
+        p = self.ring.modulus
         for i, x in items:
-            if type(x) is Fraction:  # an isinstance test on an ABC is slow
-                if x.denominator != 1:
-                    if self.mode == "intfield":
-                        self._to_fracfield()
-                        return self.vector(items)
-                    raise ValueError("non-integer entry over a non-rational ring")
-                x = x.numerator
-            x = int(x)
+            if type(x) is not int:
+                if type(x) is Fraction:  # an isinstance test on an ABC is slow
+                    if x.denominator != 1:
+                        if self.mode == "intfield":
+                            self._to_fracfield()
+                            return self.vector([*v.items(), (i, x), *items])
+                        raise ValueError("non-integer entry over a non-rational ring")
+                    x = x.numerator
+                else:
+                    x = int(x)
+            if i in v:
+                x += v.pop(i)
             if p is not None:
                 x %= p
             if x:
@@ -530,8 +541,7 @@ class Echelon:
         return False
 
     def extend(self, vectors) -> "Echelon":
-        """Insert each nonzero vector, in order; each is a dense coordinate
-        list or its nonzero (index, value) pairs.  Returns self, whose rows
+        """Insert each nonzero vector, in order.  Returns self, whose rows
         then span the old span plus the vectors (lattice: generate)."""
         for items in vectors:
             v = self.vector(items)
@@ -841,17 +851,13 @@ def _augmented_echelon(m: SparseMat) -> Echelon:
 
 
 def _coordinates(ech: Echelon, n: int, vec):
-    """x with m @ x = vec from the augmented echelon of an n-row m, or None
-    when vec is outside the column span (lattice).  vec is a dense list or
-    its nonzero (index, value) pairs."""
+    """The vector x with m @ x = vec from the augmented echelon of an n-row
+    m, or None when vec is outside the column span (lattice)."""
     w, den = ech._reduce(ech.vector(vec))
     if w and min(w) < n:
         return None
     ring = ech.ring
-    out = [ring.zero] * (ech.dim - n)
-    for k, x in _ring_values(ring, w, den).items():
-        out[k - n] = ring.normalize(-x)
-    return out
+    return sorted((k - n, ring.normalize(-x)) for k, x in _ring_values(ring, w, den).items())
 
 
 def kernel_basis(m: SparseMat) -> SparseMat:
@@ -872,7 +878,8 @@ def kernel_basis(m: SparseMat) -> SparseMat:
 
 
 def solve_linear(m: SparseMat, target):
-    """Some x with m @ x = target (exactly, over the matrix ring), or None.
+    """Some vector x with m @ x = target (exactly, over the matrix ring), or
+    None.
 
     Columns may be dependent; the returned solution is then one valid choice.
     """
@@ -891,9 +898,8 @@ class SpanSolver:
             raise ValueError("SpanSolver needs independent columns")
 
     def solve(self, vec):
-        """Coefficients x with basis @ x = vec, or None if not in the span
-        (over the integers: not in the lattice).  vec is a dense list or its
-        nonzero (index, value) pairs."""
+        """The vector x with basis @ x = vec, or None if vec is not in the
+        span (over the integers: not in the lattice)."""
         return _coordinates(self.ech, self.n, vec)
 
 
@@ -1182,13 +1188,12 @@ def subquotient_invariants(ker: SparseMat, im: SparseMat, parity) -> GradedModul
         if x is None:
             raise NotASubmoduleError(f"image column {j} is not in the kernel span")
         ent = entries_by_parity[par]
-        for idx, c in enumerate(x):
-            if c:
-                if ker_par[idx] != par:
-                    raise NotASubmoduleError(
-                        f"image column {j} uses kernel generators of the wrong parity"
-                    )
-                ent[(pos_of[idx], ncols[par])] = c
+        for idx, c in x:
+            if ker_par[idx] != par:
+                raise NotASubmoduleError(
+                    f"image column {j} uses kernel generators of the wrong parity"
+                )
+            ent[(pos_of[idx], ncols[par])] = c
         ncols[par] += 1
 
     out = {}

@@ -19,7 +19,7 @@ reads the order of the basis, so everything is computed on D's own basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .exactlin import (
@@ -27,6 +27,7 @@ from .exactlin import (
     GradedFreeModule,
     GradedModuleInvariants,
     SparseMat,
+    combine,
     kernel_basis,
     module_iso_check,
     subquotient_invariants,
@@ -36,8 +37,8 @@ from .chain import (DEFAULT_SIZE_GUARD, blocked_complex, guard_check, tensor_ind
 from .leibniz import SpecialLinear, sl
 from .superdialg import SuperDialgebra, quotient_Dm
 from .tensorsq import (
+    TensorSquare,
     admissible_patterns,
-    combine,
     low_rank_case,
     pattern_coefficient_sign,
     pattern_modulus,
@@ -207,7 +208,7 @@ class _Str2:
 
     def column(self, t: int) -> list:
         """Str2 of the ambient basis vector t of sl (x) sl, as the pairs
-        ((None, b1 * dim D + b2), value) of its D (x) D part and
+        (((), b1 * dim D + b2), value) of its D (x) D part and
         ((rep, k), value) of its coefficient for rep (a key may repeat);
         computed once."""
         if t in self._columns:
@@ -224,7 +225,7 @@ class _Str2:
                 if (i2, j2) == (j1, i1):
                     row_par = self.slalg.gl.row_parity(i1)
                     exp = row_par * (1 + dlg.parity(b1) + dlg.parity(b2))
-                    items.append(((None, b1 * dim_d + b2), -coeff if exp % 2 else coeff))
+                    items.append((((), b1 * dim_d + b2), -coeff if exp % 2 else coeff))
                     continue
                 pat = (i1, j1, i2, j2)
                 if pat in self.patterns:
@@ -244,7 +245,7 @@ class _Str2:
         D coefficient, every vector as its nonzero (index, value) pairs."""
         dd, w = [], {rep: [] for rep in self.reps}
         for (rep, k), v in combine(self.dlg.ring, ((c, self.column(t)) for t, c in items)):
-            (dd if rep is None else w[rep]).append((k, v))
+            (w[rep] if rep else dd).append((k, v))
         return dd, w
 
 
@@ -253,17 +254,16 @@ class _Mu:
     per-pattern coefficients into the tensor-square carrier of sl.  Inputs
     and outputs are (index, value) pairs."""
 
-    def __init__(self, slalg: SpecialLinear):
+    def __init__(self, slalg: SpecialLinear, ts: TensorSquare):
         self.slalg = slalg
+        self.ts = ts
         self.dlg = slalg.gl.dlg
         self.ring = self.dlg.ring
 
     def _pair(self, i, j, x, k, l, y) -> list:
-        """E_ij(x) (x) E_kl(y) for dense D vectors x, y."""
-        dim = self.slalg.algebra.dim
-        a = self.slalg.coords_of_unit(i, j, x)
-        b = self.slalg.coords_of_unit(k, l, y)
-        return [(s * dim + t, ca * cb) for s, ca in a for t, cb in b]
+        """E_ij(x) (x) E_kl(y) for D elements x, y."""
+        coords = self.slalg.coords_of_unit
+        return self.ts.pair_vector(coords(i, j, x), coords(k, l, y))
 
     def _dd_unit(self, t: int) -> list:
         dlg = self.dlg
@@ -282,7 +282,7 @@ class _Mu:
 
     def of_dd(self, items) -> list:
         """mu(a (x) b) = E_12(a) (x) E_21(b)
-        - (-1)^{|a||b|} E_12(b |> a) (x) E_21(1), extended bilinearly."""
+        - (-1)^{|a||b|} E_12(b |> a) (x) E_21(1), extended linearly."""
         return combine(self.ring, ((c, self._dd_unit(t)) for t, c in items))
 
     def of_pattern(self, rep, items) -> list:
@@ -365,11 +365,14 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     if low_rank_case(m, n) is None:
         raise ValueError(f"({m},{n}) is not a classified case")
     _require_bar_unit_basis(dlg)
+    # a copy, so that the quotients D_k memoised on it (``quotient_Dm``) are
+    # this check's own: each is computed once here, whatever ran before on dlg
+    dlg = replace(dlg)
     slalg = sl(m, n, dlg)
     ts = tensor_square(slalg.algebra, guard)
     hoch = degree_one_homology(dlg, guard)
     str2 = _Str2(slalg)
-    mu = _Mu(slalg)
+    mu = _Mu(slalg, ts)
     ring = dlg.ring
     dim_d = dlg.dim
 

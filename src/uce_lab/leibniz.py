@@ -18,14 +18,16 @@ from .exactlin import (
     RingSpec,
     SparseMat,
     SpanSolver,
-    bilinear,
     column_span_echelon,
+    combine,
     kernel_basis,
+    multiply,
 )
 from .superdialg import (
     InvalidInputError,
     SuperDialgebra,
     bracket_span,
+    bracket_table,
     matrix_dialgebra,
 )
 
@@ -44,7 +46,8 @@ __all__ = [
 @dataclass(frozen=True)
 class LeibnizSuperalgebra:
     """Bracket structure constants on a graded basis: table[(i, j)] expands
-    [e_i, e_j] as [(k, coeff), ...]; missing pairs are zero.
+    [e_i, e_j] as [(k, coeff), ...]; missing pairs are zero.  Elements are
+    vectors: (index, value) pairs, as in ``exactlin``.
 
     weight, when given, is one integer tuple per basis vector for which the
     bracket is additive: [e_i, e_j] only involves e_k of weight
@@ -72,20 +75,12 @@ class LeibnizSuperalgebra:
     def parity(self, i: int) -> int:
         return self.module.parity[i]
 
-    def basis_vector(self, i: int):
-        v = [self.ring.zero] * self.dim
-        v[i] = self.ring.one
-        return v
+    def basis_vector(self, i: int) -> list:
+        return [(i, self.ring.one)]
 
-    def bracket(self, a, b):
-        """[a, b] on dense coordinate vectors (bilinear extension)."""
-        return bilinear(self.ring, self.table, self.dim, a, b)
-
-    def bracket_basis(self, i: int, j: int):
-        out = [self.ring.zero] * self.dim
-        for k, c in self.table.get((i, j), ()):
-            out[k] = c
-        return out
+    def bracket(self, a, b) -> list:
+        """[a, b] from the structure constants."""
+        return multiply(self.ring, self.table, a, b)
 
     def leibniz_violations(self, max_exhaustive=40, samples=10_000, seed=0):
         """Triples violating [x,[y,z]] = [[x,y],z] - (-1)^{|y||z|}[[x,z],y].
@@ -93,7 +88,7 @@ class LeibnizSuperalgebra:
         Exhaustive up to max_exhaustive basis vectors, randomized above.
         Returns at most one witness (empty list = identity holds).
         """
-        ring = self.ring
+        table = self.table
         n = self.dim
         if n <= max_exhaustive:
             triples = (
@@ -106,13 +101,11 @@ class LeibnizSuperalgebra:
                 for _ in range(samples)
             )
         for i, j, k in triples:
-            x = self.basis_vector(i)
-            lhs = self.bracket(x, self.bracket_basis(j, k))
-            xy_z = self.bracket(self.bracket_basis(i, j), self.basis_vector(k))
-            xz_y = self.bracket(self.bracket_basis(i, k), self.basis_vector(j))
-            sign = -ring.one if (self.parity(j) * self.parity(k)) % 2 else ring.one
-            rhs = [ring.normalize(p - sign * q) for p, q in zip(xy_z, xz_y)]
-            if lhs != rhs:
+            lhs = self.bracket(self.basis_vector(i), table.get((j, k), ()))
+            xy_z = self.bracket(table.get((i, j), ()), self.basis_vector(k))
+            xz_y = self.bracket(table.get((i, k), ()), self.basis_vector(j))
+            sign = -1 if (self.parity(j) * self.parity(k)) % 2 else 1
+            if lhs != combine(self.ring, [(1, xy_z), (-sign, xz_y)]):
                 return [(i, j, k)]
         return []
 
@@ -130,20 +123,8 @@ class LeibnizSuperalgebra:
 
 def from_dialgebra(d: SuperDialgebra, name=None) -> LeibnizSuperalgebra:
     """[e_i, e_j] = e_i <| e_j - (-1)^{|i||j|} e_j |> e_i on the dialgebra's
-    basis, read off left[(i, j)] and right[(j, i)], terms in ascending k."""
-    table = {}
-    for i in range(d.dim):
-        for j in range(d.dim):
-            sign = -1 if (d.parity(i) * d.parity(j)) % 2 else 1
-            acc = {}
-            for k, c in d.left.get((i, j), ()):
-                acc[k] = acc.get(k, 0) + c
-            for k, c in d.right.get((j, i), ()):
-                acc[k] = acc.get(k, 0) - sign * c
-            terms = [(k, c) for k in sorted(acc) if (c := d.ring.normalize(acc[k])) != 0]
-            if terms:
-                table[(i, j)] = terms
-    return LeibnizSuperalgebra(d.ring, d.module, table,
+    basis (``superdialg.bracket_table``)."""
+    return LeibnizSuperalgebra(d.ring, d.module, bracket_table(d),
                                name or f"leibniz({d.name})")
 
 
@@ -174,13 +155,9 @@ class GeneralLinear:
         k = self.size
         return ((i - 1) * k + (j - 1)) * self.dlg.dim + b
 
-    def unit_vector(self, i: int, j: int, dvec):
-        """E_ij(x) for x given as a dense D-coordinate vector."""
-        v = [self.algebra.ring.zero] * self.algebra.dim
-        for b, c in enumerate(dvec):
-            if c != 0:
-                v[self.unit_index(i, j, b)] = c
-        return v
+    def unit_vector(self, i: int, j: int, dvec) -> list:
+        """E_ij(x) for the D element x with the (index, value) pairs dvec."""
+        return [(self.unit_index(i, j, b), c) for b, c in dvec]
 
     def supertrace(self, items):
         """Str(x) = sum_i (-1)^{|i|(|i| + |x_ii|)} x_ii, a D element; x and
@@ -248,15 +225,12 @@ class SpecialLinear:
         return self.inclusion.apply(items)
 
     def coords_of_unit(self, i: int, j: int, dvec) -> list:
-        """sl coordinates of E_ij(x) for i != j and x a dense D-coordinate
-        vector, read off sl_index, as the sorted (index, value) pairs of the
-        nonzero entries."""
+        """sl coordinates of E_ij(x) for i != j and the D element x with the
+        (index, value) pairs dvec, read off sl_index."""
         if i == j:
             raise ValueError(f"E[{i},{i}](...) is diagonal, not an sl basis vector")
-        norm = self.algebra.ring.normalize
-        out = ((self.sl_index[self.gl.unit_index(i, j, b)], norm(c))
-               for b, c in enumerate(dvec) if c != 0)
-        return sorted((t, x) for t, x in out if x != 0)
+        at = [(self.sl_index[self.gl.unit_index(i, j, b)], c) for b, c in dvec]
+        return combine(self.algebra.ring, [(1, at)])
 
 
 def sl(m: int, n: int, d: SuperDialgebra) -> SpecialLinear:
@@ -303,21 +277,15 @@ def sl(m: int, n: int, d: SuperDialgebra) -> SpecialLinear:
     table = {}
     for a, col_a in enumerate(cols):
         for b, col_b in enumerate(cols):
-            # [x_a, x_b] from the nonzero inclusion entries and the gl table
-            acc = {}
-            for i, x in col_a:
-                for j, y in col_b:
-                    for k, c in gl_table.get((i, j), ()):
-                        acc[k] = acc.get(k, 0) + x * y * c
-            v = [(k, s) for k, x in sorted(acc.items()) if (s := ring.normalize(x)) != 0]
+            v = multiply(ring, gl_table, col_a, col_b)   # [x_a, x_b] in gl
             if v and any(x + y for x, y in zip(sub_weight[a], sub_weight[b])):
                 table[(a, b)] = [(sl_index[k], c) for k, c in v]   # units off the diagonal
             elif v:
                 coords = solver.solve(v)
                 if coords is None:
                     raise RuntimeError("sl is not closed under the bracket")
-                if terms := [(at_zero[t], c) for t, c in enumerate(coords) if c != 0]:
-                    table[(a, b)] = terms
+                if coords:
+                    table[(a, b)] = [(at_zero[t], c) for t, c in coords]
     mod = GradedFreeModule(incl.cols, tuple(sub_parity))
     alg = LeibnizSuperalgebra(ring, mod, table, name=f"sl({m},{n},{d.name})",
                               weight=tuple(sub_weight))

@@ -17,7 +17,8 @@ from .exactlin import (
     GradedModuleInvariants,
     RingSpec,
     SparseMat,
-    bilinear,
+    combine,
+    multiply,
     solve_linear,
     subquotient_invariants,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "from_bimodule_map",
     "tensor_product",
     "matrix_dialgebra",
+    "bracket_table",
     "bracket_span",
     "bracket_ideal",
     "quotient_Dm",
@@ -63,20 +65,16 @@ class DialgebraFormatError(ValueError):
     """Malformed dialgebra file; message carries the offending location."""
 
 
-def _table_normalize(ring, dim, table):
-    out = {}
-    for (i, j), terms in table.items():
-        clean = []
-        acc = {}
-        for k, c in terms:
-            acc[k] = acc.get(k, ring.zero) + ring.normalize(c)
-        for k in sorted(acc):
-            c = ring.normalize(acc[k])
-            if c != 0:
-                clean.append((k, c))
-        if clean:
-            out[(i, j)] = clean
-    return out
+def _table_normalize(ring, table):
+    """Structure constants with each expansion a vector (see exactlin), the
+    zero ones dropped."""
+    return {key: clean for key, terms in table.items() if (clean := combine(ring, [(1, terms)]))}
+
+
+def _dense_pairs(ring, dense) -> tuple:
+    """The nonzero (index, value) pairs of a dense coordinate list given from
+    outside, normalized."""
+    return tuple((i, x) for i, c in enumerate(dense) if (x := ring.normalize(c)) != 0)
 
 
 @dataclass(frozen=True)
@@ -84,9 +82,10 @@ class SuperDialgebra:
     """Structure constants of the two products on a chosen graded basis.
 
     ``left[(i, j)]`` expands e_i <| e_j in the basis as [(k, coeff), ...];
-    ``right`` does the same for |>.  Missing pairs are zero.  ``bar_unit`` is
-    a coordinate vector, or None for a non-unital structure (such dialgebras
-    are kept for axiom and identity testing only).
+    ``right`` does the same for |>.  Missing pairs are zero.  Elements are
+    vectors: (index, value) pairs, as in ``exactlin``.  ``bar_unit`` is the
+    tuple of the pairs of the bar-unit, or None for a non-unital structure
+    (such dialgebras are kept for axiom and identity testing only).
     """
 
     ring: RingSpec
@@ -95,6 +94,8 @@ class SuperDialgebra:
     right: dict
     bar_unit: tuple | None = None
     name: str = "dialgebra"
+    # quotient_Dm per modulus; not an init field, so replace() empties it
+    _quotients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -107,29 +108,24 @@ class SuperDialgebra:
     def parity(self, i: int) -> int:
         return self.module.parity[i]
 
-    def basis_vector(self, i: int):
-        v = [self.ring.zero] * self.dim
-        v[i] = self.ring.one
-        return v
+    def basis_vector(self, i: int) -> list:
+        return [(i, self.ring.one)]
 
-    def lmul(self, a, b):
-        """a <| b on dense coordinate vectors."""
-        return bilinear(self.ring, self.left, self.dim, a, b)
+    def lmul(self, a, b) -> list:
+        """a <| b."""
+        return multiply(self.ring, self.left, a, b)
 
-    def rmul(self, a, b):
-        """a |> b on dense coordinate vectors."""
-        return bilinear(self.ring, self.right, self.dim, a, b)
+    def rmul(self, a, b) -> list:
+        """a |> b."""
+        return multiply(self.ring, self.right, a, b)
 
-    def bracket(self, a, pa, b, pb):
+    def bracket(self, a, pa, b, pb) -> list:
         """[a, b] = a <| b - (-1)^{|a||b|} b |> a for homogeneous a, b."""
-        ring = self.ring
-        sign = -ring.one if (pa * pb) % 2 else ring.one
-        lm = self.lmul(a, b)
-        rm = self.rmul(b, a)
-        return [ring.normalize(x - sign * y) for x, y in zip(lm, rm)]
+        sign = -1 if (pa * pb) % 2 else 1
+        return combine(self.ring, [(1, self.lmul(a, b)), (-sign, self.rmul(b, a))])
 
     def element_parity(self, a):
-        pars = {self.parity(i) for i, c in enumerate(a) if c != 0}
+        pars = {self.parity(i) for i, c in a if c != 0}
         if len(pars) > 1:
             raise ValueError("element is not parity homogeneous")
         return pars.pop() if pars else 0
@@ -142,7 +138,8 @@ class SuperDialgebra:
         )
 
     def with_bar_unit(self, e) -> "SuperDialgebra":
-        e = tuple(self.ring.normalize(x) for x in e)
+        """The same products with the bar-unit e, a dense coordinate list."""
+        e = _dense_pairs(self.ring, e)
         d = SuperDialgebra(self.ring, self.module, self.left, self.right, e, self.name)
         bad = [v for v in validate(d) if "bar-unit" in v]
         if bad:
@@ -155,14 +152,11 @@ class SuperDialgebra:
 
 
 def _build(ring, parity, left, right, bar_unit, name, labels=None):
-    dim = len(parity)
-    mod = GradedFreeModule(dim, tuple(parity), tuple(labels) if labels else None)
-    bu = tuple(ring.normalize(x) for x in bar_unit) if bar_unit is not None else None
+    """bar_unit is a vector, or None."""
+    mod = GradedFreeModule(len(parity), tuple(parity), tuple(labels) if labels else None)
+    bu = tuple(combine(ring, [(1, bar_unit)])) if bar_unit is not None else None
     return SuperDialgebra(
-        ring, mod,
-        _table_normalize(ring, dim, left),
-        _table_normalize(ring, dim, right),
-        bu, name,
+        ring, mod, _table_normalize(ring, left), _table_normalize(ring, right), bu, name,
     )
 
 
@@ -178,7 +172,6 @@ def validate(d: SuperDialgebra) -> list:
     The triples are multiplied through the sparse tables, in lexicographic
     (i, j, k) order; a triple whose products e_i o e_j and e_j o e_k all
     vanish satisfies every axiom and is skipped."""
-    ring = d.ring
     dim = d.dim
     left, right = d.left, d.right
     issues = []
@@ -189,17 +182,6 @@ def validate(d: SuperDialgebra) -> list:
             seen.add(kind)
             issues.append(f"{kind} fails first at {where}")
 
-    def times(table, x, y) -> dict:
-        """x o y for the (index, value) pairs x and y, as the dict of its
-        nonzero normalized entries."""
-        acc = {}
-        for s, a in x:
-            for t, b in y:
-                for k, c in table.get((s, t), ()):
-                    acc[k] = acc.get(k, 0) + a * b * c
-        out = ((k, ring.normalize(v)) for k, v in acc.items())
-        return {k: v for k, v in out if v != 0}
-
     for i in range(dim):
         for j in range(dim):
             target = (d.parity(i) + d.parity(j)) % 2
@@ -208,7 +190,7 @@ def validate(d: SuperDialgebra) -> list:
                     if d.parity(k) != target:
                         note(f"parity-additivity of {op}", f"(e{i}, e{j})")
 
-    basis = [[(i, ring.one)] for i in range(dim)]
+    basis = [d.basis_vector(i) for i in range(dim)]
     # the k with a nonzero e_j <| e_k or e_j |> e_k, ascending, per j
     hit = [[k for k in range(dim) if left.get((j, k)) or right.get((j, k))]
            for j in range(dim)]
@@ -219,26 +201,25 @@ def validate(d: SuperDialgebra) -> list:
             for k in range(dim) if ab_l or ab_r else hit[j]:
                 c = basis[k]
                 bc_l, bc_r = left.get((j, k), ()), right.get((j, k), ())
-                if times(left, ab_l, c) != times(left, a, bc_l):
+                if d.lmul(ab_l, c) != d.lmul(a, bc_l):
                     note("left-associativity", f"(e{i}, e{j}, e{k})")
-                if times(right, ab_r, c) != times(right, a, bc_r):
+                if d.rmul(ab_r, c) != d.rmul(a, bc_r):
                     note("right-associativity", f"(e{i}, e{j}, e{k})")
-                if times(left, a, bc_l) != times(left, a, bc_r):
+                if d.lmul(a, bc_l) != d.lmul(a, bc_r):
                     note("mixed-axiom a<|(b<|c) = a<|(b|>c)", f"(e{i}, e{j}, e{k})")
-                if times(left, ab_r, c) != times(right, a, bc_l):
+                if d.lmul(ab_r, c) != d.rmul(a, bc_l):
                     note("mixed-axiom (a|>b)<|c = a|>(b<|c)", f"(e{i}, e{j}, e{k})")
-                if times(right, ab_l, c) != times(right, ab_r, c):
+                if d.rmul(ab_l, c) != d.rmul(ab_r, c):
                     note("mixed-axiom (a<|b)|>c = (a|>b)|>c", f"(e{i}, e{j}, e{k})")
 
     if d.is_unital:
-        e = list(d.bar_unit)
+        e = d.bar_unit
         try:
             if d.element_parity(e) != 0:
                 issues.append("bar-unit parity: the bar-unit must be even")
         except ValueError:
             issues.append("bar-unit parity: the bar-unit must be even")
-        for i in range(dim):
-            a = d.basis_vector(i)
+        for i, a in enumerate(basis):
             if d.lmul(a, e) != a:
                 note("bar-unit law a<|e = a", f"e{i}")
             if d.rmul(e, a) != a:
@@ -251,25 +232,10 @@ def validate(d: SuperDialgebra) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _dense_map(ring, rows):
-    """(the SparseMat of the dense matrix rows, the map it defines on dense
-    coordinate vectors, with dense normalized results): the constructors
-    below check maps on dense elements."""
-    mat = SparseMat.from_dense(ring, rows)
-
-    def apply(vec):
-        out = [ring.zero] * mat.rows
-        for i, x in mat.apply(enumerate(vec)):
-            out[i] = x
-        return out
-
-    return mat, apply
-
-
 def from_algebra(ring, parity, product, unit, name="algebra") -> SuperDialgebra:
     """Unital associative superalgebra as a dialgebra: both products equal the
-    multiplication, bar-unit = unit."""
-    d = _build(ring, parity, product, product, unit, name)
+    multiplication, bar-unit = unit, a dense coordinate list."""
+    d = _build(ring, parity, product, product, _dense_pairs(ring, unit), name)
     bad = validate(d)
     if bad:
         raise InvalidInputError(f"not a unital associative superalgebra: {bad}")
@@ -286,42 +252,26 @@ def from_dga(alg: SuperDialgebra, dmat, name=None) -> SuperDialgebra:
     """
     ring = alg.ring
     dim = alg.dim
-    _, apply_d = _dense_map(ring, dmat)
+    apply_d = SparseMat.from_dense(ring, dmat).apply
+    basis = [alg.basis_vector(i) for i in range(dim)]
+    images = [apply_d(e) for e in basis]
 
-    for j in range(dim):
-        col = apply_d(alg.basis_vector(j))
-        par = {alg.parity(i) for i, c in enumerate(col) if c != 0}
-        if par - {alg.parity(j)}:
+    for j, col in enumerate(images):
+        if any(alg.parity(i) != alg.parity(j) for i, _ in col):
             raise NotADifferentialError("d is not parity preserving")
-        if any(x != 0 for x in apply_d(col)):
+        if apply_d(col):
             raise NotADifferentialError("d^2 != 0")
-    for i in range(dim):
-        a = alg.basis_vector(i)
-        da = apply_d(a)
-        for j in range(dim):
-            b = alg.basis_vector(j)
-            lhs = apply_d(alg.lmul(a, b))
-            rhs = [
-                ring.normalize(x + y)
-                for x, y in zip(alg.lmul(da, b), alg.lmul(a, apply_d(b)))
-            ]
-            if lhs != rhs:
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            rhs = combine(ring, [(1, alg.lmul(images[i], b)), (1, alg.lmul(a, images[j]))])
+            if apply_d(alg.lmul(a, b)) != rhs:
                 raise NotADifferentialError(f"Leibniz rule fails at (e{i}, e{j})")
 
-    left = {}
-    right = {}
-    for i in range(dim):
-        for j in range(dim):
-            dj = apply_d(alg.basis_vector(j))
-            di = apply_d(alg.basis_vector(i))
-            lvec = alg.lmul(alg.basis_vector(i), dj)
-            rvec = alg.lmul(di, alg.basis_vector(j))
-            lt = [(k, c) for k, c in enumerate(lvec) if c != 0]
-            rt = [(k, c) for k, c in enumerate(rvec) if c != 0]
-            if lt:
-                left[(i, j)] = lt
-            if rt:
-                right[(i, j)] = rt
+    left, right = {}, {}
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            left[(i, j)] = alg.lmul(a, images[j])
+            right[(i, j)] = alg.lmul(images[i], b)
     return _build(ring, alg.module.parity, left, right, None,
                   name or f"dga({alg.name})")
 
@@ -338,70 +288,41 @@ def from_bimodule_map(alg: SuperDialgebra, left_action, right_action, fmat,
     non-basis solution, else the result is flagged non-unital).
     """
     ring = alg.ring
-    dim_a = alg.dim
-    dim_m = len(mod_parity)
-    la = _table_normalize(ring, dim_m, left_action)
-    ra = _table_normalize(ring, dim_m, right_action)
+    la = _table_normalize(ring, left_action)
+    ra = _table_normalize(ring, right_action)
+    fm = SparseMat.from_dense(ring, fmat)
+    f = fm.apply
+    basis_m = [[(j, ring.one)] for j in range(len(mod_parity))]
 
-    def act_left(avec, mvec):
-        return bilinear(ring, la, dim_m, avec, mvec)
-
-    def act_right(mvec, avec):
-        return bilinear(ring, ra, dim_m, mvec, avec)
-
-    fm, f = _dense_map(ring, fmat)
-
-    for i in range(dim_a):
+    for i in range(alg.dim):
         a = alg.basis_vector(i)
-        for j in range(dim_m):
-            m = [ring.zero] * dim_m
-            m[j] = ring.one
-            if f(act_left(a, m)) != alg.lmul(a, f(m)):
+        for j, m in enumerate(basis_m):
+            if f(multiply(ring, la, a, m)) != alg.lmul(a, f(m)):
                 raise NotABimoduleMapError(f"f(a.m) != a.f(m) at (a{i}, m{j})")
-            if f(act_right(m, a)) != alg.lmul(f(m), a):
+            if f(multiply(ring, ra, m, a)) != alg.lmul(f(m), a):
                 raise NotABimoduleMapError(f"f(m.a) != f(m).a at (m{j}, a{i})")
 
-    left = {}
-    right = {}
-    for i in range(dim_m):
-        mi = [ring.zero] * dim_m
-        mi[i] = ring.one
-        for j in range(dim_m):
-            mj = [ring.zero] * dim_m
-            mj[j] = ring.one
-            lvec = act_right(mi, f(mj))
-            rvec = act_left(f(mi), mj)
-            lt = [(k, c) for k, c in enumerate(lvec) if c != 0]
-            rt = [(k, c) for k, c in enumerate(rvec) if c != 0]
-            if lt:
-                left[(i, j)] = lt
-            if rt:
-                right[(i, j)] = rt
+    left, right = {}, {}
+    for i, mi in enumerate(basis_m):
+        for j, mj in enumerate(basis_m):
+            left[(i, j)] = multiply(ring, ra, mi, f(mj))
+            right[(i, j)] = multiply(ring, la, f(mi), mj)
 
     built = _build(ring, mod_parity, left, right, None,
                    name or f"bimodule({alg.name})")
 
     def is_bar_unit(e):
-        return all(
-            built.lmul(built.basis_vector(i), e) == built.basis_vector(i)
-            and built.rmul(e, built.basis_vector(i)) == built.basis_vector(i)
-            for i in range(dim_m)
-        )
+        return all(built.lmul(m, e) == m and built.rmul(e, m) == m for m in basis_m)
 
     bar = None
     unit = list(alg.bar_unit)
-    for j in range(dim_m):
-        if mod_parity[j] == 0:
-            mj = [ring.zero] * dim_m
-            mj[j] = ring.one
-            if f(mj) == unit and is_bar_unit(mj):
-                bar = mj
-                break
+    for j, mj in enumerate(basis_m):
+        if mod_parity[j] == 0 and f(mj) == unit and is_bar_unit(mj):
+            bar = mj
+            break
     if bar is None:
         sol = solve_linear(fm, unit)
-        if sol is not None and all(
-            c == 0 for c, p in zip(sol, mod_parity) if p == 1
-        ) and is_bar_unit(sol):
+        if sol is not None and all(mod_parity[i] == 0 for i, _ in sol) and is_bar_unit(sol):
             bar = sol
     if bar is None:
         return built
@@ -442,10 +363,7 @@ def tensor_product(d1: SuperDialgebra, d2: SuperDialgebra) -> SuperDialgebra:
 
     bar = None
     if d1.is_unital and d2.is_unital:
-        bar = [ring.zero] * (n1 * n2)
-        for i1, c1 in enumerate(d1.bar_unit):
-            for i2, c2 in enumerate(d2.bar_unit):
-                bar[idx(i1, i2)] = c1 * c2
+        bar = [(idx(i1, i2), c1 * c2) for i1, c1 in d1.bar_unit for i2, c2 in d2.bar_unit]
     return _build(
         ring, parity, build(d1.left, d2.left), build(d1.right, d2.right),
         bar, f"{d1.name}(x){d2.name}", labels,
@@ -486,10 +404,7 @@ def matrix_dialgebra(k: int, d: SuperDialgebra) -> SuperDialgebra:
 
     bar = None
     if d.is_unital:
-        bar = [ring.zero] * (k * k * nd)
-        for p in range(k):
-            for b, c in enumerate(d.bar_unit):
-                bar[idx(p, p, b)] = c
+        bar = [(idx(p, p, b), c) for p in range(k) for b, c in d.bar_unit]
     return _build(ring, parity, build(d.left), build(d.right), bar,
                   f"mat{k}({d.name})", labels)
 
@@ -499,17 +414,24 @@ def matrix_dialgebra(k: int, d: SuperDialgebra) -> SuperDialgebra:
 # ---------------------------------------------------------------------------
 
 
-def _basis_brackets(d: SuperDialgebra) -> list:
-    """[e_i, e_j] for all basis pairs, i outer and j inner."""
-    return [
-        d.bracket(d.basis_vector(i), d.parity(i), d.basis_vector(j), d.parity(j))
-        for i in range(d.dim) for j in range(d.dim)
-    ]
+def bracket_table(d: SuperDialgebra) -> dict:
+    """Structure constants of the bracket on D's basis: {(i, j): [e_i, e_j]}
+    for the nonzero brackets, in (i, j) order, with
+    [e_i, e_j] = e_i <| e_j - (-1)^{|i||j|} e_j |> e_i read off left[(i, j)]
+    and right[(j, i)]."""
+    table = {}
+    for i in range(d.dim):
+        for j in range(d.dim):
+            left, right = d.left.get((i, j), ()), d.right.get((j, i), ())
+            sign = -1 if d.parity(i) * d.parity(j) else 1
+            if (left or right) and (terms := combine(d.ring, [(1, left), (-sign, right)])):
+                table[(i, j)] = terms
+    return table
 
 
 def bracket_span(d: SuperDialgebra) -> SparseMat:
     """R-span of all brackets a <| b - (-1)^{|a||b|} b |> a on basis pairs."""
-    return Echelon(d.ring, d.dim).extend(_basis_brackets(d)).basis_matrix()
+    return Echelon(d.ring, d.dim).extend(bracket_table(d).values()).basis_matrix()
 
 
 def _ideal_closure(d: SuperDialgebra, generators) -> Echelon:
@@ -517,19 +439,16 @@ def _ideal_closure(d: SuperDialgebra, generators) -> Echelon:
     right multiplication by basis vectors, via both products.  Chains of
     submodules of a finite-rank module stabilise within rank steps."""
     ech = Echelon(d.ring, d.dim)
-    fresh = []
-    for g in generators:
-        if any(x != 0 for x in g) and ech.insert(ech.vector(list(g))):
-            fresh.append(list(g))
+    fresh = [g for g in generators if (v := ech.vector(g)) and ech.insert(v)]
+    basis = [d.basis_vector(i) for i in range(d.dim)]
     rounds = 0
     while fresh and rounds <= d.dim:
         rounds += 1
         new_fresh = []
         for x in fresh:
-            for i in range(d.dim):
-                e = d.basis_vector(i)
+            for e in basis:
                 for prod in (d.lmul(x, e), d.lmul(e, x), d.rmul(x, e), d.rmul(e, x)):
-                    if any(c != 0 for c in prod) and ech.insert(ech.vector(prod)):
+                    if prod and ech.insert(ech.vector(prod)):
                         new_fresh.append(prod)
         fresh = new_fresh
     if fresh:
@@ -545,7 +464,7 @@ def bracket_ideal(d: SuperDialgebra) -> SparseMat:
     """
     if not d.is_unital:
         raise InvalidInputError("bracket_ideal needs a unital dialgebra")
-    gens = _basis_brackets(d)
+    gens = list(bracket_table(d).values())
     ech = _ideal_closure(d, gens)
     alt = Echelon(d.ring, d.dim).extend(
         d.lmul(g, d.basis_vector(k)) for g in gens for k in range(d.dim)
@@ -576,24 +495,22 @@ class QuotientModule:
 
 
 def quotient_Dm(d: SuperDialgebra, m: int) -> QuotientModule:
-    """D_m = D / (ideal generated by m*a and all brackets)."""
+    """D_m = D / (ideal generated by m*a and all brackets); computed once
+    per dialgebra and modulus, and memoised on d."""
     if not d.is_unital:
         raise InvalidInputError("quotient_Dm needs a unital dialgebra")
-    ring = d.ring
-    gens = []
-    for i in range(d.dim):
-        v = [ring.zero] * d.dim
-        v[i] = ring.normalize(m)
-        gens.append(v)
-        for j in range(d.dim):
-            gens.append(d.bracket(d.basis_vector(i), d.parity(i),
-                                  d.basis_vector(j), d.parity(j)))
-    ech = _ideal_closure(d, gens)
-    ideal = ech.basis_matrix()
-    inv = subquotient_invariants(
-        SparseMat.identity(ring, d.dim), ideal, d.module.parity
-    )
-    return QuotientModule(d, ideal, inv, ech)
+    if m not in d._quotients:
+        ring = d.ring
+        table = bracket_table(d)
+        gens = []
+        for i in range(d.dim):
+            gens.append([(i, ring.normalize(m))])
+            gens.extend(table.get((i, j), []) for j in range(d.dim))
+        ech = _ideal_closure(d, gens)
+        ideal = ech.basis_matrix()
+        inv = subquotient_invariants(SparseMat.identity(ring, d.dim), ideal, d.module.parity)
+        d._quotients[m] = QuotientModule(d, ideal, inv, ech)
+    return d._quotients[m]
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +713,7 @@ def load_dialgebra(data: dict, source="<dict>") -> SuperDialgebra:
         if not isinstance(bar, list) or len(bar) != dim:
             _fail(f"{source}:bar_unit", f"expected a list of {dim} coefficients")
         try:
-            bar_vec = [ring.parse(str(c)) for c in bar]
+            bar_vec = _dense_pairs(ring, [ring.parse(str(c)) for c in bar])
         except (ValueError, ZeroDivisionError) as e:
             _fail(f"{source}:bar_unit", str(e))
     name = data.get("name", "loaded")
@@ -841,5 +758,8 @@ def dump_dialgebra(d: SuperDialgebra) -> dict:
         "name": d.name,
     }
     if d.bar_unit is not None:
-        out["bar_unit"] = [d.ring.fmt(c) for c in d.bar_unit]
+        bar = ["0"] * d.dim
+        for i, c in d.bar_unit:
+            bar[i] = d.ring.fmt(c)
+        out["bar_unit"] = bar
     return out

@@ -31,6 +31,7 @@ from .exactlin import (
     Echelon,
     GradedModuleInvariants,
     SparseMat,
+    combine,
     direct_sum_invariants,
     kernel_basis,
     merge_torsion,
@@ -39,7 +40,8 @@ from .exactlin import (
     snf_with_transforms,
 )
 from .chain import DEFAULT_SIZE_GUARD, ChainMap, blocked_complex
-from .leibniz import LeibnizSuperalgebra, SpecialLinear, from_dialgebra, is_perfect
+from .leibniz import LeibnizSuperalgebra, SpecialLinear, is_perfect
+from .superdialg import bracket_table
 
 __all__ = [
     "NotPerfectError",
@@ -178,28 +180,16 @@ def pattern_coefficient_sign(m: int, n: int, pat, a_parity: int, b_parity: int) 
 # ---------------------------------------------------------------------------
 
 
-def combine(ring, terms) -> list:
-    """The nonzero (key, normalized value) pairs of sum coef * vec over the
-    (coef, vec) terms, each vec a list of (key, value) pairs (keys may
-    repeat).  Unsorted, since the keys need not compare."""
-    acc = {}
-    for coef, vec in terms:
-        for k, v in vec:
-            acc[k] = acc.get(k, 0) + coef * v
-    out = ((k, ring.normalize(v)) for k, v in acc.items())
-    return [(k, v) for k, v in out if v != 0]
-
-
 @dataclass(eq=False)
 class TensorSquare:
     """Quotient presentation of (L (x) L)/Im delta_3 with the induced bracket
     and the boundary to L.  Im delta_3 is held only as its block echelons.
 
-    Every ambient vector, taken or returned, is a list of (index, value)
-    pairs of its nonzero entries (distinct indices).  ``project`` returns
-    the canonical representative of a class sorted by index, so two classes
-    are equal when ``is_zero_class`` holds for their difference, formed
-    with ``combine``."""
+    Every ambient vector, taken or returned, is a vector of (index, value)
+    pairs (see ``exactlin``: a query may repeat an index).  ``project``
+    returns the canonical representative of a class, so two classes are
+    equal when ``is_zero_class`` holds for their difference, formed with
+    ``combine``."""
 
     base: LeibnizSuperalgebra
     d2: ChainMap
@@ -270,7 +260,8 @@ class TensorSquare:
         it would enlarge the span."""
         out = {}
         for vec in vectors:
-            pieces = self._pieces(vec)
+            # summed first, so that entries which cancel meet no block
+            pieces = self._pieces(combine(self.base.ring, [(1, vec)]))
             if len(pieces) > 1:
                 raise RuntimeError(
                     f"a vector added to Im delta_3 meets the blocks {sorted(pieces)}, "
@@ -614,7 +605,7 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
                     relations = False
 
     # coefficients in the span of the D brackets die
-    brackets = from_dialgebra(d).table.values()
+    brackets = bracket_table(d).values()
     torsion_ok = True
     for pat in pats:
         mod = pattern_modulus(m, n, pat)

@@ -1,5 +1,5 @@
 """Every name a module exports resolves, every name it imports is used,
-and the echelon engine holds no numpy."""
+the echelon engine holds no numpy, and vectors have one form."""
 
 import ast
 import importlib
@@ -103,3 +103,41 @@ def test_smith_forms_hold_no_numpy():
     """Smith forms run on the same sparse rows of Python ints as Echelon."""
     for name in ("_smith", "snf", "snf_with_transforms"):
         assert _exactlin_names_used(name) & {"np", "numpy"} == set()
+
+
+# the dense-list helpers that vectors as (index, value) pairs replaced
+DENSE_HELPERS = {"bilinear", "_dense_map", "bracket_basis", "from_columns", "column_dense",
+                 "_basis_brackets"}
+
+
+def _dense_ring_vectors(path) -> list:
+    """Lines that build a dense ring vector: a list or tuple holding a
+    ``....zero`` multiplied by a length."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            out += [node.lineno for side in (node.left, node.right)
+                    if isinstance(side, (ast.List, ast.Tuple))
+                    and any(isinstance(e, ast.Attribute) and e.attr == "zero" for e in side.elts)]
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_builds_a_dense_ring_vector(name):
+    """Every vector is a list of (index, value) pairs.  Dense lists only come
+    in (the file format, ``SparseMat.from_dense``, the constructor arguments
+    bar_unit, dmat, fmat and ``with_bar_unit(e)``) and go out
+    (``dump_dialgebra``), and none of them is built from a ring's zero; no
+    module is an exception."""
+    path = Path(uce_lab.__file__).parent / f"{name}.py"
+    assert _dense_ring_vectors(path) == []
+    defined = {n.name for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & DENSE_HELPERS == set()
+
+
+def test_exactlin_has_one_product():
+    """``multiply`` is the one product from structure constants."""
+    exactlin = importlib.import_module("uce_lab.exactlin")
+    assert not hasattr(exactlin, "bilinear") and "bilinear" not in exactlin.__all__
+    assert "multiply" in exactlin.__all__ and "combine" in exactlin.__all__

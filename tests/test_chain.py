@@ -58,19 +58,16 @@ def test_delta3_matches_displayed_formula(m, n, name):
     dim = l.dim
     ring = l.ring
     for i, j, k in itertools.product(range(dim), repeat=3):
-        col = d3.matrix.column_dense(i * dim * dim + j * dim + k)
+        col = d3.matrix.columns()[i * dim * dim + j * dim + k]
         expect = [ring.zero] * (dim * dim)
         syz = -1 if (l.parity(j) * l.parity(k)) % 2 else 1
-        for t, c in enumerate(l.bracket_basis(i, j)):
-            if c:
-                expect[t * dim + k] -= c
-        for t, c in enumerate(l.bracket_basis(j, k)):
-            if c:
-                expect[i * dim + t] += c
-        for t, c in enumerate(l.bracket_basis(i, k)):
-            if c:
-                expect[t * dim + j] += syz * c
-        assert col == [ring.normalize(x) for x in expect]
+        for t, c in l.table.get((i, j), ()):
+            expect[t * dim + k] -= c
+        for t, c in l.table.get((j, k), ()):
+            expect[i * dim + t] += c
+        for t, c in l.table.get((i, k), ()):
+            expect[t * dim + j] += syz * c
+        assert col == [(t, x) for t, x in enumerate(map(ring.normalize, expect)) if x != 0]
 
 
 @pytest.mark.parametrize("name", catalog_names())

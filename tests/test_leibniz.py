@@ -29,8 +29,8 @@ def _dialgebra(name):
 
 
 def _pairs(dense):
-    """The nonzero (index, value) pairs of a dense vector, the form that
-    ``supertrace``, ``embed`` and ``coords_of_unit`` use."""
+    """The nonzero (index, value) pairs of a dense vector, the form of every
+    element of an algebra."""
     return [(i, x) for i, x in enumerate(dense) if x != 0]
 
 
@@ -44,7 +44,7 @@ def _dense(n, items):
 def _bracket_span_echelon(l):
     """The echelon (over Z: the lattice) of every basis bracket of l."""
     return Echelon(l.ring, l.dim).extend(
-        l.bracket_basis(i, j) for i in range(l.dim) for j in range(l.dim)
+        l.bracket(l.basis_vector(i), l.basis_vector(j)) for i in range(l.dim) for j in range(l.dim)
     )
 
 
@@ -67,21 +67,20 @@ def test_bar_duplex_bracket_vanishes():
 def test_mat2_gives_gl2_commutator():
     l = from_dialgebra(builtin_dialgebra("mat2_q"))
     e12, e21 = l.basis_vector(1), l.basis_vector(2)
-    assert l.bracket(e12, e21) == [1, 0, 0, -1]               # E11 - E22
-    assert l.bracket(e21, e12) == [-1, 0, 0, 1]
+    assert l.bracket(e12, e21) == [(0, 1), (3, -1)]           # E11 - E22
+    assert l.bracket(e21, e12) == [(0, -1), (3, 1)]
 
 
 def _dense_from_dialgebra(d):
     """The construction from_dialgebra replaced, kept as the reference: every
-    basis bracket through SuperDialgebra.bracket on dense basis vectors."""
+    basis bracket through SuperDialgebra.bracket on basis vectors."""
     table = {}
     for i in range(d.dim):
         for j in range(d.dim):
             v = d.bracket(d.basis_vector(i), d.parity(i),
                           d.basis_vector(j), d.parity(j))
-            terms = [(k, c) for k, c in enumerate(v) if c != 0]
-            if terms:
-                table[(i, j)] = terms
+            if v:
+                table[(i, j)] = v
     return table
 
 
@@ -112,11 +111,8 @@ def test_gl_1_0_is_abelian():
 
 def test_gl_2_0_classical_commutator():
     g = gl(2, 0, builtin_dialgebra("rationals"))
-    v = g.algebra.bracket(g.unit_vector(1, 2, [1]), g.unit_vector(2, 1, [1]))
-    expect = [0] * 4
-    expect[g.unit_index(1, 1, 0)] = 1
-    expect[g.unit_index(2, 2, 0)] = -1
-    assert v == expect
+    v = g.algebra.bracket(g.unit_vector(1, 2, [(0, 1)]), g.unit_vector(2, 1, [(0, 1)]))
+    assert v == [(g.unit_index(1, 1, 0), 1), (g.unit_index(2, 2, 0), -1)]
 
 
 @pytest.mark.parametrize("m, n", [(-1, 4), (3, -1), (-2, 0)])
@@ -128,11 +124,8 @@ def test_gl_rejects_negative_sizes(m, n):
 def test_gl_1_1_super_sign():
     # both generators odd: [E12, E21] = E11 + E22
     g = gl(1, 1, builtin_dialgebra("rationals"))
-    v = g.algebra.bracket(g.unit_vector(1, 2, [1]), g.unit_vector(2, 1, [1]))
-    expect = [0] * 4
-    expect[g.unit_index(1, 1, 0)] = 1
-    expect[g.unit_index(2, 2, 0)] = 1
-    assert v == expect
+    v = g.algebra.bracket(g.unit_vector(1, 2, [(0, 1)]), g.unit_vector(2, 1, [(0, 1)]))
+    assert v == [(g.unit_index(1, 1, 0), 1), (g.unit_index(2, 2, 0), 1)]
 
 
 def test_gl_grading():
@@ -170,16 +163,14 @@ def test_gl_bracket_formula_on_matrix_units(m, n, name):
                             expect = [ring.zero] * g.algebra.dim
                             if j == k:
                                 ab = d.lmul(d.basis_vector(a), d.basis_vector(b))
-                                for t, c in enumerate(ab):
-                                    if c != 0:
-                                        expect[g.unit_index(i, l, t)] += c
+                                for t, c in ab:
+                                    expect[g.unit_index(i, l, t)] += c
                             if i == l:
                                 ba = d.rmul(d.basis_vector(b), d.basis_vector(a))
                                 sgn = -ring.one if (px * py) % 2 else ring.one
-                                for t, c in enumerate(ba):
-                                    if c != 0:
-                                        expect[g.unit_index(k, j, t)] -= sgn * c
-                            assert got == [ring.normalize(v) for v in expect]
+                                for t, c in ba:
+                                    expect[g.unit_index(k, j, t)] -= sgn * c
+                            assert got == _pairs([ring.normalize(v) for v in expect])
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +180,12 @@ def test_gl_bracket_formula_on_matrix_units(m, n, name):
 
 def test_supertrace_signs():
     g = gl(2, 1, builtin_dialgebra("rationals"))
-    assert g.supertrace(_pairs(g.unit_vector(1, 1, [1]))) == [(0, 1)]
-    assert g.supertrace(_pairs(g.unit_vector(3, 3, [1]))) == [(0, -1)]
+    assert g.supertrace(g.unit_vector(1, 1, [(0, 1)])) == [(0, 1)]
+    assert g.supertrace(g.unit_vector(3, 3, [(0, 1)])) == [(0, -1)]
     gg = gl(2, 1, builtin_dialgebra("grassmann_q"))
-    assert gg.supertrace(_pairs(gg.unit_vector(3, 3, [0, 1]))) == [(1, 1)]
-    assert gg.supertrace(_pairs(gg.unit_vector(3, 3, [1, 0]))) == [(0, -1)]
-    assert gg.supertrace(_pairs(gg.unit_vector(1, 3, [1, 0]))) == []
+    assert gg.supertrace(gg.unit_vector(3, 3, [(1, 1)])) == [(1, 1)]
+    assert gg.supertrace(gg.unit_vector(3, 3, [(0, 1)])) == [(0, -1)]
+    assert gg.supertrace(gg.unit_vector(1, 3, [(0, 1)])) == []
 
 
 # ---------------------------------------------------------------------------
@@ -241,40 +232,35 @@ def test_sl_bracket_on_generators_matches_formula(m, n, name):
                         continue
                     for a in range(d.dim):
                         for b in range(d.dim):
-                            x = _dense(s.algebra.dim, s.coords_of_unit(i, j, d.basis_vector(a)))
-                            y = _dense(s.algebra.dim, s.coords_of_unit(k, l, d.basis_vector(b)))
-                            got = s.embed(_pairs(s.algebra.bracket(x, y)))
+                            x = s.coords_of_unit(i, j, d.basis_vector(a))
+                            y = s.coords_of_unit(k, l, d.basis_vector(b))
+                            got = s.embed(s.algebra.bracket(x, y))
                             px = (g.row_parity(i) + g.row_parity(j) + d.parity(a)) % 2
                             py = (g.row_parity(k) + g.row_parity(l) + d.parity(b)) % 2
                             expect = [ring.zero] * g.algebra.dim
                             if j == k:
-                                for t, c in enumerate(d.lmul(d.basis_vector(a), d.basis_vector(b))):
-                                    if c != 0:
-                                        expect[g.unit_index(i, l, t)] += c
+                                for t, c in d.lmul(d.basis_vector(a), d.basis_vector(b)):
+                                    expect[g.unit_index(i, l, t)] += c
                             if i == l:
                                 sgn = -ring.one if (px * py) % 2 else ring.one
-                                for t, c in enumerate(d.rmul(d.basis_vector(b), d.basis_vector(a))):
-                                    if c != 0:
-                                        expect[g.unit_index(k, j, t)] -= sgn * c
+                                for t, c in d.rmul(d.basis_vector(b), d.basis_vector(a)):
+                                    expect[g.unit_index(k, j, t)] -= sgn * c
                             assert got == _pairs([ring.normalize(v) for v in expect])
 
 
 def _dense_sl_table(s):
     """The construction sl replaced, kept as the reference: every structure
-    constant from one dense gl bracket of two embedded sl basis vectors."""
+    constant from one gl bracket of two embedded sl basis vectors, solved
+    for in the whole inclusion."""
     incl, g = s.inclusion, s.gl.algebra
     solver = SpanSolver(incl)
-    embedded = [incl.column_dense(j) for j in range(incl.cols)]
+    embedded = incl.columns()
     table = {}
     for a in range(incl.cols):
         for b in range(incl.cols):
             v = g.bracket(embedded[a], embedded[b])
-            if all(x == 0 for x in v):
-                continue
-            coords = solver.solve(v)
-            terms = [(k, c) for k, c in enumerate(coords) if c != 0]
-            if terms:
-                table[(a, b)] = terms
+            if v and (coords := solver.solve(v)):
+                table[(a, b)] = coords
     return table
 
 
@@ -302,18 +288,20 @@ def test_sl_spans_every_gl_bracket_and_every_unit_off_the_diagonal(m, n, name):
 
 def test_sl_off_diagonal_units_are_members():
     s = sl(2, 1, builtin_dialgebra("dual_numbers_q"))
-    coords = s.coords_of_unit(1, 3, [0, 1])
+    coords = s.coords_of_unit(1, 3, [(1, 1)])
     assert coords and all(c != 0 for _, c in coords)
     back = s.embed(coords)
-    assert back == _pairs(s.gl.unit_vector(1, 3, [0, 1]))
+    assert back == s.gl.unit_vector(1, 3, [(1, 1)])
+    # an index may repeat, and its values are summed
+    assert s.coords_of_unit(1, 3, [(1, 1), (0, 2), (1, -1)]) == s.coords_of_unit(1, 3, [(0, 2)])
     with pytest.raises(ValueError, match="diagonal"):
-        s.coords_of_unit(1, 1, [1, 0])
+        s.coords_of_unit(1, 1, [(0, 1)])
 
 
 def test_sl_rejects_a_bar_unit_that_breaks_the_bar_unit_law():
     # (0, 1) is the nilpotent generator; validate() would reject it, so only
     # a directly built structure reaches sl
-    d = replace(builtin_dialgebra("dual_numbers_q"), bar_unit=(0, 1))
+    d = replace(builtin_dialgebra("dual_numbers_q"), bar_unit=((1, 1),))
     with pytest.raises(RuntimeError, match="not a bar-unit"):
         sl(2, 1, d)
 
@@ -334,7 +322,7 @@ def test_sl_solves_only_at_weight_0_and_units_need_no_solve(monkeypatch, m, n, n
     weight_0_pairs = sum(1 for a in w for b in w if not any(x + y for x, y in zip(a, b)))
     assert 0 < len(calls) <= weight_0_pairs
     calls.clear()
-    s.coords_of_unit(1, 2, [1])
+    s.coords_of_unit(1, 2, [(0, 1)])
     assert w_cycles(s).ok
     assert calls == []
 
@@ -356,7 +344,7 @@ def test_centre_of_sl2_is_zero():
 def test_centre_of_gl2_is_scalars():
     z = centre(gl(2, 0, builtin_dialgebra("rationals")).algebra)
     assert z.cols == 1
-    col = z.column_dense(0)
+    col = _dense(4, z.columns()[0])
     assert col[0] == col[3] != 0 and col[1] == col[2] == 0
 
 

@@ -15,6 +15,7 @@ from uce_lab.exactlin import (
     Echelon,
     GradedModuleInvariants,
     SparseMat,
+    combine,
     kernel_basis,
     merge_torsion,
     module_iso_check,
@@ -27,7 +28,6 @@ from uce_lab.tensorsq import (
     NotPerfectError,
     TensorSquare,
     admissible_patterns,
-    combine,
     hl2,
     low_rank_case,
     pattern_modulus,
@@ -223,6 +223,31 @@ def test_queries_take_the_pairs_project_returns(m, n, name):
         assert ts.is_zero_class(combine(ring, [(1, cls), (-1, v)]))
         assert ts.is_zero_class(combine(ring, [(1, ts.project(g)), (-1, g)]))
         assert ts.project(cls) == cls
+
+
+def test_project_sums_the_values_of_a_repeated_index():
+    """A query may repeat an index; its values are summed, as in
+    ``SparseMat.apply`` and ``combine``."""
+    _, ts = _built(2, 1, "rationals")
+    twice = ts.project([(40, 1), (40, 1)])
+    assert twice == ts.project([(40, 2)]) and twice != ts.project([(40, 1)])
+    assert ts.project([(40, 1), (7, 3), (40, -1)]) == ts.project([(7, 3)])
+
+
+def test_extend_blocks_sums_a_repeated_index_before_it_splits():
+    # entries that cancel meet no block: the vector lies in the block of b
+    _, ts = _built(2, 1, "rationals")
+    keys = ts.d2.source_keys
+    b = next(i for i in range(ts.ambient_dim) if keys[i] != keys[0])
+    assert list(ts.extend_blocks([[(0, 1), (b, 1), (0, -1)]])) == [keys[b]]
+
+
+def test_project_over_f_p_drops_repeats_that_sum_to_zero():
+    _, ts = _built(3, 0, "f3")
+    c = ts.complement[0]
+    assert ts.project([(c, 1), (c, 2)]) == []
+    assert ts.is_zero_class([(c, 1), (c, 1), (c, 1)])
+    assert ts.project([(c, 2), (c, 2)]) == [(c, 1)]
 
 
 def test_bracket_class_meeting_two_blocks_raises(monkeypatch):
@@ -498,7 +523,7 @@ def reference_w_span(slalg, ts):
     vecs = [class_vec(pat, d.basis_vector(b))
             for pat in admissible_patterns(slalg.gl.m, slalg.gl.n) for b in range(d.dim)]
     image = ambient_image(ts)
-    span_plus = image.copy().extend(vecs)
+    span_plus = image.copy().extend(map(_pairs, vecs))
     return subquotient_invariants(
         span_plus.basis_matrix(), image.basis_matrix(), ts.d2.source.parity
     )

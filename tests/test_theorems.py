@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from uce_lab import chain, theorems
+from uce_lab import chain, superdialg, theorems
 from uce_lab.exactlin import module_iso_check, parity_shift
+from uce_lab.hochschild import splitting_check
 from uce_lab.superdialg import builtin_dialgebra
 from uce_lab.theorems import (
     CaseLabel,
@@ -132,6 +133,25 @@ def test_verify_computes_w_once_besides_the_w_cycles(monkeypatch):
     rep = verify_case(CaseLabel(2, 2, "f3"))
     assert calls == {"expected_w": 2, "quotient_Dm": 4}
     assert rep.passed and rep.steinberg_h2 == expected_w(2, 2, builtin_dialgebra("f3"))
+
+
+def test_each_quotient_is_computed_once_per_case(monkeypatch):
+    # a verification of a (2,2) case reads W = D_2^4 + D_0^2 twice (for the
+    # expected HL_2 and in w_cycles), and splitting_check reads D_2 and D_0
+    # before expected_w does; each D_k is computed once per case
+    computed = []
+    real = superdialg.subquotient_invariants
+    monkeypatch.setattr(superdialg, "subquotient_invariants",
+                        lambda *args: computed.append(args) or real(*args))
+    assert verify_case(CaseLabel(2, 2, "grassmann_q")).passed
+    assert len(computed) == 2
+    d = builtin_dialgebra("grassmann_q")
+    computed.clear()
+    assert splitting_check(2, 2, d).ok and len(computed) == 2
+    assert d._quotients == {}   # the check memoised them on its own copy of d
+    computed.clear()
+    assert theorems.verify_dialgebra(CaseLabel(2, 2, "grassmann_q"), d).passed
+    assert len(computed) == 2 and sorted(d._quotients) == [0, 2]
 
 
 def test_verify_report_json_shape():
