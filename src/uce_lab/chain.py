@@ -9,31 +9,37 @@ Every boundary is assembled by one routine, ``_boundary_entries``, as numpy
 arrays (rows, columns, values): per pair i < j of positions, the nonzero
 bracket terms [e_a, e_b] = sum c e_k broadcast against the offsets and the
 Koszul parities of the other n - 2 slots.  Entries hit twice are summed,
-zero sums dropped and F_p values reduced.  Values are int64 only where a
-bound from the largest constant and the number of terms an entry can sum
-proves every sum exact; otherwise exact Python ints (or, for a table with
-fractional rational constants, Fractions) in object arrays.  No floats.
+zero sums dropped and F_p values reduced.  The entries are integers: a
+table over Q with fractional constants is scaled by lambda, the least
+common multiple of their denominators (``_scale``), and a boundary is linear
+in the bracket, so they are lambda times the exact ones.  Values are int64
+only where a bound from the largest constant and the number of terms an
+entry can sum proves every sum exact; otherwise exact Python ints in object
+arrays.  No floats, and no Fractions.
 
 Each basis tuple of L^(x)n has the block key (total weight, Koszul parity),
 the weights coming from ``LeibnizSuperalgebra.weight``.  The bracket adds
 weights and is even, so delta_n maps each block into the block of the same
 key; every nonzero entry is checked for this, and a leak raises
 RuntimeError.  ``delta`` wraps the entries as a ``SparseMat`` with their
-keys.  ``blocked_complex`` takes delta_n from ``delta`` but never builds
-delta_{n+1} as a matrix, whole or per block: it places each of its entries
-in its block, by block ids computed from the keys of L^(x)n and L, checks
-delta_n o delta_{n+1} = 0 once over all entries, picks the first columns
-of every image echelon with one array pass over all blocks, and computes
-the kernel and the image echelon one block at a time, in sorted key
-order, once per algebra and degree.  ``hl`` direct-sums the homology of
-the blocks, each by the one rule of ``exactlin.quotient_invariants``.  The
-tensor square and the splitting check read the same blocks.
+keys, divided back by lambda.  ``blocked_complex`` takes delta_n from
+``delta`` but never builds delta_{n+1} as a matrix, whole or per block: it
+places each of its entries in its block, by block ids computed from the
+keys of L^(x)n and L, checks delta_n o delta_{n+1} = 0 once over all
+entries, picks the first columns of every image echelon with one array pass
+over all blocks, and computes the kernel and the image echelon one block at
+a time, in sorted key order, once per algebra and degree.  It reduces the
+complex scaled by lambda: over Q that has the same kernels and images.
+``hl`` direct-sums the homology of the blocks, each by the one rule of
+``exactlin.quotient_invariants``.  The tensor square and the splitting
+check read the same blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add
 
 import numpy as np
@@ -143,16 +149,10 @@ def tensor_index(tup, dim: int) -> int:
     return idx
 
 
-def _exact_array(ring, xs, terms: int) -> np.ndarray:
-    """Ring values as an array in which a sum of up to ``terms`` of them, or
-    of their negatives, is exact: int64 when they are integers and
-    terms * max |x| stays below ``_INT64_SAFE``, Python ints in an object
-    array otherwise.  Integral rationals are read as ints; fractional ones
-    stay Fractions."""
-    if ring.kind == "rationals":
-        if any(x.denominator != 1 for x in xs):
-            return np.array(xs, dtype=object)
-        xs = [x.numerator for x in xs]
+def _exact_array(xs, terms: int) -> np.ndarray:
+    """Python ints as an array in which a sum of up to ``terms`` of them, or
+    of their negatives, is exact: int64 when terms * max |x| stays below
+    ``_INT64_SAFE``, an object array of the ints otherwise."""
     small = max(map(abs, xs), default=0) * terms < _INT64_SAFE
     return np.array(xs, dtype=np.int64 if small else object)
 
@@ -174,17 +174,28 @@ def _summed(ring, rows, cols, vals):
     return rows[keep], cols[keep], vals[keep]
 
 
+def _scale(l: LeibnizSuperalgebra) -> int:
+    """lambda, the least common multiple of the denominators of the
+    structure constants of l: 1 unless l is over Q with a fractional
+    constant."""
+    if l.ring.kind != "rationals":
+        return 1
+    norm = l.ring.normalize
+    return math.lcm(*(norm(c).denominator for ts in l.table.values() for _, c in ts))
+
+
 def _boundary_entries(l: LeibnizSuperalgebra, n: int) -> tuple:
-    """Entries of delta_n, n >= 2, as arrays (rows, cols, values) sorted by
-    column, then row: the one assembly of every boundary (module
-    docstring).  Values are ``_exact_array``s for the sums they enter."""
-    dim, ring = l.dim, l.ring
-    terms = [(a, b, k, v) for (a, b), ts in l.table.items()
+    """Entries of lambda * delta_n, n >= 2, lambda = ``_scale(l)``, as arrays
+    (rows, cols, values) sorted by column, then row: the one assembly of
+    every boundary (module docstring).  Values are ``_exact_array``s of
+    integers for the sums they enter."""
+    dim, ring, lam = l.dim, l.ring, _scale(l)
+    terms = [(a, b, k, v if lam == 1 else int(v * lam)) for (a, b), ts in l.table.items()
              for k, v in ((k, ring.normalize(c)) for k, c in ts) if v != 0]
     pairs = [(i, j) for j in range(1, n) for i in range(j)]   # 0-based positions
     # one entry sums at most one bracket's terms per pair
     most = len(pairs) * max(map(len, l.table.values()), default=0)
-    coeff = _exact_array(ring, [t[3] for t in terms], most)
+    coeff = _exact_array([t[3] for t in terms], most)
     a, b, k = (np.array([t[s] for t in terms], dtype=np.int64) for s in range(3))
     pars = np.array(l.module.parity, dtype=np.int64)
     others = np.arange(dim ** (n - 2), dtype=np.int64)   # the other n - 2 slots
@@ -214,10 +225,10 @@ def _leak(n: int, j, source, target) -> RuntimeError:
 def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> ChainMap:
     """Matrix of delta_n; delta_2(x (x) y) = [x, y], delta_1 = 0.
 
-    Assembled by ``_boundary_entries`` (module docstring), with normalised
-    ring values.  Every nonzero entry is checked to join two indices of the
-    same block key; a leak (weights that are not additive for the bracket)
-    raises RuntimeError.
+    Assembled by ``_boundary_entries`` (module docstring) and divided by
+    its scale lambda, with normalised ring values.  Every nonzero entry is
+    checked to join two indices of the same block key; a leak (weights that
+    are not additive for the bracket) raises RuntimeError.
     """
     if n < 1:
         raise ValueError("delta is defined for n >= 1")
@@ -229,7 +240,10 @@ def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Ch
         return ChainMap(src, _graded([]), SparseMat.zeros(l.ring, 0, dim), 1, src_keys, [])
     tgt_keys = tensor_power_keys(l, n - 1)
     rows, cols, vals = _boundary_entries(l, n)
-    entries = dict(zip(zip(rows.tolist(), cols.tolist()), map(l.ring.normalize, vals.tolist())))
+    vals, lam = vals.tolist(), _scale(l)
+    if lam != 1:
+        vals = [Fraction(v, lam) for v in vals]
+    entries = dict(zip(zip(rows.tolist(), cols.tolist()), map(l.ring.normalize, vals)))
     for i, j in entries:
         if tgt_keys[i] != src_keys[j]:
             raise _leak(n, j, src_keys[j], tgt_keys[i])
@@ -282,9 +296,8 @@ class _ImageBlock:
     ``others()``, the other nonzero columns sparsest first, then by index,
     sorted only when asked for; and each column's rows and entries, sliced
     from the block's entry lists.  A column becomes a list of pairs only
-    when it is inserted.  Values are as ``_boundary_entries`` gives them:
-    over Q an integral one is an int, which ``Echelon.vector`` reads as it
-    reads Fraction(n, 1)."""
+    when it is inserted.  Values are the integers ``_boundary_entries``
+    gives."""
 
     __slots__ = ("ring", "rows", "cols", "best", "_rows", "_vals", "_ptr", "_free")
 
@@ -316,13 +329,9 @@ def _representatives(block, pos, lead, mag, nnz) -> np.ndarray:
     leading row, |leading value| and nnz and sorted by block and position,
     represent their leading row: per block and leading row, the smallest
     |leading value|, then the fewest nonzeros, then the lowest position.
-    One lexsort over all blocks; Python ints past int64 and Fractions
-    (object arrays) enter it as the ranks of the integers they become over
-    their common denominator."""
+    One lexsort over all blocks; Python ints past int64 (an object array)
+    enter it as their ranks."""
     if mag.dtype == object:
-        xs = mag.tolist()
-        den = math.lcm(*(x.denominator for x in xs))
-        mag = np.array([x.numerator * (den // x.denominator) for x in xs], dtype=object)
         mag = np.unique(mag, return_inverse=True)[1]
     order = np.lexsort((pos, nnz, mag, lead, block))
     first = np.ones(len(order), dtype=bool)
@@ -380,6 +389,13 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     blocks, and an ``_ImageBlock`` makes a Python column only when it is
     inserted.
 
+    The kernels, the images and the delta_n o delta_{n+1} = 0 check are
+    those of the complex scaled by lambda = ``_scale(l)``, whose entries are
+    integers.  Over Q, Ker(lambda delta_n) = Ker delta_n and
+    Im(lambda delta_{n+1}) = Im delta_{n+1}, and lambda^2 times a composite
+    is zero when the composite is.  The delta_n returned is the exact one,
+    which the tensor square and the splitting check apply.
+
     The chain property puts each image inside the block's kernel, which
     licenses stopping the image reduction once it provably equals the
     kernel: at the kernel dimension over a field, and over the integers once
@@ -394,6 +410,10 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     if n in l._complexes:
         return l._complexes[n]
     dn = delta(l, n, guard)
+    lam = _scale(l)
+    low = dn.matrix if lam == 1 else SparseMat._trusted(
+        l.ring, dn.matrix.rows, dn.matrix.cols,
+        {key: int(v * lam) for key, v in dn.matrix.entries.items()})   # lambda * delta_n
     by_key = sorted(_indices_by_key(dn.source_keys).items())
     names = [key for key, _ in by_key]   # block id -> key
     ids = {key: b for b, key in enumerate(names)}
@@ -419,10 +439,10 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
         i, j = rows[leak[0]], cols[leak[0]]
         raise _leak(n + 1, j, names[col_block[j]], names[row_block[i]])
     if n > 1:
-        cols_n = dn.matrix.columns()
+        cols_n = low.columns()
         down = (np.cumsum([0] + [len(col) for col in cols_n]),
                 np.array([i for col in cols_n for i, _ in col], dtype=np.int64),
-                _exact_array(l.ring, [v for col in cols_n for _, v in col], 1))
+                _exact_array([v for col in cols_n for _, v in col], 1))
         if not _composes_to_zero(l.ring, down, rows, cols, vals):
             raise RuntimeError(
                 "delta_n o delta_{n+1} != 0; the bracket does not satisfy the "
@@ -435,7 +455,7 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     below = _indices_by_key(dn.target_keys)
     blocks = []
     for (key, idx), up in zip(by_key, images):
-        ker = kernel_basis(dn.matrix.submatrix(below.get(key, []), idx))
+        ker = kernel_basis(low.submatrix(below.get(key, []), idx))
         blocks.append((key, idx, ker, column_span_echelon(up, within=ker)))
     l._complexes[n] = (dn, tuple(blocks))
     return l._complexes[n]
@@ -446,11 +466,12 @@ def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Grade
     sum over the blocks of ``blocked_complex`` of their quotients, each taken
     by ``exactlin.quotient_invariants`` (``blocked_complex`` verified
     delta_n o delta_{n+1} = 0 on every block, so each image lies in its
-    kernel).  Over Q
-    every block with a kernel still takes ``subquotient_invariants``: it is
-    the only path to the ``Echelon._to_fracfield`` calls that
-    ``perfbench/test_perfbench.py`` requires, until the benchmark reads
-    library spans (ROADMAP item 1)."""
+    kernel).  Over Q every block with a kernel still takes
+    ``subquotient_invariants``.  The kernel and image of a block are integral
+    (``blocked_complex``), but an image's coordinates over the kernel basis
+    need not be, and this is the only path to the ``Echelon._to_fracfield``
+    calls that ``perfbench/test_perfbench.py`` requires, until the benchmark
+    reads library spans (ROADMAP item 1)."""
     parts = [GradedModuleInvariants(l.ring)]
     for (_, par), idx, ker, image in blocked_complex(l, n, guard)[1]:
         if not ker.cols:

@@ -20,6 +20,7 @@ seed is only recorded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,7 +195,11 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    is, and each subcommand's function looks up what it calls at call
+    time."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--guard", type=int, default=DEFAULT_SIZE_GUARD,

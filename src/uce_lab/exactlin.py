@@ -15,17 +15,25 @@ span of a sequence of vectors (zero vectors skipped, insertion order kept),
 compares two echelons and ``is_full`` says whether the rows span the whole
 module (over the integers: generate the whole lattice).
 
-Everything is exact: integers, rationals and prime fields.  An echelon row
-is sparse, a dict {index: value} of its nonzero entries as Python ints (in
-[0, p) over F_p) or, in Fraction mode, Fractions; Python ints never
-overflow, so elimination needs no overflow guard and touches only the
-nonzero entries.  The Smith normal form works on the same sparse rows of
-Python ints.  Over the rationals, echelon rows are integer vectors, and
-residues and solution coordinates are computed fraction-free, as an integer
-vector over one positive denominator; ``fractions.Fraction`` values are
-built only where results leave the module (``Echelon.residue``,
-``SpanSolver.solve``, ``basis_matrix``), and only for nonzero entries.
-Input with fractional entries switches an echelon to Fraction rows.
+Everything is exact: integers, rationals and prime fields.  A ring element
+has one canonical form, which ``RingSpec.normalize``, ``zero``, ``one`` and
+``parse`` give and every value leaving this module has: a Python int over
+the integers, an int in [0, p) over F_p, and over the rationals an int when
+the value is integral and a ``fractions.Fraction`` only when it is not.  So
+integral rationals cost int arithmetic, and a Fraction with denominator 1
+never appears in a result.
+
+An echelon row is sparse, a dict {index: value} of its nonzero entries as
+Python ints (in [0, p) over F_p) or, in Fraction mode, Fractions; Python
+ints never overflow, so elimination needs no overflow guard and touches
+only the nonzero entries.  The Smith normal form works on the same sparse
+rows of Python ints.  Over the rationals, echelon rows are integer vectors,
+and residues and solution coordinates are computed fraction-free, as an
+integer vector over one positive denominator; a Fraction is built only
+where a result leaves the module (``Echelon.residue``, ``SpanSolver.solve``,
+``basis_matrix``, ``kernel_basis``), and only for an entry that is not
+integral.  Input with fractional entries switches an echelon to Fraction
+rows, whose entries are normalized on their way out.
 """
 
 from __future__ import annotations
@@ -149,15 +157,22 @@ class RingSpec:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "rationals" else 0
+        return 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "rationals" else 1
+        return 1
 
     def normalize(self, x):
+        """x as a ring element in canonical form: over the rationals an int
+        when x is integral and a Fraction otherwise, over F_p an int in
+        [0, p), over the integers an int (ValueError for a non-integer)."""
         if self.kind == "rationals":
-            return Fraction(x)
+            if type(x) is int:
+                return x
+            if type(x) is not Fraction:
+                x = Fraction(x)
+            return int(x.numerator) if x.denominator == 1 else x
         if type(x) is Fraction:
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an integer")
@@ -172,7 +187,7 @@ class RingSpec:
             if self.kind != "rationals":
                 raise ValueError(f"fraction literal {s!r} in a {self.kind} ring")
             num, den = s.split("/")
-            return Fraction(int(num), int(den))
+            return self.normalize(Fraction(int(num), int(den)))
         return self.normalize(int(s))
 
     def fmt(self, x) -> str:
@@ -626,7 +641,7 @@ class Echelon:
 
         Fields: no entry at any pivot (complement coordinates).  Integers:
         pivot coordinates reduced into [0, pivot value).  Over the rationals
-        the values are Fractions.
+        the values are in canonical form (module docstring).
         """
         return sorted(_ring_values(self.ring, *self._reduce(v)).items())
 
@@ -678,10 +693,19 @@ class Echelon:
 
 def _ring_values(ring: RingSpec, w: dict, den: int) -> dict:
     """The entries of the sparse vector w / den as normalized ring elements:
-    Fractions over the rationals, the ints of w otherwise (den is 1 there)."""
+    the ints of w outside the rationals (den is 1 there); over the rationals
+    an int where an entry is integral and a Fraction, built once, where it
+    is not (den is 1 for Fraction rows, whose entries are normalized)."""
     if ring.kind != "rationals":
         return w
-    return {k: Fraction(x, den) for k, x in w.items()}
+    if den == 1:
+        norm = ring.normalize
+        return {k: norm(x) for k, x in w.items()}
+    out = {}
+    for k, x in w.items():
+        q, r = divmod(x, den)
+        out[k] = Fraction(x, den) if r else q
+    return out
 
 
 def _engine_columns(ring: RingSpec, nrows: int, vecs) -> SparseMat:
@@ -856,8 +880,9 @@ def _coordinates(ech: Echelon, n: int, vec):
     w, den = ech._reduce(ech.vector(vec))
     if w and min(w) < n:
         return None
-    ring = ech.ring
-    return sorted((k - n, ring.normalize(-x)) for k, x in _ring_values(ring, w, den).items())
+    p = ech.ring.modulus
+    neg = {k - n: -x % p if p else -x for k, x in w.items()}
+    return sorted(_ring_values(ech.ring, neg, den).items())
 
 
 def kernel_basis(m: SparseMat) -> SparseMat:

@@ -285,7 +285,9 @@ def from_bimodule_map(alg: SuperDialgebra, left_action, right_action, fmat,
     expands m_i . a_j (both in the M basis); ``fmat`` has columns f(m_j) in
     the A basis.  Equivariance of f is checked on all basis pairs.  The
     bar-unit is the first basis vector with f(e) = unit, if any (else a
-    non-basis solution, else the result is flagged non-unital).
+    non-basis solution, else the result is flagged non-unital).  Without a
+    unit of A (``alg`` non-unital) there is none to search for, and the
+    result is flagged non-unital.
     """
     ring = alg.ring
     la = _table_normalize(ring, left_action)
@@ -314,6 +316,8 @@ def from_bimodule_map(alg: SuperDialgebra, left_action, right_action, fmat,
     def is_bar_unit(e):
         return all(built.lmul(m, e) == m and built.rmul(e, m) == m for m in basis_m)
 
+    if not alg.is_unital:
+        return built
     bar = None
     unit = list(alg.bar_unit)
     for j, mj in enumerate(basis_m):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -17,7 +18,7 @@ from uce_lab import chain, exactlin
 from uce_lab.cli import main
 from uce_lab.exactlin import (QQ, Echelon, GradedFreeModule, GradedModuleInvariants,
                               RingSpec, SparseMat, direct_sum_invariants,
-                              subquotient_invariants)
+                              kernel_basis, subquotient_invariants)
 from uce_lab.leibniz import LeibnizSuperalgebra, from_dialgebra, gl, sl
 from uce_lab.superdialg import (builtin_dialgebra, catalog_names, from_algebra,
                                 load_dialgebra_file)
@@ -360,7 +361,7 @@ def test_delta_shapes_in_degrees_one_and_two():
     assert (d1.matrix.rows, d1.matrix.cols, d1.target_keys) == (0, 2, [])
     d2 = delta(l, 2)
     assert (d2.matrix.rows, d2.matrix.cols) == (2, 4)
-    assert _typed(d2.matrix) == {(1, 1): (Fraction, Fraction(1, 2)), (1, 2): (Fraction, Fraction(-1))}
+    assert _typed(d2.matrix) == {(1, 1): (Fraction, Fraction(1, 2)), (1, 2): (int, -1)}
     for degree in (1, 2):
         assert_same_delta(delta(l, degree), reference_delta(l, degree))
 
@@ -411,10 +412,40 @@ def test_integer_block_echelons_equal_inserting_every_column(m, n, name):
 
 @pytest.mark.parametrize("m,n,name", [
     (3, 2, "f3"), (4, 1, "f2"), (2, 2, "grass_f3"), (3, 0, "dual_numbers_q"),
-    (2, 1, "split_halfx"),   # fractional constants: fracfield blocks
+    (2, 1, "split_halfx"),   # fractional constants: the blocks are scaled
 ])
 def test_field_block_echelons_equal_inserting_every_column(m, n, name):
     assert_blocks_equal_reference(_algebra("sl", m, n, name))
+
+
+def test_split_halfx_blocks_span_what_the_exact_fraction_complex_spans():
+    """``blocked_complex`` reduces sl(2,1,split_halfx) scaled to integers.
+    Every block's kernel and image span what the exact complex, with its
+    Fraction entries, gives; the delta_2 it returns is the exact one; and
+    ``hl`` equals the homology of the exact blocks."""
+    l = replace(_algebra("sl", 2, 1, "split_halfx"))   # a fresh memo
+    d2, d3 = reference_delta(l, 2), reference_delta(l, 3)
+    assert Fraction in {type(v) for v in d3.matrix.entries.values()}
+    below, above = {}, {}
+    for keys, out in ((d2.target_keys, below), (d3.source_keys, above)):
+        for i, key in enumerate(keys):
+            out.setdefault(key, []).append(i)
+
+    def span(m):
+        return Echelon(QQ, m.rows).extend(m.columns())
+
+    dn, blocks = blocked_complex(l, 2)
+    assert_same_delta(dn, d2)
+    parts = [GradedModuleInvariants(QQ)]
+    for key, idx, ker, image in blocks:
+        exact_ker = kernel_basis(d2.matrix.submatrix(below.get(key, []), idx))
+        exact_image = reference_image_echelon(d3.matrix.submatrix(idx, above.get(key, [])))
+        assert span(ker).same_span(span(exact_ker))
+        assert image.same_span(exact_image)
+        if exact_ker.cols:
+            parts.append(subquotient_invariants(exact_ker, exact_image.basis_matrix(),
+                                                (key[1],) * len(idx)))
+    assert hl(l, 2) == direct_sum_invariants(parts)
 
 
 @pytest.mark.parametrize("m,n,name,types", [
@@ -437,6 +468,20 @@ def _scaled(l, factor):
                              for key, terms in l.table.items()})
 
 
+def scaled_reference(l, n):
+    """``reference_delta(l, n)`` times lambda, the least common multiple of
+    the denominators of the structure constants: the integral complex that
+    ``blocked_complex`` reduces (lambda = 1 unless a constant over Q is
+    fractional)."""
+    ref = reference_delta(l, n)
+    lam = math.lcm(*(Fraction(c).denominator for terms in l.table.values() for _, c in terms))
+    if lam == 1:
+        return ref
+    mat = ref.matrix
+    return replace(ref, matrix=SparseMat(mat.ring, mat.rows, mat.cols,
+                                         {key: lam * v for key, v in mat.entries.items()}))
+
+
 _BLOCK_CASES = {
     "Z": lambda: _algebra("sl", 3, 0, "integers"),
     "F_2": lambda: _algebra("sl", 3, 0, "f2"),
@@ -453,8 +498,9 @@ _BLOCK_CASES = {
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
 def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
     """The columns of each block ``blocked_complex`` reduces are the
-    submatrix of the whole delta_{n+1} on the block, column for column in
-    ascending global index, and the memo holds no matrix of the size of
+    submatrix of the whole delta_{n+1} on the block (times lambda, for
+    fractional constants over Q: ``scaled_reference``), column for column
+    in ascending global index, and the memo holds no matrix of the size of
     L^(x)(n+1)."""
     l = replace(_BLOCK_CASES[case]())   # a fresh memo
     seen, dtypes = [], []
@@ -469,7 +515,7 @@ def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
 
     monkeypatch.setattr(chain, "_boundary_entries", entries)
     dn, blocks = blocked_complex(l, degree)
-    ref = reference_delta(l, degree + 1)
+    ref = scaled_reference(l, degree + 1)
     above = {}
     for i, key in enumerate(ref.source_keys):
         above.setdefault(key, []).append(i)
@@ -478,8 +524,8 @@ def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
         want = ref.matrix.submatrix(idx, above.get(key, []))
         assert (m.rows, m.cols) == (want.rows, want.cols)
         assert m.columns() == want.columns()
-    # Python ints past the int64 bound, Fractions for split_halfx
-    assert (object in dtypes) == (case in ("split_halfx", "GF(2^61-1)", "Z times 2^62"))
+    # Python ints past the int64 bound
+    assert (object in dtypes) == (case in ("GF(2^61-1)", "Z times 2^62"))
     memo = l._complexes[degree]
     mats = [dn.matrix] + [ker for _, _, ker, _ in memo[1]]
     assert memo == (dn, blocks) and all(isinstance(m, SparseMat) for m in mats)
@@ -490,7 +536,8 @@ def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
 def test_block_insert_order_equals_the_reference(monkeypatch, case, degree):
     """The array path inserts each block's columns in the order that
-    ``exactlin._insert_order`` gives the reference SparseMat block, as many
+    ``exactlin._insert_order`` gives the reference SparseMat block
+    (``scaled_reference``), as many
     as ``column_span_echelon`` inserts from that block, and ends with the
     same rows and pivots."""
     l = replace(_BLOCK_CASES[case]())   # a fresh memo
@@ -504,7 +551,7 @@ def test_block_insert_order_equals_the_reference(monkeypatch, case, degree):
     monkeypatch.setattr(exactlin.Echelon, "insert",
                         lambda self, v: inserts.append(1) or real_insert(self, v))
     blocks = blocked_complex(l, degree)[1]
-    ref = reference_delta(l, degree + 1)
+    ref = scaled_reference(l, degree + 1)
     above = {}
     for i, key in enumerate(ref.source_keys):
         above.setdefault(key, []).append(i)

@@ -1,5 +1,6 @@
 """CLI exit codes, formats and determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -326,6 +327,25 @@ def test_internal_invariant_breach_exits_5(capsys, monkeypatch):
     code, _, err = run(capsys, "hhs1", "--builtin", "integers")
     assert code == 5
     assert err.strip().count("\n") == 0 and "d_1 o d_2" in err
+
+
+def test_main_builds_the_parser_once_and_reads_patches(capsys, monkeypatch):
+    """Two ``main`` calls parse with one parser object, and a function a
+    command calls is looked up at call time: a patch of ``cli.hhs1`` made
+    after the parser was built still takes effect."""
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **kw: parsers.append(self) or real(self, *a, **kw))
+    assert run(capsys, "hhs1", "--builtin", "integers")[0] == 0
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("patched after the parser was built")
+
+    monkeypatch.setattr(cli, "hhs1", broken)
+    code, _, err = run(capsys, "hhs1", "--builtin", "integers")
+    assert code == 5 and "patched after the parser was built" in err
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 @pytest.mark.parametrize("argv", [

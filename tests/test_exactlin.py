@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
@@ -787,6 +787,47 @@ def test_qq_solutions_are_exact(case, coeffs):
     solver = SpanSolver(basis)
     c = coeffs[:basis.cols]
     assert solver.solve(basis.apply(_pairs(c))) == _pairs(c)
+
+
+def _canonical(x) -> bool:
+    """x is a rational in canonical form: an int exactly when it is
+    integral, a Fraction otherwise."""
+    return type(x) in (int, Fraction) and (type(x) is int) == (Fraction(x).denominator == 1)
+
+
+@settings(max_examples=25)
+@given(_qq_case(), st.lists(st.one_of(_SMALL, _FRACTION), min_size=5, max_size=5))
+def test_qq_values_are_in_canonical_form(case, coeffs):
+    """Over Q every value the module hands out is an int exactly when it is
+    integral: ring constants, ``normalize`` and ``parse``, and the residues,
+    solutions, kernel bases and echelon bases, in integer rows and after a
+    fractional entry switched an echelon to Fraction rows."""
+    rows, probes = case
+    dim = len(rows[0])
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for x in coeffs + [x for r in rows + probes for x in r]:
+        for y in (QQ.normalize(x), QQ.normalize(Fraction(x)), QQ.parse(str(Fraction(x)))):
+            assert y == x and _canonical(y)
+    half = Fraction(1, 2)
+    for m in (_from_columns(QQ, dim, rows),
+              _from_columns(QQ, dim, [[half * x for x in r] for r in rows])):
+        values = list(kernel_basis(m).entries.values())
+        basis = column_span_echelon(m).basis_matrix()
+        values += basis.entries.values()
+        values += [x for _, x in SpanSolver(basis).solve(basis.apply(_pairs(coeffs[:basis.cols])))]
+        for target in probes:
+            values += [x for _, x in solve_linear(m, _pairs(target)) or ()]
+        assert all(map(_canonical, values))
+    ech = Echelon(QQ, dim)
+    for r in rows:
+        ech.insert(_vec(ech, r))
+    for fracfield in (False, True):
+        if fracfield:
+            ech.vector([(0, half)])   # a query with a fractional entry switches it
+            assert ech.mode == "fracfield"
+        values = [x for v in probes for _, x in _residue(ech, v)]
+        values += ech.basis_matrix().entries.values()
+        assert all(map(_canonical, values))
 
 
 def _in_ring(ring, x):

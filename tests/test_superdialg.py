@@ -241,6 +241,16 @@ def test_from_bimodule_flags_non_unital_action():
     assert validate(d) == []
 
 
+def test_from_bimodule_over_a_non_unital_algebra_is_non_unital():
+    # dual_dga_zero_q has no bar-unit, so there is no unit f(e) could hit
+    alg = builtin_dialgebra("dual_dga_zero_q")
+    assert not alg.is_unital
+    d = from_bimodule_map(alg, {}, {}, [[1], [0]], (0,))
+    assert not d.is_unital and d.dim == 1
+    assert d.left == {} and d.right == {}
+    assert validate(d) == []
+
+
 def test_tensor_product_with_unit_factor():
     q = builtin_dialgebra("rationals")
     bd = builtin_dialgebra("bar_duplex_q")

@@ -195,8 +195,8 @@ def test_block_queries_match_one_ambient_echelon(m, n, name):
 
 
 def test_carrier_generators_read_no_ring_zero(monkeypatch):
-    """Over Q every ``RingSpec.zero`` is a new Fraction: the generators are
-    single (index, 1) pairs, built without reading it."""
+    """The generators are single (index, 1) pairs, built without reading
+    ``RingSpec.zero`` once per ambient entry."""
     _, ts = _built(2, 1, "rationals")
     ring = ts.base.ring
     reads = []
