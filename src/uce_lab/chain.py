@@ -26,13 +26,25 @@ keys, divided back by lambda.  ``blocked_complex`` takes delta_n from
 ``delta`` but never builds delta_{n+1} as a matrix, whole or per block: it
 places each of its entries in its block, by block ids computed from the
 keys of L^(x)n and L, checks delta_n o delta_{n+1} = 0 once over all
-entries, picks the first columns of every image echelon with one array pass
-over all blocks, and computes the kernel and the image echelon one block at
-a time, in sorted key order, once per algebra and degree.  It reduces the
-complex scaled by lambda: over Q that has the same kernels and images.
-``hl`` direct-sums the homology of the blocks, each by the one rule of
-``exactlin.quotient_invariants``.  The tensor square and the splitting
-check read the same blocks.
+entries, picks the leading-row representatives of every image block with
+one array pass over all blocks, and settles the blocks one at a time, in
+sorted key order, once per algebra and degree.  It reduces the complex
+scaled by lambda: over Q that has the same kernels and images.
+
+In degree 2 a block is certified from its representatives alone when L is
+perfect (``leibniz.is_perfect``, memoised on L): delta_2 is then onto L, so
+Ker delta_2 has rank |block| - |block of L| on the block; when the
+representatives number exactly that (they are triangular, so independent)
+and, over the integers, each leads with +-1 (so the lattice they generate
+is saturated), delta_2 o delta_3 = 0 puts them inside that kernel and
+Im delta_3 = Ker delta_2 = their span on the block.  This counting
+certificate is exact over Q, F_p and Z.  A certified block's image echelon
+is its representatives, and its kernel basis is built only if a caller
+reads it; every other block builds its kernel basis and reduces its image
+inside it.  ``hl`` direct-sums the homology of the blocks: zero on a
+certified block, the one rule of ``exactlin.quotient_invariants``
+elsewhere.  The tensor square and the splitting check read the same blocks;
+nothing here reads the tensor square.
 """
 
 from __future__ import annotations
@@ -53,8 +65,9 @@ from .exactlin import (
     kernel_basis,
     quotient_invariants,
     subquotient_invariants,
+    triangular_echelon,
 )
-from .leibniz import LeibnizSuperalgebra
+from .leibniz import LeibnizSuperalgebra, is_perfect
 
 __all__ = [
     "ChainMap",
@@ -63,6 +76,7 @@ __all__ = [
     "tensor_power_module",
     "tensor_power_keys",
     "delta",
+    "Block",
     "blocked_complex",
     "hl",
 ]
@@ -182,6 +196,16 @@ def _scale(l: LeibnizSuperalgebra) -> int:
         return 1
     norm = l.ring.normalize
     return math.lcm(*(norm(c).denominator for ts in l.table.values() for _, c in ts))
+
+
+def _integral(l: LeibnizSuperalgebra, mat: SparseMat) -> SparseMat:
+    """lambda * mat, lambda = ``_scale(l)``: for a boundary of l, the same
+    kernel and image over Q with integer entries."""
+    lam = _scale(l)
+    if lam == 1:
+        return mat
+    return SparseMat._trusted(mat.ring, mat.rows, mat.cols,
+                              {key: int(v * lam) for key, v in mat.entries.items()})
 
 
 def _boundary_entries(l: LeibnizSuperalgebra, n: int) -> tuple:
@@ -370,10 +394,42 @@ def _image_blocks(ring, sizes, block, rows, cols, vals, col_sizes):
                           (nz_pos[nz], nnz[nz], rep[nz]))
 
 
+def _certified(up: _ImageBlock, kernel_rank: int, lattice: bool) -> bool:
+    """Whether the representatives of the image block up, inside a kernel
+    of rank kernel_rank, span it: as many as that rank (they are
+    triangular, so independent) and, over the integers, each leading with
+    +-1, so that the lattice they generate is saturated."""
+    return len(up.best) == kernel_rank and not (
+        lattice and any(mag != 1 for mag, _, _ in up.best.values()))
+
+
+class Block:
+    """One (weight, parity) block of L^(x)n, as ``blocked_complex`` gives
+    it: ``key``; ``idx``, its indices in ascending order; ``image``, the
+    echelon of Im delta_{n+1} on it in block coordinates; ``certified``,
+    True when that image is proven to be all of Ker delta_n on the block
+    without a kernel basis; and ``kernel``, a basis of Ker delta_n on the
+    block (``kernel_basis`` of the scaled delta_n block), built the first
+    time it is read."""
+
+    __slots__ = ("key", "idx", "image", "certified", "_low", "_below", "_kernel")
+
+    def __init__(self, key, idx: list, low: SparseMat, below: list):
+        self.key, self.idx, self._low, self._below = key, idx, low, below
+        self.image, self.certified, self._kernel = None, False, None
+
+    @property
+    def kernel(self) -> SparseMat:
+        if self._kernel is None:
+            self._kernel = kernel_basis(self._low.submatrix(self._below, self.idx))
+        return self._kernel
+
+
 def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> tuple:
-    """(delta_n, blocks); blocks lists, per block of L^(x)n in sorted key
-    order, (key, indices, kernel basis of the delta_n block, echelon of the
-    image of the delta_{n+1} block) in the block's own coordinates.
+    """(delta_n, blocks); blocks lists a ``Block`` per block of L^(x)n in
+    sorted key order: its key, its indices, the echelon of the image of
+    the delta_{n+1} block and the kernel basis of the delta_n block, both in
+    the block's own coordinates.
 
     delta_{n+1} is never a matrix: ``_boundary_entries`` gives its entries
     as arrays, and each column and row gets a block id and a position in
@@ -399,10 +455,15 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     The chain property puts each image inside the block's kernel, which
     licenses stopping the image reduction once it provably equals the
     kernel: at the kernel dimension over a field, and over the integers once
-    the pivot values match the kernel's too (``column_span_echelon``).
-    Memoised on l per n after the guard check; ``hl``, ``tensor_square`` and
-    the splitting check share it, so no caller may change a span in it (a
-    query may switch an echelon's number type)."""
+    the pivot values match the kernel's too (``column_span_echelon``).  In
+    degree 2 it also licenses the certificate of the module docstring
+    (``_certified``): a certified block skips the kernel basis and the
+    reduction, and its image echelon, built from the representatives in
+    ascending column order, has the rows, pivots and order that
+    ``column_span_echelon`` reaches at its stop after inserting exactly
+    them.  Memoised on l per n after the guard check; ``hl``,
+    ``tensor_square`` and the splitting check share it, so no caller may
+    change a span in it (queries leave an echelon as it is)."""
     if n < 1:
         raise ValueError("homology is computed for n >= 1")
     dim = l.dim
@@ -410,10 +471,7 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     if n in l._complexes:
         return l._complexes[n]
     dn = delta(l, n, guard)
-    lam = _scale(l)
-    low = dn.matrix if lam == 1 else SparseMat._trusted(
-        l.ring, dn.matrix.rows, dn.matrix.cols,
-        {key: int(v * lam) for key, v in dn.matrix.entries.items()})   # lambda * delta_n
+    low = _integral(l, dn.matrix)   # lambda * delta_n
     by_key = sorted(_indices_by_key(dn.source_keys).items())
     names = [key for key, _ in by_key]   # block id -> key
     ids = {key: b for b, key in enumerate(names)}
@@ -453,31 +511,46 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     images = _image_blocks(l.ring, [len(idx) for _, idx in by_key],
                            block, rows, cols, vals, col_sizes)
     below = _indices_by_key(dn.target_keys)
+    # delta_2 is onto L when L is perfect, so Ker delta_2 has rank
+    # |block| - |block of L| on each block
+    onto = n == 2 and is_perfect(l)
+    lattice = l.ring.kind == "integers"
     blocks = []
     for (key, idx), up in zip(by_key, images):
-        ker = kernel_basis(low.submatrix(below.get(key, []), idx))
-        blocks.append((key, idx, ker, column_span_echelon(up, within=ker)))
+        rows_l = below.get(key, [])
+        block = Block(key, idx, low, rows_l)
+        if onto and _certified(up, len(idx) - len(rows_l), lattice):
+            block.certified = True
+            block.image = triangular_echelon(
+                l.ring, up.rows, [up.column(j) for j in sorted(b[2] for b in up.best.values())])
+        else:
+            block.image = column_span_echelon(up, within=block.kernel)
+        blocks.append(block)
     l._complexes[n] = (dn, tuple(blocks))
     return l._complexes[n]
 
 
 def hl(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
-    """HL_n(L) = Ker delta_n / Im delta_{n+1} as a graded module: the direct
-    sum over the blocks of ``blocked_complex`` of their quotients, each taken
-    by ``exactlin.quotient_invariants`` (``blocked_complex`` verified
+    """HL_n(L) = Ker delta_n / Im delta_{n+1} as a graded module, the direct
+    sum of the quotients of the blocks of ``blocked_complex``.  That of a
+    certified block is zero (Im = Ker, proven without its kernel basis),
+    and its kernel is not read; every other block's is taken by
+    ``exactlin.quotient_invariants`` (``blocked_complex`` verified
     delta_n o delta_{n+1} = 0 on every block, so each image lies in its
     kernel).  Over Q every block with a kernel still takes
-    ``subquotient_invariants``.  The kernel and image of a block are integral
+    ``subquotient_invariants``, certified or not, so every kernel is built.  The kernel and image of a block are integral
     (``blocked_complex``), but an image's coordinates over the kernel basis
     need not be, and this is the only path to the ``Echelon._to_fracfield``
     calls that ``perfbench/test_perfbench.py`` requires, until the benchmark
     reads library spans (ROADMAP item 1)."""
     parts = [GradedModuleInvariants(l.ring)]
-    for (_, par), idx, ker, image in blocked_complex(l, n, guard)[1]:
-        if not ker.cols:
-            continue
+    for block in blocked_complex(l, n, guard)[1]:
+        par = block.key[1]
         if l.ring.kind == "rationals":   # benchmark pin, ROADMAP item 1
-            parts.append(subquotient_invariants(ker, image.basis_matrix(), (par,) * len(idx)))
-        else:
-            parts.append(quotient_invariants(ker, image, par))
+            ker = block.kernel
+            if ker.cols:
+                parts.append(subquotient_invariants(
+                    ker, block.image.basis_matrix(), (par,) * len(block.idx)))
+        elif not block.certified:
+            parts.append(quotient_invariants(block.kernel, block.image, par))
     return direct_sum_invariants(parts)

@@ -32,8 +32,10 @@ and residues and solution coordinates are computed fraction-free, as an
 integer vector over one positive denominator; a Fraction is built only
 where a result leaves the module (``Echelon.residue``, ``SpanSolver.solve``,
 ``basis_matrix``, ``kernel_basis``), and only for an entry that is not
-integral.  Input with fractional entries switches an echelon to Fraction
-rows, whose entries are normalized on their way out.
+integral.  A vector inserted with fractional entries switches an echelon to
+Fraction rows, whose entries are normalized on their way out; a query
+(``contains``, ``residue``, solving) clears its own denominators instead,
+so it leaves a shared echelon as it is.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "snf_with_transforms",
     "kernel_basis",
     "column_span_echelon",
+    "triangular_echelon",
     "rank",
     "spans_within",
     "subquotient_invariants",
@@ -460,25 +463,39 @@ class Echelon:
     def vector(self, items) -> dict:
         """Sparse engine vector of the vector with the (index, value) pairs
         items: the values of a repeated index are summed, reduced mod p over
-        F_p, and zero sums dropped."""
-        v = {}
-        items = iter(items)
+        F_p, and zero sums dropped.  A fractional value switches an intfield
+        echelon to Fraction rows (``_query`` does not)."""
         if self.mode == "fracfield":
+            v = {}
             for i, x in items:
                 if i in v:
                     x += v.pop(i)
                 if x != 0:
                     v[i] = Fraction(x)
             return v
+        v, den = self._cleared(items)
+        if den == 1:
+            return v
+        self._to_fracfield()
+        return {k: Fraction(x, den) for k, x in v.items()}
+
+    def _cleared(self, items) -> tuple:
+        """(v, den): den > 0 the least common denominator of the values of
+        the pairs items and v the engine vector of den times their vector,
+        with integer values (summed, reduced mod p, zeros dropped).  Outside
+        the rationals a fractional value raises ValueError."""
+        v = {}
+        items = iter(items)
         p = self.ring.modulus
         for i, x in items:
             if type(x) is not int:
                 if type(x) is Fraction:  # an isinstance test on an ABC is slow
                     if x.denominator != 1:
-                        if self.mode == "intfield":
-                            self._to_fracfield()
-                            return self.vector([*v.items(), (i, x), *items])
-                        raise ValueError("non-integer entry over a non-rational ring")
+                        if self.mode != "intfield":
+                            raise ValueError("non-integer entry over a non-rational ring")
+                        rest = [*v.items(), (i, x), *items]
+                        den = math.lcm(*(y.denominator for _, y in rest if type(y) is Fraction))
+                        return self._cleared([(k, y * den) for k, y in rest])[0], den
                     x = x.numerator
                 else:
                     x = int(x)
@@ -488,7 +505,7 @@ class Echelon:
                 x %= p
             if x:
                 v[i] = x
-        return v
+        return v, 1
 
     def _escalate(self):
         """Does nothing and is never called: rows hold Python numbers, which
@@ -525,10 +542,7 @@ class Echelon:
             p = min(v)
             at = self.row_at.get(p)
             if at is None:
-                v = self._normalize_new_row(v, p)
-                bisect.insort(self.sorted_pivots, p)
-                self.row_at[p] = len(self.rows)
-                self.rows.append(v)
+                self._append(v, p)
                 return True
             r = self.rows[at]
             c = v[p]
@@ -554,6 +568,14 @@ class Echelon:
                     _axpy(v, -(c // g), r)
                     self.rows[at] = new_r
         return False
+
+    def _append(self, v, p):
+        """Store the engine vector v, whose leading index p is not a pivot,
+        as a new row: what ``insert`` does once nothing is left to reduce."""
+        v = self._normalize_new_row(v, p)
+        bisect.insort(self.sorted_pivots, p)
+        self.row_at[p] = len(self.rows)
+        self.rows.append(v)
 
     def extend(self, vectors) -> "Echelon":
         """Insert each nonzero vector, in order.  Returns self, whose rows
@@ -590,10 +612,19 @@ class Echelon:
         new.sorted_pivots = list(self.sorted_pivots)
         return new
 
-    def _reduce(self, v):
-        """(w, den) with w / den the canonical residue of the engine vector
-        v, which is left as it is: w is sparse, den > 0, and den is 1
-        outside intfield mode.
+    def _query(self, items):
+        """(v, den) with v / den the vector with the (index, value) pairs
+        items, v an engine vector and den > 0.  Outside fracfield mode the
+        query clears its own denominators (``_cleared``), so a query never
+        switches the echelon, which callers may share, to Fraction rows."""
+        if self.mode == "fracfield":
+            return self.vector(items), 1
+        return self._cleared(items)
+
+    def _reduce(self, v, den=1):
+        """(w, den') with w / den' the canonical residue of the vector
+        v / den, v an engine vector, which is left as it is: w is sparse,
+        den' > 0, and den' is den outside intfield mode.
 
         One ascending sweep over the pivots.  In intfield mode it runs in
         integers with one running denominator (w <- d*w - c*r, den <- d*den,
@@ -604,7 +635,7 @@ class Echelon:
         """
         mode = self.mode
         p_mod = self.ring.modulus
-        w, den = dict(v), 1
+        w = dict(v)
         for p in self.sorted_pivots:
             c = w.get(p)
             if c is None:
@@ -633,20 +664,23 @@ class Echelon:
             raise RuntimeError("echelon residue is not reduced at the pivots")
         return w, den
 
-    def residue(self, v) -> list:
-        """Canonical representative of the engine vector v modulo the row
-        span / lattice, as the sorted (index, value) pairs of its nonzero
-        entries, normalized ring elements; empty exactly when v lies in
-        the span.
+    def residue(self, items) -> list:
+        """Canonical representative modulo the row span / lattice of the
+        vector with the (index, value) pairs items, as the sorted (index,
+        value) pairs of its nonzero entries, normalized ring elements; empty
+        exactly when the vector lies in the span.
 
         Fields: no entry at any pivot (complement coordinates).  Integers:
         pivot coordinates reduced into [0, pivot value).  Over the rationals
-        the values are in canonical form (module docstring).
+        the values are in canonical form (module docstring).  A query leaves
+        the echelon as it is (``_query``).
         """
-        return sorted(_ring_values(self.ring, *self._reduce(v)).items())
+        return sorted(_ring_values(self.ring, *self._reduce(*self._query(items))).items())
 
-    def contains(self, v) -> bool:
-        return not self._reduce(v)[0]
+    def contains(self, items) -> bool:
+        """Whether the vector with the (index, value) pairs items lies in
+        the span (lattice); the echelon is left as it is."""
+        return not self._reduce(*self._query(items))[0]
 
     def same_span(self, other: "Echelon") -> bool:
         """Equal rank and mutual containment: the two echelons have the same
@@ -655,7 +689,7 @@ class Echelon:
             return False
         for src, dst in ((self, other), (other, self)):
             for col in src.basis_matrix().columns():
-                if not dst.contains(dst.vector(col)):
+                if not dst.contains(col):
                     return False
         return True
 
@@ -794,6 +828,33 @@ def _insert_order(src, lead, lattice: bool):
     yield from rest
 
 
+def _repeats(col, twins: dict, modulus) -> bool:
+    """Whether the nonzero column col, a list of (row, value) pairs of
+    normalized values, is +-1 times a column in twins, which maps (leading
+    row, nnz) to the columns seen with them; if not, col joins twins.  Only
+    columns of the same leading row and nnz are compared, whole."""
+    seen = twins.setdefault((col[0][0], len(col)), [])
+    if seen and (col in seen or [(i, -x % modulus if modulus else -x) for i, x in col] in seen):
+        return True
+    seen.append(col)
+    return False
+
+
+def triangular_echelon(ring: RingSpec, dim: int, columns) -> Echelon:
+    """The echelon that inserting the columns in order gives, for nonzero
+    columns with distinct leading rows: each becomes a row as it is
+    (normalized), with no reduction step.  ValueError for a repeated
+    leading row."""
+    ech = Echelon(ring, dim)
+    for col in columns:
+        v = ech.vector(col)
+        p = min(v)
+        if p in ech.row_at:
+            raise ValueError("triangular columns need distinct leading rows")
+        ech._append(v, p)
+    return ech
+
+
 def column_span_echelon(m, within: SparseMat | None = None) -> Echelon:
     """Echelon of the column span (field) / column lattice (integers) of m,
     a SparseMat or a block of ``chain.blocked_complex``, which reads its
@@ -832,6 +893,11 @@ def column_span_echelon(m, within: SparseMat | None = None) -> Echelon:
     certifies the span of ``within``.  So the span, the pivot set and the
     integer pivot values are those of all the columns, in any order.
 
+    A column equal to +-1 times one already inserted is skipped: it lies
+    in the span, so it would reduce to zero and leave every row as it is
+    (over the integers too, where the leading value of a lattice vector is
+    a multiple of the pivot value and no row is recombined).
+
     Equal spans have equal pivot sets, so a pivot that is not a leading
     row of ``within`` means a column outside it: RuntimeError.
     """
@@ -840,6 +906,7 @@ def column_span_echelon(m, within: SparseMat | None = None) -> Echelon:
     lead = None if within is None else _leading_entries(within)
     order = _insert_order(src, lead, ech.mode == "lattice")
     unmatched = None  # open pivots, once the rank of within is reached
+    inserted = {}     # the inserted columns by leading row and nnz
     while True:
         if lead is not None and ech.rank == len(lead):
             if unmatched is None:
@@ -852,7 +919,9 @@ def column_span_echelon(m, within: SparseMat | None = None) -> Echelon:
         j = next(order, None)
         if j is None:
             break
-        ech.insert(ech.vector(src.column(j)))
+        col = src.column(j)
+        if not _repeats(col, inserted, src.ring.modulus):   # a repeat changes nothing
+            ech.insert(ech.vector(col))
     if lead is not None and not ech.row_at.keys() <= lead.keys():
         raise RuntimeError("a column lies outside the span it was proven to lie in")
     return ech
@@ -870,14 +939,17 @@ def _augmented_echelon(m: SparseMat) -> Echelon:
     ech = Echelon(m.ring, n + m.cols)
     cols = m.columns()
     for j in range(m.cols):
-        ech.insert(ech.vector(cols[j] + [(n + j, 1)]))
+        if cols[j]:
+            ech.insert(ech.vector(cols[j] + [(n + j, 1)]))
+        else:   # no earlier row reaches index n + j: a new row as it is
+            ech._append(ech.vector([(n + j, 1)]), n + j)
     return ech
 
 
 def _coordinates(ech: Echelon, n: int, vec):
     """The vector x with m @ x = vec from the augmented echelon of an n-row
     m, or None when vec is outside the column span (lattice)."""
-    w, den = ech._reduce(ech.vector(vec))
+    w, den = ech._reduce(*ech._query(vec))
     if w and min(w) < n:
         return None
     p = ech.ring.modulus

@@ -61,8 +61,10 @@ class LeibnizSuperalgebra:
     table: dict
     name: str = "leibniz"
     weight: tuple | None = None
-    # chain.blocked_complex per degree; not an init field, so replace() empties it
+    # chain.blocked_complex per degree, and [is_perfect] once known; not
+    # init fields, so replace() empties them
     _complexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _perfect: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight is not None and len(self.weight) != self.dim:
@@ -331,8 +333,12 @@ def centre(l: LeibnizSuperalgebra) -> SparseMat:
 
 def is_perfect(l: LeibnizSuperalgebra) -> bool:
     """True iff [L, L] = L (over the integers: the brackets generate L).
-    The nonzero brackets are read only until they provably span L."""
-    brackets = SparseMat(l.ring, l.dim, len(l.table),
-                         {(k, j): c for j, terms in enumerate(l.table.values())
-                          for k, c in terms})
-    return column_span_echelon(brackets, within=SparseMat.identity(l.ring, l.dim)).is_full()
+    The nonzero brackets are read only until they provably span L.
+    Memoised on l, for ``chain.blocked_complex`` and ``tensor_square``."""
+    if not l._perfect:
+        brackets = SparseMat(l.ring, l.dim, len(l.table),
+                             {(k, j): c for j, terms in enumerate(l.table.values())
+                              for k, c in terms})
+        l._perfect.append(column_span_echelon(
+            brackets, within=SparseMat.identity(l.ring, l.dim)).is_full())
+    return l._perfect[0]

@@ -495,7 +495,7 @@ class QuotientModule:
     def annihilated_by(self, m: int) -> bool:
         """True when multiplying any quotient generator by m lands in the ideal."""
         ech = self.echelon
-        return all(ech.contains(ech.vector([(i, m)])) for i in range(self.source.dim))
+        return all(ech.contains([(i, m)]) for i in range(self.source.dim))
 
 
 def quotient_Dm(d: SuperDialgebra, m: int) -> QuotientModule:

@@ -39,7 +39,7 @@ from .exactlin import (
     quotient_invariants,
     snf_with_transforms,
 )
-from .chain import DEFAULT_SIZE_GUARD, ChainMap, blocked_complex
+from .chain import DEFAULT_SIZE_GUARD, ChainMap, _integral, blocked_complex
 from .leibniz import LeibnizSuperalgebra, SpecialLinear, is_perfect
 from .superdialg import bracket_table
 
@@ -237,7 +237,7 @@ class TensorSquare:
         out = []
         for key, piece in self._pieces(vec).items():
             idx, image = self.blocks[key]
-            out.extend((idx[s], x) for s, x in image.residue(image.vector(piece)))
+            out.extend((idx[s], x) for s, x in image.residue(piece))
         return sorted(out)
 
     def is_zero_class(self, u) -> bool:
@@ -320,7 +320,8 @@ class TensorSquare:
         the non-pivot unit vectors of a block with unit pivot values
         (``Echelon.has_unit_pivots``; every block over a field), else the
         free Smith coordinates of the block.  kernel is a basis of
-        Ker(delta_2 @ lift), taken on the whole parity.  Torsion lies
+        Ker(delta_2 @ lift), taken on the whole parity from lambda * delta_2
+        (``chain._integral``: over Q the same kernel, in integer rows).  Torsion lies
         entirely in the kernel (the boundary lands in a free module): the
         columns of torsion_lift generate the cyclic summands of the blocks,
         one per Smith diagonal entry above 1, and torsion is the merged
@@ -355,9 +356,10 @@ class TensorSquare:
                              {(s, k): x for k, col in enumerate(columns) for s, x in col})
 
         lift, torsion_lift = matrix(free), matrix(cyclic)
-        if not (self.d2.matrix @ torsion_lift).is_zero():
+        d2 = _integral(self.base, self.d2.matrix)   # integer entries, the same kernel
+        if not (d2 @ torsion_lift).is_zero():
             raise RuntimeError("torsion coordinate not killed by the boundary")
-        out = (lift, kernel_basis(self.d2.matrix @ lift), torsion_lift, merge_torsion(orders))
+        out = (lift, kernel_basis(d2 @ lift), torsion_lift, merge_torsion(orders))
         self._carrier_cache[par] = out
         return out
 
@@ -458,18 +460,20 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
     """Build (L (x) L)/Im delta_3 for perfect L from ``chain.blocked_complex``.
     delta_2 then maps each block onto the block of L with the same key, so a
     block of Ker delta_2 with other than |block of L (x) L| - |block of L|
-    generators raises RuntimeError."""
+    generators raises RuntimeError.  A certified block (``chain.Block``)
+    has that rank by its certificate, and its kernel basis is not built."""
     if not is_perfect(l):
         raise NotPerfectError(f"{l.name} is not perfect")
     d2, blocks = blocked_complex(l, 2, guard)
     below = Counter(d2.target_keys)
-    for key, idx, ker, _ in blocks:
-        if ker.cols != len(idx) - below[key]:
+    for b in blocks:
+        want = len(b.idx) - below[b.key]
+        if not b.certified and b.kernel.cols != want:
             raise RuntimeError(
-                f"Ker delta_2 block {key} has {ker.cols} generators, not "
-                f"{len(idx) - below[key]}; the blocks of a perfect L sum to dim^2 - dim"
+                f"Ker delta_2 block {b.key} has {b.kernel.cols} generators, not "
+                f"{want}; the blocks of a perfect L sum to dim^2 - dim"
             )
-    return TensorSquare(l, d2, {key: (idx, image) for key, idx, _, image in blocks})
+    return TensorSquare(l, d2, {b.key: (b.idx, b.image) for b in blocks})
 
 
 def hl2(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:

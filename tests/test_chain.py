@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -16,13 +17,13 @@ from uce_lab.chain import (DEFAULT_SIZE_GUARD, ChainMap, SizeGuardExceededError,
                            tensor_index, tensor_power_keys, tensor_power_module)
 from uce_lab import chain, exactlin
 from uce_lab.cli import main
-from uce_lab.exactlin import (QQ, Echelon, GradedFreeModule, GradedModuleInvariants,
+from uce_lab.exactlin import (GF, QQ, Echelon, GradedFreeModule, GradedModuleInvariants,
                               RingSpec, SparseMat, direct_sum_invariants,
                               kernel_basis, subquotient_invariants)
 from uce_lab.leibniz import LeibnizSuperalgebra, from_dialgebra, gl, sl
 from uce_lab.superdialg import (builtin_dialgebra, catalog_names, from_algebra,
                                 load_dialgebra_file)
-from uce_lab.theorems import default_cases
+from uce_lab.theorems import CaseLabel, default_cases, verify_case
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -152,6 +153,7 @@ def test_replace_starts_with_an_empty_memo():
     hl(l, 2)
     abelian = replace(l, table={})
     assert 2 in l._complexes and abelian._complexes == {}
+    assert l._perfect == [True] and abelian._perfect == []   # not perfect
     assert blocked_complex(abelian, 2)[0].matrix.is_zero()
     assert not blocked_complex(l, 2)[0].matrix.is_zero()
 
@@ -388,7 +390,8 @@ def assert_blocks_equal_reference(l):
     for i, key in enumerate(d3.source_keys):
         above.setdefault(key, []).append(i)
     parts = [GradedModuleInvariants(l.ring)]
-    for key, idx, ker, image in blocks:
+    for b in blocks:
+        key, idx, ker, image = b.key, b.idx, b.kernel, b.image
         ref = reference_image_echelon(d3.matrix.submatrix(idx, above.get(key, [])))
         assert image.same_span(ref)
         if l.ring.kind == "integers":
@@ -437,7 +440,8 @@ def test_split_halfx_blocks_span_what_the_exact_fraction_complex_spans():
     dn, blocks = blocked_complex(l, 2)
     assert_same_delta(dn, d2)
     parts = [GradedModuleInvariants(QQ)]
-    for key, idx, ker, image in blocks:
+    for b in blocks:
+        key, idx, ker, image = b.key, b.idx, b.kernel, b.image
         exact_ker = kernel_basis(d2.matrix.submatrix(below.get(key, []), idx))
         exact_image = reference_image_echelon(d3.matrix.submatrix(idx, above.get(key, [])))
         assert span(ker).same_span(span(exact_ker))
@@ -457,7 +461,7 @@ def test_block_echelon_rows_hold_python_numbers(m, n, name, types):
     wrap silently: every stored value is exactly a Python int (or, over Q,
     a Fraction)."""
     blocks = blocked_complex(_algebra("sl", m, n, name), 2)[1]
-    seen = {type(x) for *_, image in blocks for row in image.rows for x in row.values()}
+    seen = {type(x) for b in blocks for row in b.image.rows for x in row.values()}
     assert seen and seen <= types
 
 
@@ -494,19 +498,27 @@ _BLOCK_CASES = {
 }
 
 
+def _recorded_image_blocks(monkeypatch) -> list:
+    """A list that collects every ``chain._ImageBlock`` that
+    ``blocked_complex`` makes, certified or not, in block order."""
+    seen, real = [], chain._image_blocks
+    monkeypatch.setattr(chain, "_image_blocks",
+                        lambda *args: (seen.append(up) or up for up in real(*args)))
+    return seen
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
 def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
-    """The columns of each block ``blocked_complex`` reduces are the
-    submatrix of the whole delta_{n+1} on the block (times lambda, for
-    fractional constants over Q: ``scaled_reference``), column for column
-    in ascending global index, and the memo holds no matrix of the size of
-    L^(x)(n+1)."""
+    """The columns of each block ``blocked_complex`` reads, certified or
+    not, are the submatrix of the whole delta_{n+1} on the block (times
+    lambda, for fractional constants over Q: ``scaled_reference``), column
+    for column in ascending global index, and the memo holds no matrix of
+    the size of L^(x)(n+1)."""
     l = replace(_BLOCK_CASES[case]())   # a fresh memo
-    seen, dtypes = [], []
-    real_echelon, real_entries = chain.column_span_echelon, chain._boundary_entries
-    monkeypatch.setattr(chain, "column_span_echelon",
-                        lambda m, within: seen.append(m) or real_echelon(m, within=within))
+    dtypes = []
+    seen = _recorded_image_blocks(monkeypatch)
+    real_entries = chain._boundary_entries
 
     def entries(l, n):
         out = real_entries(l, n)
@@ -520,14 +532,14 @@ def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
     for i, key in enumerate(ref.source_keys):
         above.setdefault(key, []).append(i)
     assert len(seen) == len(blocks)
-    for m, (key, idx, _, _) in zip(seen, blocks):
-        want = ref.matrix.submatrix(idx, above.get(key, []))
+    for m, b in zip(seen, blocks):
+        want = ref.matrix.submatrix(b.idx, above.get(b.key, []))
         assert (m.rows, m.cols) == (want.rows, want.cols)
         assert m.columns() == want.columns()
     # Python ints past the int64 bound
     assert (object in dtypes) == (case in ("GF(2^61-1)", "Z times 2^62"))
     memo = l._complexes[degree]
-    mats = [dn.matrix] + [ker for _, _, ker, _ in memo[1]]
+    mats = [dn.matrix] + [b.kernel for b in memo[1]]
     assert memo == (dn, blocks) and all(isinstance(m, SparseMat) for m in mats)
     assert max(m.cols for m in mats) < l.dim ** (degree + 1)
 
@@ -535,39 +547,44 @@ def test_block_columns_equal_the_global_reference(monkeypatch, case, degree):
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
 def test_block_insert_order_equals_the_reference(monkeypatch, case, degree):
-    """The array path inserts each block's columns in the order that
+    """The array path reads each block's columns in the order that
     ``exactlin._insert_order`` gives the reference SparseMat block
-    (``scaled_reference``), as many
-    as ``column_span_echelon`` inserts from that block, and ends with the
-    same rows and pivots."""
+    (``scaled_reference``), exactly the columns that
+    ``column_span_echelon`` reads from that block, and ends with the same
+    rows and pivots.  A certified block reads its representatives in
+    ascending index, which the reference inserts, each growing the rank,
+    before its stop."""
     l = replace(_BLOCK_CASES[case]())   # a fresh memo
-    calls, inserts = [], []
-    real_echelon, real_column = chain.column_span_echelon, chain._ImageBlock.column
+    reads, ref_reads, inserts = {}, [], []
+    real_column, real_ref_column = chain._ImageBlock.column, exactlin._MatrixColumns.column
     real_insert = exactlin.Echelon.insert
-    monkeypatch.setattr(chain, "column_span_echelon",
-                        lambda m, within: calls.append((within, [])) or real_echelon(m, within=within))
+    seen = _recorded_image_blocks(monkeypatch)
     monkeypatch.setattr(chain._ImageBlock, "column",
-                        lambda self, j: calls[-1][1].append(j) or real_column(self, j))
-    monkeypatch.setattr(exactlin.Echelon, "insert",
-                        lambda self, v: inserts.append(1) or real_insert(self, v))
+                        lambda self, j: reads.setdefault(id(self), []).append(j)
+                        or real_column(self, j))
     blocks = blocked_complex(l, degree)[1]
+    monkeypatch.setattr(exactlin._MatrixColumns, "column",
+                        lambda self, j: ref_reads.append(j) or real_ref_column(self, j))
+    monkeypatch.setattr(exactlin.Echelon, "insert",
+                        lambda self, v: inserts.append(real_insert(self, v)) or inserts[-1])
     ref = scaled_reference(l, degree + 1)
     above = {}
     for i, key in enumerate(ref.source_keys):
         above.setdefault(key, []).append(i)
-    assert len(calls) == len(blocks)
+    assert len(seen) == len(blocks)
     lattice = l.ring.kind == "integers"
-    for (within, order), (key, idx, ker, image) in zip(calls, blocks):
-        assert within is ker
-        want = ref.matrix.submatrix(idx, above.get(key, []))
-        expected = exactlin._insert_order(exactlin._MatrixColumns(want),
-                                          exactlin._leading_entries(ker), lattice)
+    for up, b in zip(seen, blocks):
+        order = reads.get(id(up), [])
+        want = exactlin._MatrixColumns(ref.matrix.submatrix(b.idx, above.get(b.key, [])))
+        expected = exactlin._insert_order(want, exactlin._leading_entries(b.kernel), lattice)
         assert order == list(itertools.islice(expected, len(order)))
-        before = len(inserts)
-        again = exactlin.column_span_echelon(want, within=ker)
-        assert len(inserts) - before == len(order)
+        del inserts[:], ref_reads[:]
+        again = exactlin.column_span_echelon(want, within=b.kernel)
+        assert ref_reads == order
+        if b.certified:
+            assert inserts == [True] * len(order) == [True] * b.image.rank
         assert (again.rows, again.row_at, again.sorted_pivots) == \
-            (image.rows, image.row_at, image.sorted_pivots)
+            (b.image.rows, b.image.row_at, b.image.sorted_pivots)
 
 
 def test_a_fault_in_one_small_block_fails_the_one_delta_squared_check(monkeypatch):
@@ -591,18 +608,25 @@ def test_a_fault_in_one_small_block_fails_the_one_delta_squared_check(monkeypatc
         blocked_complex(replace(l), 2)
 
 
-@pytest.mark.parametrize("m,n,name,total,image", [
-    (2, 2, "dual_z", 5328, 4428), (2, 2, "grass_f3", 3329, 2429), (3, 2, "rationals", 1128, 552),
+@pytest.mark.parametrize("m,n,name,total,image,kernels", [
+    (2, 2, "dual_z", 1723, 1345, 19), (2, 2, "grass_f3", 940, 680, 18),
+    (3, 2, "rationals", 151, 71, 4),
 ])
-def test_blocked_complex_makes_the_pinned_number_of_inserts(monkeypatch, m, n, name, total, image):
+def test_blocked_complex_makes_the_pinned_number_of_inserts(monkeypatch, m, n, name, total,
+                                                           image, kernels):
     """``Echelon.insert`` calls inside ``blocked_complex(l, 2)``, in all and
-    from the image echelons: a change to the insertion order or to the
-    certified stop moves them."""
+    from the image echelons, and its ``kernel_basis`` calls: a change to the
+    insertion order, to the certified stop, to the +-1 column skip or to
+    the block certificate moves them.  (Before the certificate and the
+    skip: 5328 / 4428, 3329 / 2429 and 1128 / 552 inserts, and a kernel
+    basis for each of the 55, 110 and 131 blocks.)"""
     l = replace(_algebra("sl", m, n, name))   # a fresh memo
-    inserts, inside = [], []
+    inserts, inside, kernel_calls = [], [], []
     real_insert, real_echelon = exactlin.Echelon.insert, chain.column_span_echelon
+    real_kernel = chain.kernel_basis
     monkeypatch.setattr(exactlin.Echelon, "insert",
                         lambda self, v: inserts.append(bool(inside)) or real_insert(self, v))
+    monkeypatch.setattr(chain, "kernel_basis", lambda m: kernel_calls.append(1) or real_kernel(m))
 
     def echelon(m, within):
         inside.append(1)
@@ -613,7 +637,7 @@ def test_blocked_complex_makes_the_pinned_number_of_inserts(monkeypatch, m, n, n
 
     monkeypatch.setattr(chain, "column_span_echelon", echelon)
     blocked_complex(l, 2)
-    assert (len(inserts), sum(inserts)) == (total, image)
+    assert (len(inserts), sum(inserts), len(kernel_calls)) == (total, image, kernels)
 
 
 def _hl_and_every_block_subquotient(monkeypatch, l, degree):
@@ -621,7 +645,7 @@ def _hl_and_every_block_subquotient(monkeypatch, l, degree):
     the reference kept here takes the subquotient of every block with a
     kernel, and ``hl`` must equal it."""
     blocks = blocked_complex(l, degree)[1]
-    with_kernel = [(key, idx, ker, image) for key, idx, ker, image in blocks if ker.cols]
+    with_kernel = [(b.key, b.idx, b.kernel, b.image) for b in blocks if b.kernel.cols]
     ref = direct_sum_invariants([GradedModuleInvariants(l.ring)] + [
         subquotient_invariants(ker, image.basis_matrix(), (key[1],) * len(idx))
         for key, idx, ker, image in with_kernel])
@@ -681,3 +705,96 @@ def test_image_outside_the_kernel_pivots_exits_5(capsys, monkeypatch, ring):
     err = capsys.readouterr().err
     assert code == 5
     assert err.strip().count("\n") == 0 and "outside the span" in err
+
+
+def _certificate_cases() -> list:
+    """(m, n, D) of ``default_cases()`` and of every benchmark case, once
+    each."""
+    sys.path.insert(0, str(DATA.parent))
+    import workloads   # the benchmark's case lists
+
+    cases = {(c.m, c.n, c.dialgebra) for c in default_cases()}
+    cases |= {(c.m, c.n, c.source) for w in workloads.WORKLOADS.values() for c in w.cases}
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("m,n,name", _certificate_cases())
+def test_certified_blocks_equal_the_full_reduction(monkeypatch, m, n, name):
+    """A degree-2 block certified from its representatives has what the
+    full computation gives: its kernel, built when read, is ``kernel_basis``
+    of its block of lambda * delta_2 (``scaled_reference``); its image
+    echelon has the rows, ``row_at`` and ``sorted_pivots`` of
+    ``column_span_echelon(block, within=kernel)``; and it spans what every
+    column of the block spans, which is the kernel (over the integers: the
+    same lattice, with the same pivot values)."""
+    l = replace(_algebra("sl", m, n, name))   # a fresh memo
+    seen = _recorded_image_blocks(monkeypatch)
+    blocks = blocked_complex(l, 2)[1]
+    d2 = scaled_reference(l, 2)
+    below = {}
+    for i, key in enumerate(d2.target_keys):
+        below.setdefault(key, []).append(i)
+    lattice = l.ring.kind == "integers"
+    certified = [(up, b) for up, b in zip(seen, blocks) if b.certified]
+    assert certified
+    for up, b in certified:
+        assert b._kernel is None   # not built by blocked_complex
+        ker = kernel_basis(d2.matrix.submatrix(below.get(b.key, []), b.idx))
+        assert b.kernel == ker
+        stopped = exactlin.column_span_echelon(up, within=ker)
+        assert (stopped.rows, stopped.row_at, stopped.sorted_pivots) == \
+            (b.image.rows, b.image.row_at, b.image.sorted_pivots)
+        every = exactlin.column_span_echelon(up)
+        kernel_span = Echelon(l.ring, len(b.idx)).extend(ker.columns())
+        for ech in (every, kernel_span):
+            assert ech.same_span(b.image)
+            if lattice:
+                assert ech.pivot_values() == b.image.pivot_values()
+
+
+def test_the_certificate_needs_unit_leading_values_over_the_integers(monkeypatch):
+    """Without its +-1 condition the certificate accepts blocks whose
+    representatives generate a sublattice of index 2 in the kernel, and
+    the Z/2 summands of HL_2(sl(4,0,Z)) vanish on both paths."""
+    assert verify_case(CaseLabel(4, 0, "integers")).passed
+    monkeypatch.setattr(chain, "_certified",
+                        lambda up, kernel_rank, lattice: len(up.best) == kernel_rank)
+    report = verify_case(CaseLabel(4, 0, "integers"))
+    assert report.computed_chain == GradedModuleInvariants(exactlin.ZZ)
+    assert not report.passed
+
+
+def test_the_certificate_needs_a_perfect_algebra(monkeypatch):
+    """Only a perfect L gives Ker delta_2 the rank |block| - |block of L|:
+    claiming perfectness for sl(2,0,F_2) and sl(1,1,Z), which are not
+    perfect, loses homology."""
+    cases = {(2, 0, "f2"): GradedModuleInvariants(GF(2), 5),
+             (1, 1, "integers"): GradedModuleInvariants(exactlin.ZZ, 3, 0, (), (2, 2))}
+    for (m, n, name), want in cases.items():
+        assert hl(sl(m, n, builtin_dialgebra(name)).algebra, 2) == want
+    monkeypatch.setattr(chain, "is_perfect", lambda l: True)
+    assert hl(sl(2, 0, builtin_dialgebra("f2")).algebra, 2) == GradedModuleInvariants(GF(2), 3)
+    assert hl(sl(1, 1, builtin_dialgebra("integers")).algebra, 2) == \
+        GradedModuleInvariants(exactlin.ZZ, 3)
+
+
+def test_a_query_leaves_a_shared_block_echelon_as_it_is():
+    """``residue`` and ``contains`` clear a query's denominators themselves:
+    a query with fractional entries on the memoised block echelons of
+    sl(2,1,split_halfx) leaves them in integer rows, and answers as a copy
+    switched to Fraction rows does.  (They used to switch the shared
+    echelon for good, so which blocks held Fractions depended on the
+    queries made before.)"""
+    l = replace(_algebra("sl", 2, 1, "split_halfx"))   # a fresh memo
+    for b in blocked_complex(l, 2)[1]:
+        image = b.image
+        rows = [dict(r) for r in image.rows]
+        frac = image.copy()
+        frac._to_fracfield()
+        queries = [[(0, Fraction(1, 2))], [(s, Fraction(1, 3) * x) for s, x in image.rows[0].items()]
+                   if image.rows else [], [(0, Fraction(-5, 6)), (len(b.idx) - 1, 2)]]
+        for q in queries:
+            assert image.residue(q) == frac.residue(q)
+            assert image.contains(q) == frac.contains(q)
+        assert image.contains(queries[1])
+        assert (image.mode, image.rows) == ("intfield", rows)

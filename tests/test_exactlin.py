@@ -67,7 +67,7 @@ def _vec(ech, dense):
 
 
 def _residue(ech, dense):
-    return ech.residue(_vec(ech, dense))
+    return ech.residue(_pairs(dense))
 
 
 def _span(ring, dim, dense_rows) -> Echelon:
@@ -684,8 +684,8 @@ def test_echelon_residue_is_canonical_over_z():
     ech.insert(_vec(ech, [2, 1]))
     ech.insert(_vec(ech, [0, 3]))
     # residues of congruent vectors agree
-    r1 = ech.residue(_vec(ech, [5, 4]))
-    r2 = ech.residue(_vec(ech, [5 + 2, 4 + 1]))
+    r1 = ech.residue(_pairs([5, 4]))
+    r2 = ech.residue(_pairs([5 + 2, 4 + 1]))
     assert r1 == r2
     assert 0 <= dict(r1).get(0, 0) < 2
 
@@ -697,7 +697,7 @@ def test_vector_sums_the_values_of_a_repeated_index(ring):
     assert ech.vector([(1, Fraction(1, 2)), (1, Fraction(1, 2))] if ring == QQ else
                       [(1, 1), (1, 1)]) == {1: 1 if ring == QQ else 2}
     ech.insert(ech.vector([(0, 1), (1, 1)]))
-    assert ech.residue(ech.vector([(0, 1), (0, 1), (1, 2)])) == []
+    assert ech.residue([(0, 1), (0, 1), (1, 2)]) == []
 
 
 def test_vector_reads_a_generator_through_the_switch_to_fractions():
@@ -714,7 +714,7 @@ def test_vector_over_f_p_drops_repeats_that_sum_to_zero():
     assert ech.vector([(1, 1), (0, 2), (1, 2), (2, 4), (2, 2)]) == {0: 2}
     assert ech.vector([(1, 1), (1, 1), (1, 1)]) == {}
     assert not ech.insert(ech.vector([(2, 2), (2, 1)])) and ech.rank == 0
-    assert ech.residue(ech.vector([(0, 1), (0, 2)])) == []
+    assert ech.residue([(0, 1), (0, 2)]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +769,7 @@ def test_qq_residue_matches_fraction_reference(case):
     for v in probes:
         want = _reference_residue(rows, v)
         assert _residue(ech, v) == _pairs(want)
-        assert ech.contains(_vec(ech, v)) == (not any(want))
+        assert ech.contains(_pairs(v)) == (not any(want))
 
 
 @given(_qq_case(), st.lists(st.one_of(_SMALL, _FRACTION), min_size=5, max_size=5))
@@ -823,7 +823,7 @@ def test_qq_values_are_in_canonical_form(case, coeffs):
         ech.insert(_vec(ech, r))
     for fracfield in (False, True):
         if fracfield:
-            ech.vector([(0, half)])   # a query with a fractional entry switches it
+            ech.vector([(0, half)])   # a vector to insert with a fractional entry switches it
             assert ech.mode == "fracfield"
         values = [x for v in probes for _, x in _residue(ech, v)]
         values += ech.basis_matrix().entries.values()
@@ -855,8 +855,8 @@ def test_huge_entries_stay_exact():
         for v in probes:
             want = [_in_ring(ring, x) for x in _reference_residue([a, b], v)]
             assert _residue(ech, v) == _pairs(want)
-            assert ech.contains(_vec(ech, v)) == (not any(want))
-        assert ech.contains(_vec(ech, inside))
+            assert ech.contains(_pairs(v)) == (not any(want))
+        assert ech.contains(_pairs(inside))
 
 
 def test_fraction_free_residue_checks_its_pivots():
@@ -867,7 +867,7 @@ def test_fraction_free_residue_checks_its_pivots():
         ech.insert(_vec(ech, [2, 1, 0]))
         ech.insert(_vec(ech, [0, 3, 1]))
         ech.rows[1][0] = 5  # corrupt: the second row reaches back to pivot 0
-        for check in (lambda v: _residue(ech, v), lambda v: ech.contains(_vec(ech, v))):
+        for check in (lambda v: _residue(ech, v), lambda v: ech.contains(_pairs(v))):
             with pytest.raises(RuntimeError, match="pivot"):
                 check([1, 4, 1])
 
@@ -962,7 +962,7 @@ def test_pivot_order_follows_insert_add_block_and_copy(ring):
                 probe = [ring.normalize(rng.randint(-9, 9)) for _ in range(12)]
                 want = _plain_sort_residue(e, probe)
                 assert _residue(e, probe) == _pairs(want)
-                assert e.contains(_vec(e, probe)) == (not any(want))
+                assert e.contains(_pairs(probe)) == (not any(want))
 
 
 # ---------------------------------------------------------------------------
@@ -987,13 +987,13 @@ def _full_by_units(ech):
     for t in range(ech.dim):
         v = [0] * ech.dim
         v[t] = 1
-        if not ech.contains(_vec(ech, v)):
+        if not ech.contains(_pairs(v)):
             return False
     return True
 
 
 def _contains_all(ech, vectors):
-    return all(ech.contains(_vec(ech, v)) for v in vectors if any(x != 0 for x in v))
+    return all(ech.contains(_pairs(v)) for v in vectors if any(x != 0 for x in v))
 
 
 @st.composite
@@ -1370,3 +1370,15 @@ def test_merge_torsion_of_huge_factors_needs_no_factorisation():
     p = 10**18 + 3  # trial division would run up to 10^9
     assert merge_torsion([(2,), (2 * p,), (3,)]) == (2, 6 * p)
     assert merge_torsion([(p * p,), (p,)]) == (p, p * p)
+
+
+def test_solving_clears_the_query_denominators():
+    """``SpanSolver.solve`` on integer columns answers a fractional target
+    without switching its echelon to Fraction rows."""
+    basis = SparseMat(QQ, 3, 2, {(0, 0): 2, (1, 0): 1, (1, 1): 3, (2, 1): 1})
+    solver = SpanSolver(basis)
+    half = Fraction(1, 2)
+    assert solver.solve([(0, 1), (1, half + 3 * Fraction(1, 3)), (2, Fraction(1, 3))]) == \
+        [(0, half), (1, Fraction(1, 3))]
+    assert solver.solve([(2, half)]) is None
+    assert solver.ech.mode == "intfield"

@@ -292,7 +292,7 @@ def _str2_kills_every_d3_column(m, n, dlg) -> bool:
             return False
         for rep, wcol in w.items():
             ech = quotients[rep].echelon
-            if ech.residue(ech.vector(wcol)):
+            if ech.residue(wcol):
                 return False
     return True
 
@@ -377,9 +377,9 @@ def test_str2_check_on_image_rows_equals_check_on_all_columns(monkeypatch, m, n,
 @pytest.mark.parametrize("m,n,name", [(3, 0, "f3"), (2, 1, "rationals"), (4, 0, "integers")])
 def test_d2_kernel_blocks_span_the_kernel(m, n, name):
     ts = tensor_square(sl(m, n, builtin_dialgebra(name)).algebra)
-    gens = [[(idx[i], v) for i, v in col]
-            for _, idx, ker, _ in chain.blocked_complex(ts.base, 2)[1]
-            for col in ker.columns()]
+    gens = [[(b.idx[i], v) for i, v in col]
+            for b in chain.blocked_complex(ts.base, 2)[1]
+            for col in b.kernel.columns()]
     assert len(gens) == ts.ambient_dim - ts.base.dim
     ring, amb = ts.base.ring, ts.ambient_dim
     blocks = Echelon(ring, amb).extend(gens)
