@@ -32,8 +32,7 @@ from .exactlin import (
     module_iso_check,
     subquotient_invariants,
 )
-from .chain import (DEFAULT_SIZE_GUARD, blocked_complex, guard_check, tensor_index,
-                    tensor_power_module)
+from .chain import DEFAULT_SIZE_GUARD, guard_check, tensor_index, tensor_power_module
 from .leibniz import SpecialLinear, sl
 from .superdialg import SuperDialgebra, quotient_Dm
 from .tensorsq import (
@@ -354,14 +353,15 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
 
     The linear checks run on generating sets and on the (weight, parity)
     blocks of L (x) L: (a) on the rows of the Im delta_3 block echelons, (f)
-    on the generators of Ker delta_2 of each block that ``blocked_complex``
-    did not certify, each tested in its own block against Im delta_3 plus
-    the images of the map; a certified block has Ker delta_2 = Im delta_3
-    there, which that extension contains, and (f) builds no kernel basis
-    for it.  An image that meets two blocks raises RuntimeError.  Every map and every check takes
-    and gives vectors as (index, value) pairs: the squares (b) compare the
-    sorted pairs of ``SparseMat.apply``, and the identities (d), (e) test a
-    difference formed with ``combine`` for the zero class."""
+    on the generators of Ker delta_2 of each block of the tensor square
+    (``TensorSquare.blocks``) that is not certified, each tested in its own
+    block against Im delta_3 plus the images of the map; a certified block
+    has Ker delta_2 = Im delta_3 there, which that extension contains, and
+    (f) builds no kernel basis for it.  An image that meets two blocks
+    raises RuntimeError.  Every map and every check takes and gives vectors
+    as (index, value) pairs: the squares (b) compare the sorted pairs of
+    ``SparseMat.apply``, and the identities (d), (e) test a difference
+    formed with ``combine`` for the zero class."""
     from .theorems import expected_w  # lazy; theorems drives this module
 
     if low_rank_case(m, n) is None:
@@ -465,7 +465,7 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     # Ker delta_2 = Im delta_3, which every extension contains.
     plus = ts.extend_blocks(image_cols)
     surjective = True
-    for b in blocked_complex(ts.base, 2, guard)[1]:
+    for b in ts.blocks.values():
         if not b.certified:
             ech = plus.get(b.key, b.image)
             surjective = surjective and all(ech.contains(col) for col in b.kernel.columns())

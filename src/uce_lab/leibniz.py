@@ -8,9 +8,8 @@ with |E_ij(a)| = |i| + |j| + |a|, |i| = 0 for i <= m and 1 for i > m.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from itertools import permutations
+from itertools import permutations, product
 
 from .exactlin import (
     Echelon,
@@ -84,25 +83,14 @@ class LeibnizSuperalgebra:
         """[a, b] from the structure constants."""
         return multiply(self.ring, self.table, a, b)
 
-    def leibniz_violations(self, max_exhaustive=40, samples=10_000, seed=0):
-        """Triples violating [x,[y,z]] = [[x,y],z] - (-1)^{|y||z|}[[x,z],y].
-
-        Exhaustive up to max_exhaustive basis vectors, randomized above.
-        Returns at most one witness (empty list = identity holds).
+    def leibniz_violations(self):
+        """Basis triples violating [x,[y,z]] = [[x,y],z] - (-1)^{|y||z|}[[x,z],y],
+        all dim^3 of them, with brackets from ``multiply`` (independent of
+        the boundary assembly in ``chain``).  Returns at most one witness
+        (empty list = identity holds).
         """
         table = self.table
-        n = self.dim
-        if n <= max_exhaustive:
-            triples = (
-                (i, j, k) for i in range(n) for j in range(n) for k in range(n)
-            )
-        else:
-            rng = random.Random(seed)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(samples)
-            )
-        for i, j, k in triples:
+        for i, j, k in product(range(self.dim), repeat=3):
             lhs = self.bracket(self.basis_vector(i), table.get((j, k), ()))
             xy_z = self.bracket(table.get((i, j), ()), self.basis_vector(k))
             xz_y = self.bracket(table.get((i, k), ()), self.basis_vector(j))

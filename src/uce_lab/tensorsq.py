@@ -22,10 +22,10 @@ the chain path is Ker delta_2 on the carrier, taken on a whole parity.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 from .exactlin import (
     Echelon,
@@ -193,8 +193,9 @@ class TensorSquare:
 
     base: LeibnizSuperalgebra
     d2: ChainMap
-    # (weight, parity) key -> (ambient indices, Im delta_3 echelon in the
-    # block's own coordinates), in sorted key order
+    # (weight, parity) key -> its ``chain.Block`` of L (x) L (ambient
+    # indices, Im delta_3 echelon in the block's own coordinates), in sorted
+    # key order
     blocks: dict
     _carrier_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -205,18 +206,18 @@ class TensorSquare:
     def block_sizes(self) -> list:
         """Sizes of the (weight, parity) blocks of L (x) L, in sorted key
         order."""
-        return [len(idx) for idx, _ in self.blocks.values()]
+        return [len(b.idx) for b in self.blocks.values()]
 
     @cached_property
     def complement(self) -> list:
         """Ambient indices without an Im delta_3 pivot, ascending."""
-        return sorted(idx[s] for idx, image in self.blocks.values()
-                      for s in range(len(idx)) if s not in image.row_at)
+        return sorted(b.idx[s] for b in self.blocks.values()
+                      for s in range(len(b.idx)) if s not in b.image.row_at)
 
     @cached_property
     def _position(self) -> dict:
         """ambient index -> its position within its block."""
-        return {i: s for idx, _ in self.blocks.values() for s, i in enumerate(idx)}
+        return {i: s for b in self.blocks.values() for s, i in enumerate(b.idx)}
 
     def _pieces(self, vec) -> dict:
         """key -> the nonzero (block position, value) pairs of the ambient
@@ -236,8 +237,8 @@ class TensorSquare:
         class."""
         out = []
         for key, piece in self._pieces(vec).items():
-            idx, image = self.blocks[key]
-            out.extend((idx[s], x) for s, x in image.residue(piece))
+            block = self.blocks[key]
+            out.extend((block.idx[s], x) for s, x in block.image.residue(piece))
         return sorted(out)
 
     def is_zero_class(self, u) -> bool:
@@ -247,9 +248,9 @@ class TensorSquare:
         """The rows of the block echelons at their ambient indices, as
         (index, value) pairs in ascending pivot order.  Over a field they
         span Im delta_3; over the integers they generate its lattice."""
-        rows = [[(idx[s], x) for s, x in col]
-                for idx, image in self.blocks.values()
-                for col in image.basis_matrix().columns()]
+        rows = [[(b.idx[s], x) for s, x in col]
+                for b in self.blocks.values()
+                for col in b.image.basis_matrix().columns()]
         return sorted(rows, key=lambda row: row[0][0])
 
     def extend_blocks(self, vectors) -> dict:
@@ -269,7 +270,7 @@ class TensorSquare:
                 )
             for key, piece in pieces.items():
                 if key not in out:
-                    out[key] = self.blocks[key][1].copy()
+                    out[key] = self.blocks[key].image.copy()
                 out[key].extend([piece])
         return out
 
@@ -302,9 +303,9 @@ class TensorSquare:
         [(index, 1)]."""
         one = self.base.ring.one
         units = list(self.complement)
-        units += sorted(idx[p] for idx, image in self.blocks.values()
-                        if not image.has_unit_pivots()
-                        for p, d in image.pivot_values().items() if abs(d) > 1)
+        units += sorted(b.idx[p] for b in self.blocks.values()
+                        if not b.image.has_unit_pivots()
+                        for p, d in b.image.pivot_values().items() if abs(d) > 1)
         return [(c, [(c, one)]) for c in units]
 
     def generator_parity(self, ambient_index: int) -> int:
@@ -333,9 +334,10 @@ class TensorSquare:
         ring = self.base.ring
         amb = self.ambient_dim
         free, cyclic, orders = [], [], []
-        for key, (idx, image) in self.blocks.items():
+        for key, block in self.blocks.items():
             if key[1] != par:
                 continue
+            idx, image = block.idx, block.image
             if image.has_unit_pivots():
                 free.extend([(i, ring.one)] for s, i in enumerate(idx) if s not in image.row_at)
                 continue
@@ -383,54 +385,43 @@ class TensorSquare:
 
     # -- property checks -----------------------------------------------------
 
-    def leibniz_violations_on_carrier(self, samples=300, seed=0):
+    def leibniz_violations_on_carrier(self):
+        """Triples of carrier generators violating the Leibniz identity
+        [x,[y,z]] = [[x,y],z] - (-1)^{|y||z|}[[x,z],y] in the carrier, all n^3
+        of them for the n ``carrier_generators``.  They generate the carrier
+        (its lattice over the integers) and the bracket is bilinear, so an
+        empty answer is the identity on the whole carrier.  Each pairwise
+        bracket is computed once.  Returns at most one witness (index triple
+        into the generators)."""
         gens = self.carrier_generators()
-        ring = self.base.ring
-        n = len(gens)
-        if n <= 8:
-            triples = [
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            ]
-        else:
-            rng = random.Random(seed)
-            triples = [
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(samples)
-            ]
-        for a, b, c in triples:
-            x, y, z = gens[a][1], gens[b][1], gens[c][1]
-            py = self.generator_parity(gens[b][0])
-            pz = self.generator_parity(gens[c][0])
-            lhs = self.bracket(x, self.bracket(y, z))
-            xy_z = self.bracket(self.bracket(x, y), z)
-            xz_y = self.bracket(self.bracket(x, z), y)
-            sign = -1 if (py * pz) % 2 else 1
+        ring, d2 = self.base.ring, self.d2.matrix
+        par = [self.generator_parity(i) for i, _ in gens]
+
+        def bracket(du, dv):   # the bracket of two classes, from their delta_2
+            return self.project(self.pair_vector(du, dv))
+
+        down = [d2.apply(g) for _, g in gens]
+        # delta_2 of the bracket of each pair of generators
+        pair_down = {(a, b): d2.apply(bracket(x, y))
+                     for (a, x), (b, y) in product(enumerate(down), repeat=2)}
+        for a, b, c in product(range(len(gens)), repeat=3):
+            lhs = bracket(down[a], pair_down[b, c])
+            xy_z = bracket(pair_down[a, b], down[c])
+            xz_y = bracket(pair_down[a, c], down[b])
+            sign = -1 if par[b] * par[c] else 1
             if not self.is_zero_class(combine(ring, [(1, lhs), (-1, xy_z), (sign, xz_y)])):
                 return [(a, b, c)]
         return []
 
-    def bracket_lift_independence(self, trials=100, seed=0) -> bool:
-        """Transported bracket constants do not depend on representative
-        lifts: redraw lifts by adding random image elements."""
-        rng = random.Random(seed)
-        ring = self.base.ring
-        gens = self.carrier_generators()
-        rows = self.image_rows()
-        if not gens:
-            return True
-        for _ in range(trials):
-            (ia, a), (ib, b) = rng.choice(gens), rng.choice(gens)
-            base = self.bracket(a, b)
-            moved = []
-            for vec in (a, b):
-                terms = [(1, vec)]
-                for _ in range(2):
-                    j = rng.randrange(len(rows))
-                    terms.append((rng.randint(-3, 3), rows[j]))
-                moved.append(combine(ring, terms))
-            if not self.is_zero_class(combine(ring, [(1, self.bracket(*moved)), (-1, base)])):
-                return False
-        return True
+    def bracket_lift_independence(self) -> bool:
+        """The bracket of two classes does not depend on their
+        representatives: ``bracket`` reads u and v only through delta_2 u and
+        delta_2 v, and delta_2 sends every row of ``image_rows`` to zero.
+        Over a field those rows span Im delta_3, over the integers they
+        generate its lattice, so two lifts of a class have the same delta_2
+        image, for every choice of lifts."""
+        d2 = self.d2.matrix
+        return not any(d2.apply(row) for row in self.image_rows())
 
     def kernel_is_central(self) -> bool:
         kgens = self.kernel_class_generators()
@@ -449,7 +440,7 @@ class TensorSquare:
         integers).  A bracket that meets two blocks raises RuntimeError."""
         bd = [self.d2.matrix.apply(g) for _, g in self.carrier_generators()]
         plus = self.extend_blocks(self.pair_vector(a, b) for a in bd for b in bd)
-        return all(plus.get(key, image).is_full() for key, (_, image) in self.blocks.items())
+        return all(plus.get(key, b.image).is_full() for key, b in self.blocks.items())
 
     def boundary_is_surjective(self) -> bool:
         """delta_2 is onto L (onto the lattice over the integers)."""
@@ -473,7 +464,7 @@ def tensor_square(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> Te
                 f"Ker delta_2 block {b.key} has {b.kernel.cols} generators, not "
                 f"{want}; the blocks of a perfect L sum to dim^2 - dim"
             )
-    return TensorSquare(l, d2, {b.key: (b.idx, b.image) for b in blocks})
+    return TensorSquare(l, d2, {b.key: b for b in blocks})
 
 
 def hl2(l: LeibnizSuperalgebra, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleInvariants:
@@ -590,7 +581,7 @@ def w_cycles(slalg: SpecialLinear, ts: TensorSquare | None = None,
 
     # span of the classes inside the homology, block by block
     span_inv = direct_sum_invariants([GradedModuleInvariants(ring)] + [
-        quotient_invariants(plus.basis_matrix(), ts.blocks[key][1], key[1])
+        quotient_invariants(plus.basis_matrix(), ts.blocks[key].image, key[1])
         for key, plus in sorted(ts.extend_blocks(vecs.values()).items())])
     expected = expected_w(m, n, d)
     matches = module_iso_check(span_inv, expected)

@@ -177,12 +177,10 @@ def test_criterion_3_leibniz_identity_constructed_algebras():
     for case, _, _ in QUANTITATIVE:
         rep, _ = _report(case)
         alg = sl(case.m, case.n, builtin_dialgebra(case.dialgebra)).algebra
-        assert alg.dim <= 40
         if alg.leibniz_violations():
             bad.append(case.describe())
     _line("criterion 3: the Leibniz identity holds on all basis triples of "
-          "every quantitative-case algebra (dimension <= 40, exhaustive)",
-          not bad)
+          "every quantitative-case algebra", not bad)
 
 
 def test_criterion_3_boundary_squares_to_zero():
@@ -207,10 +205,10 @@ def test_criterion_3_lift_independence_100():
     bad = []
     for m, n, name in [(2, 2, "rationals"), (4, 0, "integers"), (3, 0, "f3")]:
         ts = tensor_square(sl(m, n, builtin_dialgebra(name)).algebra)
-        if not ts.bracket_lift_independence(trials=100, seed=11):
+        if not ts.bracket_lift_independence():
             bad.append(f"({m},{n},{name})")
     _line("criterion 3: tensor-square bracket is independent of "
-          "representative lifts (100 re-drawings)", not bad)
+          "representative lifts (delta_2 kills every Im delta_3 row)", not bad)
 
 
 def test_criterion_3_centrality_and_perfectness():

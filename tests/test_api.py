@@ -1,5 +1,6 @@
 """Every name a module exports resolves, every name it imports is used,
-the echelon engine holds no numpy, and vectors have one form."""
+no module imports random, the echelon engine holds no numpy, and vectors
+have one form."""
 
 import ast
 import importlib
@@ -47,6 +48,32 @@ def _unused_imports(path) -> list:
 def test_module_level_imports_are_used(name):
     path = Path(uce_lab.__file__).parent / f"{name}.py"
     assert _unused_imports(path) == []
+
+
+def _random_imports(path) -> list:
+    """Lines that import ``random`` or ``numpy.random``, or read
+    ``np.random`` / ``numpy.random``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name in ("random", "numpy.random", "np.random") or name.startswith(
+                ("random.", "numpy.random.")) for name in names):
+            out.append(node.lineno)
+    return out
+
+
+def test_no_module_imports_random():
+    """Every check in the package is exact: no module draws samples."""
+    found = {name: _random_imports(Path(uce_lab.__file__).parent / f"{name}.py")
+             for name in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def _unreferenced_private_names() -> list:
