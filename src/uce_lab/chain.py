@@ -21,8 +21,8 @@ Each basis tuple of L^(x)n has the block key (total weight, Koszul parity),
 the weights coming from ``LeibnizSuperalgebra.weight``.  The bracket adds
 weights and is even, so delta_n maps each block into the block of the same
 key; every nonzero entry is checked for this, and a leak raises
-RuntimeError.  ``delta`` wraps the entries as a ``SparseMat`` with their
-keys, divided back by lambda.  ``blocked_complex`` takes delta_n from
+RuntimeError.  ``delta`` divides the entries back by lambda and cuts them
+into the columns of a ``SparseMat``.  ``blocked_complex`` takes delta_n from
 ``delta`` but never builds delta_{n+1} as a matrix, whole or per block: it
 places each of its entries in its block, by block ids computed from the
 keys of L^(x)n and L, checks delta_n o delta_{n+1} = 0 once over all
@@ -116,11 +116,8 @@ class ChainMap:
     def parity_even_violations(self):
         """Entries mapping parity-p generators outside parity p (none for a
         correct boundary; the map is even)."""
-        bad = []
-        for (i, j) in self.matrix.entries:
-            if self.target.parity[i] != self.source.parity[j]:
-                bad.append((i, j))
-        return bad
+        return [(i, j) for j, col in enumerate(self.matrix.columns()) for i, _ in col
+                if self.target.parity[i] != self.source.parity[j]]
 
 
 def tensor_power_keys(l, n: int) -> list:
@@ -204,8 +201,8 @@ def _integral(l: LeibnizSuperalgebra, mat: SparseMat) -> SparseMat:
     lam = _scale(l)
     if lam == 1:
         return mat
-    return SparseMat._trusted(mat.ring, mat.rows, mat.cols,
-                              {key: int(v * lam) for key, v in mat.entries.items()})
+    return SparseMat._trusted(mat.ring, mat.rows,
+                              [[(i, int(v * lam)) for i, v in col] for col in mat.columns()])
 
 
 def _boundary_entries(l: LeibnizSuperalgebra, n: int) -> tuple:
@@ -250,9 +247,10 @@ def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Ch
     """Matrix of delta_n; delta_2(x (x) y) = [x, y], delta_1 = 0.
 
     Assembled by ``_boundary_entries`` (module docstring) and divided by
-    its scale lambda, with normalised ring values.  Every nonzero entry is
-    checked to join two indices of the same block key; a leak (weights that
-    are not additive for the bracket) raises RuntimeError.
+    its scale lambda, with normalised ring values; its entries, sorted by
+    column and then row, are cut straight into the columns.  Every nonzero
+    entry is checked to join two indices of the same block key; a leak
+    (weights that are not additive for the bracket) raises RuntimeError.
     """
     if n < 1:
         raise ValueError("delta is defined for n >= 1")
@@ -264,14 +262,16 @@ def delta(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GUARD) -> Ch
         return ChainMap(src, _graded([]), SparseMat.zeros(l.ring, 0, dim), 1, src_keys, [])
     tgt_keys = tensor_power_keys(l, n - 1)
     rows, cols, vals = _boundary_entries(l, n)
-    vals, lam = vals.tolist(), _scale(l)
-    if lam != 1:
-        vals = [Fraction(v, lam) for v in vals]
-    entries = dict(zip(zip(rows.tolist(), cols.tolist()), map(l.ring.normalize, vals)))
-    for i, j in entries:
+    cut = np.searchsorted(cols, np.arange(dim ** n + 1)).tolist()   # column starts
+    rows, vals, lam = rows.tolist(), vals.tolist(), _scale(l)
+    if lam != 1:   # the other values are canonical ints already
+        vals = [l.ring.normalize(Fraction(v, lam)) for v in vals]
+    for i, j in zip(rows, cols.tolist()):
         if tgt_keys[i] != src_keys[j]:
             raise _leak(n, j, src_keys[j], tgt_keys[i])
-    mat = SparseMat._trusted(l.ring, dim ** (n - 1), dim ** n, entries)
+    entries = list(zip(rows, vals))
+    mat = SparseMat._trusted(l.ring, dim ** (n - 1),
+                             [entries[s:e] for s, e in zip(cut, cut[1:])])
     return ChainMap(src, _graded(tgt_keys), mat, n, src_keys, tgt_keys)
 
 
@@ -301,7 +301,7 @@ def _composes_to_zero(ring, down, rows, cols, vals) -> bool:
     start = ptr[rows]
     count = ptr[rows + 1] - start
     which = np.repeat(np.arange(len(rows)), count)
-    at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(which))
+    at = _ranges(start, count)
     x, y = d_vals[at], vals[which]
     if object not in (x.dtype, y.dtype) and _absmax(x) * _absmax(y) * len(x) >= _INT64_SAFE:
         x, y = x.astype(object), y.astype(object)
@@ -316,48 +316,64 @@ class _ImageBlock:
     """The columns of one delta_{n+1} block in block coordinates, as
     ``column_span_echelon`` reads them (``exactlin._MatrixColumns`` gives
     a SparseMat the same interface): ``best``, the representative of each
-    leading row as leading row -> (|leading value|, nnz, index);
-    ``others()``, the other nonzero columns sparsest first, then by index,
-    sorted only when asked for; and each column's rows and entries, sliced
-    from the block's entry lists.  A column becomes a list of pairs only
-    when it is inserted.  Values are the integers ``_boundary_entries``
-    gives."""
+    leading row as leading row -> (|leading value|, index); ``others()``,
+    the other nonzero columns in index order, listed only when asked for;
+    and each column's rows and entries.  The representatives arrive as
+    ready columns; the block's entry arrays become Python lists only when
+    another column is read, so a certified block, which reads its
+    representatives alone, converts nothing else.  Values are the integers
+    ``_boundary_entries`` gives."""
 
-    __slots__ = ("ring", "rows", "cols", "best", "_rows", "_vals", "_ptr", "_free")
+    __slots__ = ("ring", "rows", "cols", "best", "_reps", "_entries", "_ptr", "_free")
 
-    def __init__(self, ring, rows: int, best: dict, entries, free):
-        """entries: the block's (rows, values, column pointers) as arrays;
-        free: (index, nnz, is representative) of each nonzero column."""
-        self.ring, self.rows, self.best, self._free = ring, rows, best, free
-        self._rows, self._vals, self._ptr = (a.tolist() for a in entries)
+    def __init__(self, ring, rows: int, best: dict, reps: dict, entries, free):
+        """reps: index -> column of each representative; entries: the
+        block's (rows, values, column pointers) as arrays; free: (index, is
+        representative) of each nonzero column."""
+        self.ring, self.rows, self.best, self._reps, self._free = ring, rows, best, reps, free
+        self._entries, self._ptr = entries[:2], entries[2].tolist()
         self.cols = len(self._ptr) - 1
 
+    def _lists(self):
+        """The block's (rows, values) as Python lists, made on first use."""
+        if isinstance(self._entries[0], np.ndarray):
+            self._entries = [a.tolist() for a in self._entries]
+        return self._entries
+
     def others(self) -> list:
-        pos, nnz, rep = self._free
-        pos, nnz = pos[~rep], nnz[~rep]
-        return pos[np.lexsort((pos, nnz))].tolist()
+        pos, rep = self._free
+        return pos[~rep].tolist()
 
     def rows_of(self, j) -> list:
-        return self._rows[self._ptr[j]:self._ptr[j + 1]]
+        return self._lists()[0][self._ptr[j]:self._ptr[j + 1]]
 
     def column(self, j) -> list:
+        if j in self._reps:
+            return self._reps[j]
+        rows, vals = self._lists()
         s, e = self._ptr[j], self._ptr[j + 1]
-        return list(zip(self._rows[s:e], self._vals[s:e]))
+        return list(zip(rows[s:e], vals[s:e]))
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
 
 
-def _representatives(block, pos, lead, mag, nnz) -> np.ndarray:
+def _ranges(start, count) -> np.ndarray:
+    """The indices start[t], ..., start[t] + count[t] - 1 for every t, in
+    that order."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _representatives(block, pos, lead, mag) -> np.ndarray:
     """Which of the nonzero columns, given by their block, position in it,
-    leading row, |leading value| and nnz and sorted by block and position,
+    leading row and |leading value| and sorted by block and position,
     represent their leading row: per block and leading row, the smallest
-    |leading value|, then the fewest nonzeros, then the lowest position.
-    One lexsort over all blocks; Python ints past int64 (an object array)
-    enter it as their ranks."""
+    |leading value|, then the lowest position.  One lexsort over all
+    blocks; Python ints past int64 (an object array) enter it as their
+    ranks."""
     if mag.dtype == object:
         mag = np.unique(mag, return_inverse=True)[1]
-    order = np.lexsort((pos, nnz, mag, lead, block))
+    order = np.lexsort((pos, mag, lead, block))
     first = np.ones(len(order), dtype=bool)
     first[1:] = (np.diff(block[order]) != 0) | (np.diff(lead[order]) != 0)
     rep = np.zeros(len(order), dtype=bool)
@@ -370,28 +386,32 @@ def _image_blocks(ring, sizes, block, rows, cols, vals, col_sizes):
     block id order, from the entries of delta_{n+1} in block coordinates,
     sorted by block, then column, then row; ``col_sizes`` counts the
     columns of every block id.  One array pass over all blocks finds each
-    nonzero column's leading row, |leading value| and nnz, and one lexsort
-    its representative (``_representatives``); a block's entries become
-    Python lists as its ``_ImageBlock`` is made."""
+    nonzero column's leading row and |leading value|, one lexsort its
+    representative (``_representatives``), and one gather the entries of
+    every representative, which become Python columns; a block keeps its
+    other entries as arrays."""
     first = np.cumsum(col_sizes) - col_sizes   # each block's first column
     slot = first[block] + cols
     ptr = np.concatenate(([0], np.cumsum(np.bincount(slot, minlength=col_sizes.sum()))))
     start = np.flatnonzero(np.diff(slot, prepend=-1))   # of each nonzero column
-    nnz = np.diff(start, append=len(slot))
     nz_block, nz_pos, nz_lead, nz_mag = block[start], cols[start], rows[start], np.abs(vals[start])
-    rep = _representatives(nz_block, nz_pos, nz_lead, nz_mag, nnz)
+    rep = _representatives(nz_block, nz_pos, nz_lead, nz_mag)
     at = np.flatnonzero(rep)
-    best = list(zip(nz_lead[at].tolist(),
-                    zip(nz_mag[at].tolist(), nnz[at].tolist(), nz_pos[at].tolist())))
+    rep_pos = nz_pos[at].tolist()
+    best = list(zip(nz_lead[at].tolist(), zip(nz_mag[at].tolist(), rep_pos)))
+    count = np.diff(start, append=len(slot))[at]
+    take = _ranges(start[at], count)
+    rep_rows, rep_vals, ends = rows[take].tolist(), vals[take].tolist(), np.cumsum(count).tolist()
+    reps = [list(zip(rep_rows[s:e], rep_vals[s:e])) for s, e in zip([0] + ends, ends)]
     ids = np.arange(len(sizes) + 1)
     rep_cut = np.searchsorted(nz_block[at], ids).tolist()
     nz_cut = np.searchsorted(nz_block, ids).tolist()
     for b, size in enumerate(sizes):
         cut = ptr[first[b]:first[b] + col_sizes[b] + 1]
-        part, nz = slice(cut[0], cut[-1]), slice(nz_cut[b], nz_cut[b + 1])
-        yield _ImageBlock(ring, size, dict(best[rep_cut[b]:rep_cut[b + 1]]),
-                          (rows[part], vals[part], cut - cut[0]),
-                          (nz_pos[nz], nnz[nz], rep[nz]))
+        part, nz, mine = (slice(cut[0], cut[-1]), slice(nz_cut[b], nz_cut[b + 1]),
+                          slice(rep_cut[b], rep_cut[b + 1]))
+        yield _ImageBlock(ring, size, dict(best[mine]), dict(zip(rep_pos[mine], reps[mine])),
+                          (rows[part], vals[part], cut - cut[0]), (nz_pos[nz], rep[nz]))
 
 
 def _certified(up: _ImageBlock, kernel_rank: int, lattice: bool) -> bool:
@@ -400,7 +420,7 @@ def _certified(up: _ImageBlock, kernel_rank: int, lattice: bool) -> bool:
     triangular, so independent) and, over the integers, each leading with
     +-1, so that the lattice they generate is saturated."""
     return len(up.best) == kernel_rank and not (
-        lattice and any(mag != 1 for mag, _, _ in up.best.values()))
+        lattice and any(mag != 1 for mag, _ in up.best.values()))
 
 
 class Block:
@@ -441,9 +461,9 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
     come in ascending global index, so each image echelon reads the
     submatrix of the whole delta_{n+1} on the block.  No block becomes a
     SparseMat: ``_image_blocks`` picks the representatives that
-    ``column_span_echelon`` inserts first by one array pass over all
-    blocks, and an ``_ImageBlock`` makes a Python column only when it is
-    inserted.
+    ``column_span_echelon`` inserts first, and makes them Python columns,
+    by one array pass over all blocks, and an ``_ImageBlock`` converts its
+    other entries only when one of its other columns is read.
 
     The kernels, the images and the delta_n o delta_{n+1} = 0 check are
     those of the complex scaled by lambda = ``_scale(l)``, whose entries are
@@ -522,7 +542,7 @@ def blocked_complex(l: LeibnizSuperalgebra, n: int, guard: int = DEFAULT_SIZE_GU
         if onto and _certified(up, len(idx) - len(rows_l), lattice):
             block.certified = True
             block.image = triangular_echelon(
-                l.ring, up.rows, [up.column(j) for j in sorted(b[2] for b in up.best.values())])
+                l.ring, up.rows, [up.column(j) for j in sorted(j for _, j in up.best.values())])
         else:
             block.image = column_span_echelon(up, within=block.kernel)
         blocks.append(block)

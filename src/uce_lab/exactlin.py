@@ -237,37 +237,39 @@ class GradedFreeModule:
 
 
 class SparseMat:
-    """Immutable sparse matrix with exact entries, stored as (row, col) -> value.
+    """Immutable sparse matrix with exact entries: the list of its columns,
+    each a vector of the nonzero (row, value) pairs, sorted by row, with
+    normalized values.
 
-    The constructor normalises values and drops zeros; ``_trusted`` skips that
-    pass, for code that itself builds normalised nonzero in-range entries
-    (``submatrix``, ``chain.delta``).  ``chain.blocked_complex`` builds
-    no SparseMat for its image blocks: ``column_span_echelon`` reads them
-    from arrays."""
+    The constructor takes a dict {(row, col): value}, for callers that
+    accumulate sums: it normalizes the values, drops zeros, range-checks
+    and sorts once.  ``_trusted`` wraps ready columns as they are.
+    ``chain.blocked_complex`` builds no SparseMat for its image blocks:
+    ``column_span_echelon`` reads them from arrays."""
 
-    __slots__ = ("ring", "rows", "cols", "entries", "_cols_cache")
+    __slots__ = ("ring", "rows", "cols", "_columns")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int, entries=None):
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        clean = {}
+        self._columns = columns = [[] for _ in range(cols)]
         if entries:
             for (i, j), v in entries.items():
                 v = ring.normalize(v)
                 if v != 0:
                     if not (0 <= i < rows and 0 <= j < cols):
                         raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
-                    clean[(i, j)] = v
-        self.entries = clean
-        self._cols_cache = None
+                    columns[j].append((i, v))
+            for col in columns:
+                col.sort()   # rows are distinct, so values are never compared
 
     @classmethod
-    def _trusted(cls, ring, rows, cols, entries, columns=None):
-        """Wrap normalised nonzero in-range entries as they are; columns, when
-        given, must be their ``columns()``."""
+    def _trusted(cls, ring, rows, columns):
+        """Wrap columns as they are: a list of vectors sorted by row, with
+        nonzero normalized values and rows in range(rows)."""
         out = cls.__new__(cls)
-        out.ring, out.rows, out.cols, out.entries, out._cols_cache = ring, rows, cols, entries, columns
+        out.ring, out.rows, out.cols, out._columns = ring, rows, len(columns), columns
         return out
 
     @classmethod
@@ -290,52 +292,34 @@ class SparseMat:
         return cls(ring, rows, cols, ent)
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self._columns))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self._columns)
 
     def columns(self):
-        """entries grouped per column: list of list[(row, value)]."""
-        if self._cols_cache is None:
-            cols = [[] for _ in range(self.cols)]
-            for (i, j), v in self.entries.items():
-                cols[j].append((i, v))
-            for col in cols:
-                col.sort()   # rows are distinct, so values are never compared
-            self._cols_cache = cols
-        return self._cols_cache
+        """The stored columns: a list of vectors, list[(row, value)]."""
+        return self._columns
 
     def submatrix(self, rows, cols) -> "SparseMat":
         """The block on the ascending index lists rows and cols, renumbered
         in that order.  Every entry of the chosen columns must lie in a
         chosen row (KeyError otherwise)."""
         pos = {i: t for t, i in enumerate(rows)}
-        own = self.columns()
-        block_cols = [[(pos[i], v) for i, v in own[j]] for j in cols]
-        # the entries are normalized already, and the columns stay sorted
-        entries = {(i, t): v for t, col in enumerate(block_cols) for i, v in col}
-        return SparseMat._trusted(self.ring, len(rows), len(cols), entries, block_cols)
+        own = self._columns
+        return SparseMat._trusted(self.ring, len(rows),
+                                  [[(pos[i], v) for i, v in own[j]] for j in cols])
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ring = self.ring
-        own_cols = self.columns()
-        out = {}
-        for (k, j), bv in other.entries.items():
-            for i, av in own_cols[k]:
-                key = (i, j)
-                out[key] = out.get(key, 0) + av * bv
-        if ring.kind == "int_mod":
-            out = {k: v % ring.modulus for k, v in out.items()}
-        return SparseMat(ring, self.rows, other.cols, out)
+        return SparseMat._trusted(self.ring, self.rows, [self.apply(col) for col in other._columns])
 
     def apply(self, items) -> list:
         """self @ v as a vector, for the vector v with the (index, value)
         pairs items.  Only the nonzero entries of v and the columns they hit
         are visited."""
-        cols = self.columns()
+        cols = self._columns
         acc = {}
         for j, c in items:
             if c != 0:
@@ -348,12 +332,11 @@ class SparseMat:
             isinstance(other, SparseMat)
             and self.ring == other.ring
             and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+            and self._columns == other._columns
         )
 
     def __repr__(self):
-        return f"SparseMat({self.ring.describe()}, {self.rows}x{self.cols}, nnz={len(self.entries)})"
+        return f"SparseMat({self.ring.describe()}, {self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
 def _pairs(ring: RingSpec, acc: dict) -> list:
@@ -744,8 +727,8 @@ def _ring_values(ring: RingSpec, w: dict, den: int) -> dict:
 
 def _engine_columns(ring: RingSpec, nrows: int, vecs) -> SparseMat:
     """SparseMat with the engine vectors vecs as its columns."""
-    ent = {(i, j): v[i] for j, v in enumerate(vecs) for i in sorted(v)}
-    return SparseMat(ring, nrows, len(vecs), ent)
+    return SparseMat._trusted(ring, nrows, [sorted(_ring_values(ring, v, 1).items())
+                                            for v in vecs])
 
 
 def _leading_entries(m: SparseMat) -> dict:
@@ -781,10 +764,10 @@ def spans_within(ech: Echelon, within: SparseMat) -> bool:
 class _MatrixColumns:
     """The columns of a SparseMat as ``column_span_echelon`` reads them: the
     representative of each leading row, ``best`` (leading row ->
-    (|leading value|, nnz, index)), the other nonzero columns sparsest
-    first, then by index (``others``), and each column's rows and entries.
-    Computed in Python from ``columns()``; ``chain.blocked_complex`` gives
-    its blocks the same interface from numpy arrays."""
+    (|leading value|, index)), the other nonzero columns in index order
+    (``others``), and each column's rows and entries.  Read in Python from
+    ``columns()``; ``chain.blocked_complex`` gives its blocks the same
+    interface from numpy arrays."""
 
     def __init__(self, m: SparseMat):
         self.ring, self.rows = m.ring, m.rows
@@ -793,15 +776,14 @@ class _MatrixColumns:
         for j, col in enumerate(cols):
             if col:
                 p, x = col[0]
-                key = (abs(x), len(col), j)
+                key = (abs(x), j)
                 if p not in best or key < best[p]:
                     best[p] = key
         self.best = best
 
     def others(self) -> list:
-        cols, chosen = self._cols, {key[2] for key in self.best.values()}
-        return sorted((j for j, col in enumerate(cols) if col and j not in chosen),
-                      key=lambda j: (len(cols[j]), j))
+        chosen = {j for _, j in self.best.values()}
+        return [j for j, col in enumerate(self._cols) if col and j not in chosen]
 
     def rows_of(self, j) -> list:
         return [i for i, _ in self._cols[j]]
@@ -814,9 +796,10 @@ def _insert_order(src, lead, lattice: bool):
     """Yields the indices of the nonzero columns of ``src`` (a
     ``_MatrixColumns`` or a block of ``chain.blocked_complex``) in the order
     ``column_span_echelon`` inserts them: the representatives, then the
-    columns touching an open row, then the rest (see there).  Lazily, so a
-    stop after the representatives never asks ``src.others()``."""
-    yield from sorted(key[2] for key in src.best.values())
+    columns touching an open row, then the rest, each phase in index order
+    (see there).  Lazily, so a stop after the representatives never asks
+    ``src.others()``."""
+    yield from sorted(j for _, j in src.best.values())
     open_rows = {p for p, d in (lead or {}).items()
                  if p not in src.best or (lattice and src.best[p][0] != abs(d))}
     rest = []
@@ -857,8 +840,8 @@ def triangular_echelon(ring: RingSpec, dim: int, columns) -> Echelon:
 
 def column_span_echelon(m, within: SparseMat | None = None) -> Echelon:
     """Echelon of the column span (field) / column lattice (integers) of m,
-    a SparseMat or a block of ``chain.blocked_complex``, which reads its
-    columns from arrays and builds a Python column only when it inserts it.
+    a SparseMat or a block of ``chain.blocked_complex``, which keeps its
+    columns in arrays until they are read.
 
     ``within`` holds triangular columns (distinct leading rows, as
     ``kernel_basis`` gives) of a module that callers have proven, exactly
@@ -876,19 +859,18 @@ def column_span_echelon(m, within: SparseMat | None = None) -> Echelon:
     certificate on a finished echelon.
 
     The columns are inserted in three phases, an order fixed by the
-    columns and ``within`` alone (``_insert_order``).  (1) One
-    representative per distinct leading row: the smallest
-    |leading value|, then the fewest nonzeros, then the lowest index.  They
-    are triangular, so each raises the rank with no reduction step.  The
-    leading row of any vector of a span is one of its pivots, so when the
-    representatives cover the leading rows of ``within`` (over the integers
-    with equal |values|), the stop fires after exactly rank inserts, and
-    the other columns are never sorted.
-    (2) Sparsest-first, the other columns with a nonzero entry at an open
-    row: a leading row of ``within`` that no representative covers (its
-    pivot can only come from cancellation) or, over the integers, whose
-    representative's |value| differs from |d_p(W)|.  (3) Sparsest-first,
-    the rest.  The order decides which columns are read and which rows are
+    columns and ``within`` alone (``_insert_order``), each in index order.
+    (1) One representative per distinct leading row: the smallest
+    |leading value|, then the lowest index.  They are triangular, so each
+    raises the rank with no reduction step.  The leading row of any vector
+    of a span is one of its pivots, so when the representatives cover the
+    leading rows of ``within`` (over the integers with equal |values|), the
+    stop fires after exactly rank inserts, and the other columns are never
+    listed.
+    (2) The other columns with a nonzero entry at an open row: a leading
+    row of ``within`` that no representative covers (its pivot can only
+    come from cancellation) or, over the integers, whose representative's
+    |value| differs from |d_p(W)|.  (3) The rest.  The order decides which columns are read and which rows are
     stored, but not the output: either every column is read, or the stop
     certifies the span of ``within``.  So the span, the pivot set and the
     integer pivot values are those of all the columns, in any order.
@@ -1023,8 +1005,9 @@ def _smith(m: SparseMat):
     """
     nr, nc = m.rows, m.cols
     rows = [{} for _ in range(nr)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
+    for j, col in enumerate(m.columns()):
+        for i, v in col:
+            rows[i][j] = v
     uinv = [{i: 1} for i in range(nr)]
 
     def row_axpy(i, t, q):   # row i -= q * row t
@@ -1272,8 +1255,7 @@ def subquotient_invariants(ker: SparseMat, im: SparseMat, parity) -> GradedModul
     for p in ker_par:
         pos_of.append(counts[p])
         counts[p] += 1
-    entries_by_parity = {0: {}, 1: {}}
-    ncols = [0, 0]
+    coords_by_parity = ([], [])   # the coordinate columns of each parity
     im_cols = im.columns()
     for j in range(im.cols):
         if not im_cols[j]:
@@ -1284,18 +1266,16 @@ def subquotient_invariants(ker: SparseMat, im: SparseMat, parity) -> GradedModul
         x = solver.solve(im_cols[j])
         if x is None:
             raise NotASubmoduleError(f"image column {j} is not in the kernel span")
-        ent = entries_by_parity[par]
-        for idx, c in x:
-            if ker_par[idx] != par:
-                raise NotASubmoduleError(
-                    f"image column {j} uses kernel generators of the wrong parity"
-                )
-            ent[(pos_of[idx], ncols[par])] = c
-        ncols[par] += 1
+        if any(ker_par[idx] != par for idx, _ in x):
+            raise NotASubmoduleError(
+                f"image column {j} uses kernel generators of the wrong parity"
+            )
+        # positions within one parity ascend with the index, so x stays sorted
+        coords_by_parity[par].append([(pos_of[idx], c) for idx, c in x])
 
     out = {}
     for par in (0, 1):
-        x_mat = SparseMat(ring, counts[par], ncols[par], entries_by_parity[par])
+        x_mat = SparseMat._trusted(ring, counts[par], coords_by_parity[par])
         if ring.is_field:
             r = rank(x_mat)
             out[par] = (counts[par] - r, ())

@@ -288,10 +288,7 @@ def _check_supertrace_characterization(g: GeneralLinear, span_ech: Echelon):
     str_mat = g.supertrace_matrix()
     dd = bracket_span(g.dlg)
     # {x : S x in lattice L} is the x-projection of ker [S | L]
-    ent = dict(str_mat.entries)
-    for (i, j), v in dd.entries.items():
-        ent[(i, str_mat.cols + j)] = v
-    block = SparseMat(ring, str_mat.rows, str_mat.cols + dd.cols, ent)
+    block = SparseMat._trusted(ring, str_mat.rows, str_mat.columns() + dd.columns())
     dim = g.algebra.dim
     char_ech = Echelon(ring, dim).extend(
         [(i, c) for i, c in col if i < dim] for col in kernel_basis(block).columns()
@@ -324,9 +321,8 @@ def is_perfect(l: LeibnizSuperalgebra) -> bool:
     The nonzero brackets are read only until they provably span L.
     Memoised on l, for ``chain.blocked_complex`` and ``tensor_square``."""
     if not l._perfect:
-        brackets = SparseMat(l.ring, l.dim, len(l.table),
-                             {(k, j): c for j, terms in enumerate(l.table.values())
-                              for k, c in terms})
+        brackets = SparseMat._trusted(l.ring, l.dim,
+                                      [combine(l.ring, [(1, terms)]) for terms in l.table.values()])
         l._perfect.append(column_span_echelon(
             brackets, within=SparseMat.identity(l.ring, l.dim)).is_full())
     return l._perfect[0]

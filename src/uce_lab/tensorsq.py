@@ -353,11 +353,7 @@ class TensorSquare:
             cyclic.extend(cols[t] for t, d in enumerate(diag) if d > 1)
             orders.append([d for d in diag if d > 1])
 
-        def matrix(columns):
-            return SparseMat(ring, amb, len(columns),
-                             {(s, k): x for k, col in enumerate(columns) for s, x in col})
-
-        lift, torsion_lift = matrix(free), matrix(cyclic)
+        lift, torsion_lift = (SparseMat._trusted(ring, amb, columns) for columns in (free, cyclic))
         d2 = _integral(self.base, self.d2.matrix)   # integer entries, the same kernel
         if not (d2 @ torsion_lift).is_zero():
             raise RuntimeError("torsion coordinate not killed by the boundary")

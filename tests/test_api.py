@@ -1,6 +1,6 @@
 """Every name a module exports resolves, every name it imports is used,
 no module imports random, the echelon engine holds no numpy, and vectors
-have one form."""
+and sparse matrices have one form each."""
 
 import ast
 import importlib
@@ -168,3 +168,17 @@ def test_exactlin_has_one_product():
     exactlin = importlib.import_module("uce_lab.exactlin")
     assert not hasattr(exactlin, "bilinear") and "bilinear" not in exactlin.__all__
     assert "multiply" in exactlin.__all__ and "combine" in exactlin.__all__
+
+
+def test_sparse_matrix_has_one_form():
+    """A ``SparseMat`` is its list of columns: it has no ``entries`` slot,
+    and no module reads an ``.entries`` attribute, which would be a
+    {(row, col): value} dict beside the columns."""
+    exactlin = importlib.import_module("uce_lab.exactlin")
+    assert "entries" not in exactlin.SparseMat.__slots__
+    reads = []
+    for name in MODULES:
+        path = Path(uce_lab.__file__).parent / f"{name}.py"
+        reads += [f"{name}:{n.lineno}" for n in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(n, ast.Attribute) and n.attr == "entries"]
+    assert reads == []

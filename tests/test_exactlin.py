@@ -47,6 +47,8 @@ from uce_lab.exactlin import (
     subquotient_invariants,
 )
 
+from helpers import entries_of
+
 
 def _pairs(dense):
     """The nonzero (index, value) pairs of a dense vector: the form that
@@ -215,11 +217,11 @@ _INT64_SAFE = 1 << 61
 def _dense_int_matrix(m: SparseMat):
     big = any(
         abs(v if not isinstance(v, Fraction) else v.numerator) >= _INT64_SAFE
-        for v in m.entries.values()
+        for v in entries_of(m).values()
     )
     dt = object if big else np.int64
     a = np.zeros((m.rows, m.cols), dtype=dt)
-    for (i, j), v in m.entries.items():
+    for (i, j), v in entries_of(m).items():
         if isinstance(v, Fraction):
             raise ValueError("integer matrix expected")
         a[i, j] = v
@@ -537,7 +539,7 @@ def test_column_span_reads_representatives_first(monkeypatch):
 def test_column_span_reads_a_column_at_an_open_row_before_decoys(monkeypatch, ring):
     # no column leads at row 1, so its pivot comes from cancellation; the
     # column touching it is read before the decoys (2,0,0) and (3,0,0), which
-    # sparsest-first reads first (4 inserts)
+    # plain index order reads first (4 inserts)
     m = _from_columns(ring, 3, [[1, 0, 0], [2, 0, 0], [3, 0, 0], [1, 1, 0]])
     calls = _counting_inserts(monkeypatch)
     ech = column_span_echelon(m, within=SparseMat.identity(ring, 3).submatrix(range(3), [0, 1]))
@@ -811,9 +813,9 @@ def test_qq_values_are_in_canonical_form(case, coeffs):
     half = Fraction(1, 2)
     for m in (_from_columns(QQ, dim, rows),
               _from_columns(QQ, dim, [[half * x for x in r] for r in rows])):
-        values = list(kernel_basis(m).entries.values())
+        values = list(entries_of(kernel_basis(m)).values())
         basis = column_span_echelon(m).basis_matrix()
-        values += basis.entries.values()
+        values += entries_of(basis).values()
         values += [x for _, x in SpanSolver(basis).solve(basis.apply(_pairs(coeffs[:basis.cols])))]
         for target in probes:
             values += [x for _, x in solve_linear(m, _pairs(target)) or ()]
@@ -826,7 +828,7 @@ def test_qq_values_are_in_canonical_form(case, coeffs):
             ech.vector([(0, half)])   # a vector to insert with a fractional entry switches it
             assert ech.mode == "fracfield"
         values = [x for v in probes for _, x in _residue(ech, v)]
-        values += ech.basis_matrix().entries.values()
+        values += entries_of(ech.basis_matrix()).values()
         assert all(map(_canonical, values))
 
 
@@ -1104,34 +1106,41 @@ def test_sparse_apply_agrees_with_matmul(ring):
         assert a.apply(_pairs(v)) == (a @ _from_columns(ring, 6, [v])).columns()[0]
 
 
-def _columns_by_global_sort(m):
-    """columns() as it was built before: one sort of every entry by (col, row)."""
-    cols = [[] for _ in range(m.cols)]
-    for (i, j), v in sorted(m.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        cols[j].append((i, v))
-    return cols
+def _columns_by_global_sort(ring, cols, entries):
+    """The columns of ``SparseMat(ring, rows, cols, entries)`` as one sort of
+    the given entries by (col, row), normalized, with zeros dropped."""
+    out = [[] for _ in range(cols)]
+    for (i, j), v in sorted(entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+        if (v := ring.normalize(v)) != 0:
+            out[j].append((i, v))
+    return out
 
 
 @st.composite
 def _sparse_case(draw):
-    """A ring and a sparse matrix whose entries arrive in a drawn order."""
+    """A ring, a shape and the entries of a sparse matrix, which arrive in
+    a drawn order."""
     ring = draw(st.sampled_from([ZZ, QQ, GF(3)]))
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     entry = st.one_of(st.integers(-3, 3), _FRACTION) if ring == QQ else st.integers(-3, 3)
     cells = [(i, j) for i in range(rows) for j in range(cols)]
     chosen = draw(st.permutations(cells)) if cells else []
     chosen = chosen[:draw(st.integers(0, len(chosen)))]
-    return SparseMat(ring, rows, cols, {c: draw(entry) for c in chosen})
+    return ring, rows, cols, {c: draw(entry) for c in chosen}
 
 
 @given(_sparse_case())
-def test_columns_match_the_global_sort(m):
-    got, want = m.columns(), _columns_by_global_sort(m)
+def test_columns_match_the_global_sort(case):
+    ring, rows, cols, entries = case
+    m = SparseMat(ring, rows, cols, entries)
+    got, want = m.columns(), _columns_by_global_sort(ring, cols, entries)
     assert got == want
     assert [[type(v) for _, v in col] for col in got] == [[type(v) for _, v in col] for col in want]
-    # the trusted constructor with ready columns equals the checked one
-    assert SparseMat._trusted(m.ring, m.rows, m.cols, dict(m.entries), got) == m
-    assert SparseMat._trusted(m.ring, m.rows, m.cols, dict(m.entries)).columns() == got
+    # the trusted constructor wraps ready columns as they are, and equals
+    # the checked one
+    trusted = SparseMat._trusted(ring, rows, want)
+    assert trusted == m and trusted.columns() is want
+    assert (trusted.cols, trusted.nnz(), trusted.is_zero()) == (cols, len(entries_of(m)), not any(got))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from uce_lab.superdialg import (
 )
 from uce_lab.tensorsq import pattern_modulus, tensor_square
 
+from helpers import entries_of
+
 UNITAL = [n for n in catalog_names() if builtin_dialgebra(n).is_unital]
 
 
@@ -84,7 +86,7 @@ def test_d_is_parity_even():
     dlg = builtin_dialgebra("grassmann_q")
     for n in (1, 2):
         hm = d(dlg, n)
-        for (i, j) in hm.matrix.entries:
+        for (i, j) in entries_of(hm.matrix):
             assert hm.target.parity[i] == hm.source.parity[j]
 
 

@@ -40,6 +40,8 @@ from uce_lab.tensorsq import (
 )
 from uce_lab.theorems import default_cases
 
+from helpers import entries_of
+
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
@@ -349,7 +351,7 @@ def test_a_changed_delta_2_entry_breaks_lift_independence(m, n, name):
     ts = tensor_square(_sl(m, n, name).algebra)
     j = ts.image_rows()[0][0][0]
     mat = ts.d2.matrix
-    entries = dict(mat.entries)
+    entries = entries_of(mat)
     entries[(0, j)] = mat.ring.normalize(entries.get((0, j), 0) + 1)
     changed = SparseMat(mat.ring, mat.rows, mat.cols, entries)
     assert ts.bracket_lift_independence()
