@@ -12,6 +12,11 @@ product and wraps around with the right product:
 The alternating interior signs are required for d o d = 0 (already for the
 one-dimensional case in degree 2) and are gated by the property suite.
 
+The splitting diagram is checked through two sparse matrices over one
+middle space M, D (x) D followed by one copy of D per orbit of kernel-class
+patterns: the second supertrace Str2 : sl (x) sl -> M and its section
+mu : M -> sl (x) sl (``splitting_check``).
+
 The paper assumes that D has a basis containing its bar-unit.  That holds
 for every nonzero unital D (see _require_bar_unit_basis), and nothing here
 reads the order of the basis, so everything is computed on D's own basis.
@@ -175,120 +180,72 @@ def hhs1(dlg: SuperDialgebra, guard: int = DEFAULT_SIZE_GUARD) -> GradedModuleIn
 # ---------------------------------------------------------------------------
 
 
-class _Str2:
-    """Second supertrace: carrier of sl (x) sl -> D (x) D plus the per-pattern
-    coefficient modules.
+def _str2(slalg: SpecialLinear, reps: list) -> SparseMat:
+    """The second supertrace Str2: sl (x) sl -> the middle space (see
+    ``splitting_check``), one column per ambient basis vector of sl (x) sl.
 
-    On a pair of matrix units it returns (-1)^{|i|(1+|a|+|b|)} a (x) b when the
+    On a pair of matrix units it is (-1)^{|i|(1+|a|+|b|)} a (x) b when the
     units pair up as E_ij(a) (x) E_ji(b) (the sign mirrors the one the first
     supertrace puts on diagonal entries, and makes the trace square of the
     splitting diagram commute), the coefficient-transfer-signed left product
-    on an admissible kernel-class pattern, and zero otherwise.
-    """
-
-    def __init__(self, slalg: SpecialLinear):
-        self.slalg = slalg
-        self.m, self.n = slalg.gl.m, slalg.gl.n
-        self.dlg = slalg.gl.dlg
-        dim_d = self.dlg.dim
-        size = self.m + self.n
-        # sl basis -> sparse gl expansion, gl index -> (i, j, b)
-        incl = slalg.inclusion.columns()
-        self.expansion = [list(col) for col in incl]
-        self.decode = []
-        for g in range(slalg.gl.algebra.dim):
-            pos, b = divmod(g, dim_d)
-            i, j = divmod(pos, size)
-            self.decode.append((i + 1, j + 1, b))
-        self.patterns = set(admissible_patterns(self.m, self.n))
-        self.reps = sorted({pattern_rep_and_sign(self.m, self.n, p)[0]
-                            for p in self.patterns})
-        self._columns: dict = {}
-
-    def column(self, t: int) -> list:
-        """Str2 of the ambient basis vector t of sl (x) sl, as the pairs
-        (((), b1 * dim D + b2), value) of its D (x) D part and
-        ((rep, k), value) of its coefficient for rep (a key may repeat);
-        computed once."""
-        if t in self._columns:
-            return self._columns[t]
-        dlg = self.dlg
-        dim_d = dlg.dim
-        s1, s2 = divmod(t, self.slalg.algebra.dim)
-        items = []
-        for g1, c1 in self.expansion[s1]:
-            i1, j1, b1 = self.decode[g1]
-            for g2, c2 in self.expansion[s2]:
-                i2, j2, b2 = self.decode[g2]
-                coeff = c1 * c2
-                if (i2, j2) == (j1, i1):
-                    row_par = self.slalg.gl.row_parity(i1)
-                    exp = row_par * (1 + dlg.parity(b1) + dlg.parity(b2))
-                    items.append((((), b1 * dim_d + b2), -coeff if exp % 2 else coeff))
-                    continue
+    a <| b in the block of the orbit representative of an admissible
+    kernel-class pattern, and zero otherwise."""
+    g = slalg.gl
+    m, n, dlg = g.m, g.n, g.dlg
+    dim_d, dim_sl = dlg.dim, slalg.algebra.dim
+    patterns = set(admissible_patterns(m, n))
+    block = {rep: dim_d * (dim_d + p) for p, rep in enumerate(reps)}
+    # gl index -> (i, j, b) of its unit E_ij(e_b), i and j 1-based
+    decode = list(product(range(1, g.size + 1), range(1, g.size + 1), range(dim_d)))
+    entries = {}
+    for t, (col1, col2) in enumerate(product(slalg.inclusion.columns(), repeat=2)):
+        for x1, c1 in col1:
+            i1, j1, b1 = decode[x1]
+            for x2, c2 in col2:
+                i2, j2, b2 = decode[x2]
                 pat = (i1, j1, i2, j2)
-                if pat in self.patterns:
-                    rep, osign = pattern_rep_and_sign(self.m, self.n, pat)
-                    s = osign * pattern_coefficient_sign(
-                        self.m, self.n, pat, dlg.parity(b1), dlg.parity(b2),
-                    )
+                if (i2, j2) == (j1, i1):
+                    exp = g.row_parity(i1) * (1 + dlg.parity(b1) + dlg.parity(b2))
+                    terms = [(b1 * dim_d + b2, -1 if exp % 2 else 1)]
+                elif pat in patterns:
+                    rep, osign = pattern_rep_and_sign(m, n, pat)
+                    s = osign * pattern_coefficient_sign(m, n, pat, dlg.parity(b1), dlg.parity(b2))
                     # e_b1 <| e_b2 from the structure constants
-                    items.extend(((rep, k), s * coeff * pv)
-                                 for k, pv in dlg.left.get((b1, b2), ()))
-        self._columns[t] = items
-        return items
-
-    def eval(self, items):
-        """items: the (index, value) pairs of an ambient sl (x) sl vector.
-        Returns (dd, w) with dd the D (x) D part and w a dict rep-pattern ->
-        D coefficient, every vector as its nonzero (index, value) pairs."""
-        dd, w = [], {rep: [] for rep in self.reps}
-        for (rep, k), v in combine(self.dlg.ring, ((c, self.column(t)) for t, c in items)):
-            (w[rep] if rep else dd).append((k, v))
-        return dd, w
+                    terms = [(block[rep] + k, s * pv) for k, pv in dlg.left.get((b1, b2), ())]
+                else:
+                    continue
+                for r, v in terms:
+                    entries[(r, t)] = entries.get((r, t), 0) + c1 * c2 * v
+    return SparseMat(dlg.ring, dim_d * (dim_d + len(reps)), dim_sl ** 2, entries)
 
 
-class _Mu:
-    """Section of the second supertrace: embeds D (x) D classes and the
-    per-pattern coefficients into the tensor-square carrier of sl.  Inputs
-    and outputs are (index, value) pairs."""
+def _mu(slalg: SpecialLinear, ts: TensorSquare, reps: list) -> SparseMat:
+    """The section mu of Str2: the middle space (see ``splitting_check``) ->
+    sl (x) sl.  On D (x) D,
 
-    def __init__(self, slalg: SpecialLinear, ts: TensorSquare):
-        self.slalg = slalg
-        self.ts = ts
-        self.dlg = slalg.gl.dlg
-        self.ring = self.dlg.ring
+        mu(a (x) b) = E_12(a) (x) E_21(b) - (-1)^{|a||b|} E_12(b |> a) (x) E_21(1),
 
-    def _pair(self, i, j, x, k, l, y) -> list:
-        """E_ij(x) (x) E_kl(y) for D elements x, y."""
-        coords = self.slalg.coords_of_unit
-        return self.ts.pair_vector(coords(i, j, x), coords(k, l, y))
+    and the unit a of the block of an orbit representative (i, j, k, l)
+    goes to E_ij(a) (x) E_kl(1), with the coefficient-transfer sign
+    compensated so that Str2 sends it back to exactly the same coefficient."""
+    g = slalg.gl
+    dlg, ring = g.dlg, g.dlg.ring
+    unit, e = dlg.basis_vector, dlg.bar_unit
 
-    def _dd_unit(self, t: int) -> list:
-        dlg = self.dlg
-        a, b = divmod(t, dlg.dim)
-        ba = dlg.rmul(dlg.basis_vector(b), dlg.basis_vector(a))
+    def pair(i, j, x, k, l, y):   # E_ij(x) (x) E_kl(y) for D elements x, y
+        return ts.pair_vector(slalg.coords_of_unit(i, j, x), slalg.coords_of_unit(k, l, y))
+
+    cols = []
+    for a, b in product(range(dlg.dim), repeat=2):
         sgn = -1 if (dlg.parity(a) * dlg.parity(b)) % 2 else 1
-        second = self._pair(1, 2, ba, 2, 1, dlg.bar_unit)
-        return (self._pair(1, 2, dlg.basis_vector(a), 2, 1, dlg.basis_vector(b))
-                + [(k, -sgn * v) for k, v in second])
-
-    def _pattern_unit(self, rep, b: int) -> list:
+        cols.append(combine(ring, [(1, pair(1, 2, unit(a), 2, 1, unit(b))),
+                                   (-sgn, pair(1, 2, dlg.rmul(unit(b), unit(a)), 2, 1, e))]))
+    for rep in reps:
         i, j, k, l = rep
-        s = pattern_coefficient_sign(self.slalg.gl.m, self.slalg.gl.n, rep, self.dlg.parity(b), 0)
-        pair = self._pair(i, j, self.dlg.basis_vector(b), k, l, self.dlg.bar_unit)
-        return [(t, s * v) for t, v in pair]
-
-    def of_dd(self, items) -> list:
-        """mu(a (x) b) = E_12(a) (x) E_21(b)
-        - (-1)^{|a||b|} E_12(b |> a) (x) E_21(1), extended linearly."""
-        return combine(self.ring, ((c, self._dd_unit(t)) for t, c in items))
-
-    def of_pattern(self, rep, items) -> list:
-        """The class E_ij(a) (x) E_kl(1) of an orbit representative, with the
-        coefficient-transfer sign compensated so the second supertrace sends
-        it back to exactly the same coefficient."""
-        return combine(self.ring, ((c, self._pattern_unit(rep, b)) for b, c in items))
+        for b in range(dlg.dim):
+            s = pattern_coefficient_sign(g.m, g.n, rep, dlg.parity(b), 0)
+            cols.append(combine(ring, [(s, pair(i, j, unit(b), k, l, e))]))
+    return SparseMat._trusted(ring, ts.ambient_dim, cols)
 
 
 @dataclass(frozen=True)
@@ -351,17 +308,31 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     homology plus the kernel-class modules onto the degree-2 homology is a
     parity-preserving isomorphism (surjection + equal invariants).
 
-    The linear checks run on generating sets and on the (weight, parity)
-    blocks of L (x) L: (a) on the rows of the Im delta_3 block echelons, (f)
-    on the generators of Ker delta_2 of each block of the tensor square
-    (``TensorSquare.blocks``) that is not certified, each tested in its own
-    block against Im delta_3 plus the images of the map; a certified block
-    has Ker delta_2 = Im delta_3 there, which that extension contains, and
-    (f) builds no kernel basis for it.  An image that meets two blocks
-    raises RuntimeError.  Every map and every check takes and gives vectors
-    as (index, value) pairs: the squares (b) compare the sorted pairs of
-    ``SparseMat.apply``, and the identities (d), (e) test a difference
-    formed with ``combine`` for the zero class."""
+    Str2 and its section mu are two ``SparseMat``s, built once, through
+    one middle space: D (x) D (row b1 * dim D + b2 for e_b1 (x) e_b2), then
+    one block of dim D rows for each orbit representative of the
+    kernel-class patterns, in sorted order, holding its D coefficient.  A
+    middle vector is zero when its D (x) D part lies in Im d_2 + I and each
+    block in the ideal of its quotient D_k.  The checks are identities of
+    these matrices, each tested on a generating set:
+
+    (a) Str2 is zero on the rows of the Im delta_3 block echelons;
+    (b) Str o embed o delta_2 = d_1 o Str2 (its D (x) D part) on the
+        carrier generators, and embed o delta_2 o mu = E_11(d_1) on D (x) D;
+    (c) mu is zero modulo Im delta_3 on Im d_2 + I and the ideals of the D_k;
+    (d) str2 @ mu - 1 is zero on Ker d_1 and on every block unit;
+    (e) mu o Str2 - 1 is zero modulo Im delta_3 on the generators of the
+        degree-2 homology (``kernel_class_generators``);
+    (f) the images under mu of (d)'s sources, added to Im delta_3, contain
+        Ker delta_2 in each block of the tensor square
+        (``TensorSquare.blocks``) that is not certified; a certified block
+        has Ker delta_2 = Im delta_3, and (f) builds no kernel basis for
+        it.  An image that meets two blocks raises RuntimeError.  The
+        invariants of the degree-2 homology equal those of HHS_1 plus the
+        D_k;
+    (g) each of those images has one parity, that of its source.
+
+    Every vector is a list of (index, value) pairs."""
     from .theorems import expected_w  # lazy; theorems drives this module
 
     if low_rank_case(m, n) is None:
@@ -373,96 +344,67 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     slalg = sl(m, n, dlg)
     ts = tensor_square(slalg.algebra, guard)
     hoch = degree_one_homology(dlg, guard)
-    str2 = _Str2(slalg)
-    mu = _Mu(slalg, ts)
+    reps = sorted({pattern_rep_and_sign(m, n, p)[0] for p in admissible_patterns(m, n)})
+    str2 = _str2(slalg, reps)
+    mu = _mu(slalg, ts, reps)
     ring = dlg.ring
     dim_d = dlg.dim
+    dd_dim = dim_d ** 2
+    d1, d2 = hoch.d1.matrix, ts.d2.matrix
 
-    # the quotient D_k each kernel-class coefficient lives in
-    by_mod = {k: quotient_Dm(dlg, k) for k in {pattern_modulus(m, n, r) for r in str2.reps}}
-    quotient = {r: by_mod[pattern_modulus(m, n, r)] for r in str2.reps}
+    # the middle space: D (x) D, then per rep a block of dim D rows, whose
+    # coefficients live in the quotient D_k of that rep
+    offsets = [0] + [dd_dim + p * dim_d for p in range(len(reps))]
+    quotients = [quotient_Dm(dlg, pattern_modulus(m, n, r)) for r in reps]
+    zero_tests = [hoch.relations] + [q.echelon for q in quotients]
 
-    def w_is_zero(rep, vec):
-        ech = quotient[rep].echelon
-        return not vec or ech.contains(vec)
+    def middle_is_zero(vec) -> bool:
+        """vec is zero in HHS_1(D) plus the D_k."""
+        parts = {}
+        for i, x in vec:
+            part = 0 if i < dd_dim else 1 + (i - dd_dim) // dim_d
+            parts.setdefault(part, []).append((i - offsets[part], x))
+        return all(zero_tests[part].contains(v) for part, v in parts.items())
 
-    def str2_is_zero(items):
-        dd, w = str2.eval(items)
-        return hoch.is_zero_class(dd) and all(w_is_zero(rep, col) for rep, col in w.items())
+    # (a) Str2 is linear, so it kills Im delta_3 iff it kills the rows of the
+    # block echelons: over a field they span Im delta_3 and over the
+    # integers they generate its lattice (each block stops early only where
+    # its span provably equals Ker delta_2 of the block)
+    str2_ok = all(middle_is_zero(str2.apply(row)) for row in ts.image_rows())
 
-    # (a) the second supertrace kills the tensor-square relations.  Str2 is
-    # linear, so it kills Im delta_3 iff it kills a generating set, such as the
-    # rows of the block echelons: each block stops early only where its
-    # span provably equals Ker delta_2 of the block (at the rank over a
-    # field, at equal pivot values too over the integers), so over a field
-    # they span Im delta_3 and over the integers they generate its lattice.
-    str2_ok = all(str2_is_zero(row) for row in ts.image_rows())
-
-    # (c) the embedding kills the Hochschild relations and quotient ideals
-    mu_ok = all(ts.is_zero_class(mu.of_dd(col))
-                for col in hoch.relations.basis_matrix().columns()) and all(
-        ts.is_zero_class(mu.of_pattern(rep, col))
-        for rep in str2.reps for col in quotient[rep].ideal.columns())
+    # (c) mu kills the Hochschild relations and the ideals of the D_k
+    relations = hoch.relations.basis_matrix().columns() + [
+        [(offsets[p + 1] + i, x) for i, x in col]
+        for p, q in enumerate(quotients) for col in q.ideal.columns()]
+    mu_ok = all(ts.is_zero_class(mu.apply(v)) for v in relations)
 
     # (b) both squares of the diagram commute
-    trace_sq = True
-    for _, g in ts.carrier_generators():
-        lhs = slalg.gl.supertrace(slalg.embed(ts.d2.matrix.apply(g)))
-        dd, _ = str2.eval(g)
-        if lhs != hoch.d1.matrix.apply(dd):
-            trace_sq = False
-            break
-    embed_sq = True
-    for t, col in enumerate(hoch.d1.matrix.columns()):
-        omega = slalg.embed(ts.d2.matrix.apply(mu.of_dd([(t, ring.one)])))
-        if omega != [(slalg.gl.unit_index(1, 1, b), x) for b, x in col]:
-            embed_sq = False
-            break
+    trace_sq = all(
+        slalg.gl.supertrace(slalg.embed(d2.apply(g)))
+        == d1.apply([(i, x) for i, x in str2.apply(g) if i < dd_dim])
+        for _, g in ts.carrier_generators())
+    embed_sq = all(
+        slalg.embed(d2.apply(mu.apply([(t, ring.one)])))
+        == [(slalg.gl.unit_index(1, 1, b), x) for b, x in col]
+        for t, col in enumerate(d1.columns()))
 
-    # (d) Str2 o mu = id on both summands
-    section = True
-    for col in hoch.kernel.columns():
-        dd, w = str2.eval(mu.of_dd(col))
-        if not hoch.is_zero_class(combine(ring, [(1, dd), (-1, col)])):
-            section = False
-        if any(not w_is_zero(rep, wcol) for rep, wcol in w.items()):
-            section = False
-    for rep in str2.reps:
-        for b in range(dim_d):
-            unit = [(b, ring.one)]
-            dd, w = str2.eval(mu.of_pattern(rep, unit))
-            if not hoch.is_zero_class(dd):
-                section = False
-            for rep2, col in w.items():
-                if not w_is_zero(rep2, combine(ring, [(1, col), (-1, unit if rep2 == rep else [])])):
-                    section = False
+    # (d) Str2 o mu = id on Ker d_1 and on the block units, which generate
+    # the middle space modulo the relations
+    sources = hoch.kernel.columns() + [
+        [(offsets[p + 1] + b, ring.one)] for p in range(len(reps)) for b in range(dim_d)]
+    section_map = str2 @ mu
+    section = all(middle_is_zero(combine(ring, [(1, section_map.apply(v)), (-1, v)]))
+                  for v in sources)
 
     # (e) mu o Str2 = id on the kernel classes of the carrier
-    retraction = True
-    for g in ts.kernel_class_generators():
-        dd, w = str2.eval(g)
-        back = mu.of_dd(dd)
-        for rep, col in w.items():
-            back += mu.of_pattern(rep, col)
-        if not ts.is_zero_class(combine(ring, [(1, back), (-1, g)])):
-            retraction = False
-            break
+    retraction = all(ts.is_zero_class(combine(ring, [(1, mu.apply(str2.apply(g))), (-1, g)]))
+                     for g in ts.kernel_class_generators())
 
-    # (f) induced map is onto the degree-2 homology, with equal invariants
-    image_cols = []
-    source_parities = []
-    for col in hoch.kernel.columns():
-        image_cols.append(mu.of_dd(col))
-        pars = {hoch.d1.source.parity[i] for i, _ in col}
-        source_parities.append(pars.pop() if len(pars) == 1 else None)
-    for rep in str2.reps:
-        off = pattern_parity_offset(m, n, rep)
-        for b in range(dim_d):
-            image_cols.append(mu.of_pattern(rep, [(b, ring.one)]))
-            source_parities.append((dlg.parity(b) + off) % 2)
-    # the images extend only the blocks they hit; each Ker delta_2 generator
-    # is tested in its own block's coordinates.  A certified block has
-    # Ker delta_2 = Im delta_3, which every extension contains.
+    # (f) the images of the sources extend only the blocks they hit; each
+    # Ker delta_2 generator is tested in its own block's coordinates.  A
+    # certified block has Ker delta_2 = Im delta_3, which every extension
+    # contains.
+    image_cols = [mu.apply(v) for v in sources]
     plus = ts.extend_blocks(image_cols)
     surjective = True
     for b in ts.blocks.values():
@@ -474,9 +416,14 @@ def splitting_check(m: int, n: int, dlg: SuperDialgebra,
     expected = hoch.invariants.direct_sum(expected_w(m, n, dlg))
     inv_match = module_iso_check(computed, expected)
 
-    # (g) the map is parity homogeneous with the right parities
+    # (g) the map is parity homogeneous with the right parities: a block unit
+    # has the parity of its D coefficient shifted by its pattern's offset
+    middle_parity = list(hoch.d1.source.parity) + [
+        (dlg.parity(b) + pattern_parity_offset(m, n, r)) % 2 for r in reps for b in range(dim_d)]
     parity_ok = True
-    for col, want in zip(image_cols, source_parities):
+    for v, col in zip(sources, image_cols):
+        want = {middle_parity[i] for i, _ in v}
+        want = want.pop() if len(want) == 1 else None
         pars = {ts.d2.source.parity[i] for i, _ in col}
         if len(pars) > 1 or (pars and want is not None and pars.pop() != want):
             parity_ok = False

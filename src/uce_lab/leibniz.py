@@ -9,6 +9,7 @@ with |E_ij(a)| = |i| + |j| + |a|, |i| = 0 for i <= m and 1 for i > m.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import permutations, product
 
 from .exactlin import (
@@ -152,9 +153,11 @@ class GeneralLinear:
     def supertrace(self, items):
         """Str(x) = sum_i (-1)^{|i|(|i| + |x_ii|)} x_ii, a D element; x and
         the result are (index, value) pairs, as for ``SparseMat.apply``."""
-        return self.supertrace_matrix().apply(items)
+        return self.supertrace_matrix.apply(items)
 
+    @cached_property
     def supertrace_matrix(self) -> SparseMat:
+        """The matrix of Str, built once per gl."""
         ent = {}
         ring = self.dlg.ring
         for i in range(1, self.size + 1):
@@ -285,7 +288,7 @@ def sl(m: int, n: int, d: SuperDialgebra) -> SpecialLinear:
 def _check_supertrace_characterization(g: GeneralLinear, span_ech: Echelon):
     """sl = {x : Str(x) in span[D, D]} checked as equality of submodules."""
     ring = g.algebra.ring
-    str_mat = g.supertrace_matrix()
+    str_mat = g.supertrace_matrix
     dd = bracket_span(g.dlg)
     # {x : S x in lattice L} is the x-projection of ker [S | L]
     block = SparseMat._trusted(ring, str_mat.rows, str_mat.columns() + dd.columns())

@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -30,10 +31,17 @@ from uce_lab.superdialg import (
     builtin_dialgebra,
     catalog_names,
     load_dialgebra,
+    matrix_dialgebra,
     quotient_Dm,
+    tensor_product,
     validate,
 )
-from uce_lab.tensorsq import pattern_modulus, tensor_square
+from uce_lab.tensorsq import (
+    admissible_patterns,
+    pattern_modulus,
+    pattern_rep_and_sign,
+    tensor_square,
+)
 
 from helpers import entries_of
 
@@ -281,20 +289,23 @@ def _drop_orbit_sign(monkeypatch):
 
 def _str2_kills_every_d3_column(m, n, dlg) -> bool:
     """Check (a) as it was first written, the reference for the check on
-    the echelon rows: Str2 on every nonzero column of delta_3."""
+    the echelon rows: Str2 on every nonzero column of delta_3, its D (x) D
+    part tested against Im d_2 + I and each rep's block against its D_k."""
     slalg = sl(m, n, dlg)
     hoch = degree_one_homology(dlg)
-    str2 = hochschild._Str2(slalg)
-    quotients = {rep: quotient_Dm(dlg, pattern_modulus(m, n, rep)) for rep in str2.reps}
+    reps = sorted({pattern_rep_and_sign(m, n, p)[0] for p in admissible_patterns(m, n)})
+    str2 = hochschild._str2(slalg, reps)
+    dim_d = dlg.dim
+    quotients = [quotient_Dm(dlg, pattern_modulus(m, n, rep)) for rep in reps]
     for col in delta(slalg.algebra, 3).matrix.columns():
         if not col:
             continue
-        dd, w = str2.eval(col)
-        if not hoch.is_zero_class(dd):
+        image = str2.apply(col)
+        if not hoch.is_zero_class([(i, x) for i, x in image if i < dim_d ** 2]):
             return False
-        for rep, wcol in w.items():
-            ech = quotients[rep].echelon
-            if ech.residue(wcol):
+        for p, q in enumerate(quotients):
+            lo = dim_d * (dim_d + p)
+            if q.echelon.residue([(i - lo, x) for i, x in image if lo <= i < lo + dim_d]):
                 return False
     return True
 
@@ -315,21 +326,46 @@ def _doubled(items) -> list:
     return [(k, 2 * v) for k, v in items]
 
 
-def test_splitting_check_catches_a_broken_trace_square(monkeypatch):
-    # (b), left square: Str o embed o delta_2 against d_1 o Str2.  Over
-    # mat2_q, d_1 != 0, so the square has nonzero entries to compare
+def _double_supertrace(monkeypatch):
     supertrace = leibniz.GeneralLinear.supertrace
     monkeypatch.setattr(leibniz.GeneralLinear, "supertrace",
                         lambda self, items: _doubled(supertrace(self, items)))
+
+
+def test_splitting_check_catches_a_broken_trace_square(monkeypatch):
+    # (b), left square: Str o embed o delta_2 against d_1 o Str2.  Over
+    # mat2_q, d_1 != 0, so the square has nonzero entries to compare
+    _double_supertrace(monkeypatch)
     assert _failing(splitting_check(3, 0, builtin_dialgebra("mat2_q"))) == [
         "trace_square_commutes"]
+
+
+def _with_columns(mat, cols) -> SparseMat:
+    return SparseMat(mat.ring, mat.rows, len(cols),
+                     {(i, j): v for j, col in enumerate(cols) for i, v in col})
+
+
+def _patch_builder(monkeypatch, name, change):
+    """Replace the map hochschild.<name> builds by change(its matrix, the
+    builder's arguments)."""
+    real = getattr(hochschild, name)
+    monkeypatch.setattr(hochschild, name, lambda *args: change(real(*args), *args))
+
+
+def _double_mu_on_dd(monkeypatch):
+    # mu doubled on its D (x) D columns, the first dim D ** 2 of the middle space
+    def doubled(mu, slalg, ts, reps):
+        dd_dim = slalg.gl.dlg.dim ** 2
+        return _with_columns(mu, [_doubled(col) if t < dd_dim else col
+                                  for t, col in enumerate(mu.columns())])
+
+    _patch_builder(monkeypatch, "_mu", doubled)
 
 
 def test_splitting_check_catches_a_broken_embed_square(monkeypatch):
     # (b), right square: embed o delta_2 o mu against E_11(d_1).  A doubled mu
     # still kills the relations, and HHS_1(mat2_q) = 0 hides it from (d), (e)
-    of_dd = hochschild._Mu.of_dd
-    monkeypatch.setattr(hochschild._Mu, "of_dd", lambda self, items: _doubled(of_dd(self, items)))
+    _double_mu_on_dd(monkeypatch)
     assert _failing(splitting_check(3, 0, builtin_dialgebra("mat2_q"))) == [
         "embed_square_commutes"]
 
@@ -338,11 +374,15 @@ def test_splitting_check_catches_a_broken_embed_square(monkeypatch):
 def test_splitting_check_catches_a_mu_that_misses_the_relations(monkeypatch, m, n, name):
     # (c): mu(a (x) b) without its term E_12(b |> a) (x) E_21(1) no longer
     # kills Im d_2 + I, and no longer lifts d_1 either
-    def first_term(self, t):
-        a, b = divmod(t, self.dlg.dim)
-        return self._pair(1, 2, self.dlg.basis_vector(a), 2, 1, self.dlg.basis_vector(b))
+    def first_term(mu, slalg, ts, reps):
+        dlg = slalg.gl.dlg
+        unit, coords = dlg.basis_vector, slalg.coords_of_unit
+        cols = list(mu.columns())
+        for t, (a, b) in enumerate(product(range(dlg.dim), repeat=2)):
+            cols[t] = ts.pair_vector(coords(1, 2, unit(a)), coords(2, 1, unit(b)))
+        return _with_columns(mu, cols)
 
-    monkeypatch.setattr(hochschild._Mu, "_dd_unit", first_term)
+    _patch_builder(monkeypatch, "_mu", first_term)
     assert _failing(splitting_check(m, n, builtin_dialgebra(name))) == [
         "mu_well_defined", "embed_square_commutes"]
 
@@ -352,18 +392,70 @@ def test_splitting_check_catches_maps_that_are_not_inverse(monkeypatch, part):
     # (d) Str2 o mu = id and (e) mu o Str2 = id: a doubled summand breaks
     # both, as over a field either identity implies the other.  HHS_1 of
     # dual_numbers_q and the W classes of (2, 2) are nonzero
-    evaluate = hochschild._Str2.eval
+    def doubled(str2, slalg, reps):
+        dd_dim = slalg.gl.dlg.dim ** 2
+        pick = (lambda i: i < dd_dim) if part == "hochschild" else (lambda i: i >= dd_dim)
+        return _with_columns(str2, [[(i, 2 * v if pick(i) else v) for i, v in col]
+                                    for col in str2.columns()])
 
-    def doubled(self, items):
-        dd, w = evaluate(self, items)
-        if part == "hochschild":
-            return _doubled(dd), w
-        return dd, {rep: _doubled(col) for rep, col in w.items()}
-
-    monkeypatch.setattr(hochschild._Str2, "eval", doubled)
+    _patch_builder(monkeypatch, "_str2", doubled)
     m, n, name = (2, 1, "dual_numbers_q") if part == "hochschild" else (2, 2, "grassmann_q")
     assert _failing(splitting_check(m, n, builtin_dialgebra(name))) == [
         "section_identity", "retraction_identity"]
+
+
+@pytest.mark.parametrize("m,n,name", [(3, 0, "f3"), (2, 2, "grassmann_q"), (3, 1, "f2")])
+def test_splitting_check_catches_wrong_pattern_parities(monkeypatch, m, n, name):
+    # (g): with every pattern's parity offset off by one, the images of the
+    # block units no longer have the parity of their sources
+    offset = hochschild.pattern_parity_offset
+    monkeypatch.setattr(hochschild, "pattern_parity_offset",
+                        lambda m, n, pat: offset(m, n, pat) + 1)
+    assert _failing(splitting_check(m, n, builtin_dialgebra(name))) == ["parity_preserving"]
+
+
+# Composites with d_1 != 0, built by the existing constructors: their
+# squares (b) compare nonzero maps.  Their sl has dimension 70, over the
+# default size guard, so they run with an explicit one.
+COMPOSITES = {
+    "M2(dual_numbers_q)": lambda: matrix_dialgebra(2, builtin_dialgebra("dual_numbers_q")),
+    "mat2_q (x) grassmann_q": lambda: tensor_product(builtin_dialgebra("mat2_q"),
+                                                     builtin_dialgebra("grassmann_q")),
+    "M2(bar_duplex_q)": lambda: matrix_dialgebra(2, builtin_dialgebra("bar_duplex_q")),
+}
+BIG_GUARD = 10 ** 9
+
+
+@pytest.mark.parametrize("m,n,name,d1_nnz", [
+    (3, 0, "M2(dual_numbers_q)", 36),
+    (2, 1, "mat2_q (x) grassmann_q", 36),
+    (2, 1, "M2(bar_duplex_q)", 48),
+])
+def test_splitting_diagram_of_a_composite_with_nonzero_d1(m, n, name, d1_nnz):
+    dlg = COMPOSITES[name]()
+    assert d(dlg, 1).matrix.nnz() == d1_nnz
+    assert splitting_check(m, n, dlg, guard=BIG_GUARD).ok
+
+
+@pytest.mark.parametrize("m,n,name,failing", [
+    (2, 1, "mat2_q (x) grassmann_q", ["trace_square_commutes"]),
+    (3, 0, "M2(bar_duplex_q)", ["trace_square_commutes"]),
+])
+def test_composite_catches_a_doubled_supertrace(monkeypatch, m, n, name, failing):
+    _double_supertrace(monkeypatch)
+    assert _failing(splitting_check(m, n, COMPOSITES[name](), guard=BIG_GUARD)) == failing
+
+
+@pytest.mark.parametrize("m,n,name,failing", [
+    # HHS_1 is (1|1) for the Grassmann composite and 0 for M2(bar_duplex_q),
+    # so only the first shows the doubled mu in (d) and (e) too
+    (2, 1, "mat2_q (x) grassmann_q",
+     ["embed_square_commutes", "section_identity", "retraction_identity"]),
+    (3, 0, "M2(bar_duplex_q)", ["embed_square_commutes"]),
+])
+def test_composite_catches_a_doubled_mu_on_d_tensor_d(monkeypatch, m, n, name, failing):
+    _double_mu_on_dd(monkeypatch)
+    assert _failing(splitting_check(m, n, COMPOSITES[name](), guard=BIG_GUARD)) == failing
 
 
 @pytest.mark.parametrize("broken", [False, True])
@@ -392,12 +484,12 @@ def test_d2_kernel_blocks_span_the_kernel(m, n, name):
 def test_splitting_image_meeting_two_blocks_raises(monkeypatch):
     # (f) extends each block by the images of the map that lie in it; an
     # image split across two blocks would enlarge the span
-    real = hochschild._Mu.of_pattern
+    def leaky(mu, slalg, ts, reps):
+        dd_dim = slalg.gl.dlg.dim ** 2
+        return _with_columns(mu, [col if t < dd_dim else [(0, 1)] + [(i, v) for i, v in col if i != 0]
+                                  for t, col in enumerate(mu.columns())])
 
-    def leaky(self, rep, items):
-        return [(0, 1)] + [(t, v) for t, v in real(self, rep, items) if t != 0]
-
-    monkeypatch.setattr(hochschild._Mu, "of_pattern", leaky)
+    _patch_builder(monkeypatch, "_mu", leaky)
     with pytest.raises(RuntimeError, match="not one block of L \\(x\\) L"):
         splitting_check(3, 1, builtin_dialgebra("f2"))
 
